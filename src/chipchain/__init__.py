@@ -63,6 +63,7 @@ from .identity import (
     ChipKeyPair,
     ISSUER_MANAGEMENT,
     ISSUER_SECURITY,
+    POWMOD_BACKEND,
     PublicKey,
     Response,
     SecretKey,

@@ -32,7 +32,9 @@ def pow_search_pure(body: bytes, nonce_start: int = 0,
         raise ValueError("max_attempts must be >= 0")
 
     body = bytes(body)
-    bound = 1 << (256 - difficulty_bits)
+    # big-endian bytes order like the integers they encode, so the
+    # digest clears the target iff it is at most the largest passing value
+    limit = ((1 << (256 - difficulty_bits)) - 1).to_bytes(32, "big")
     remaining = _NONCE_SPACE - nonce_start
     if max_attempts is not None:
         remaining = min(remaining, max_attempts)
@@ -40,7 +42,7 @@ def pow_search_pure(body: bytes, nonce_start: int = 0,
     nonce = nonce_start
     for attempt in range(remaining):
         digest = sha256(nonce.to_bytes(8, "big") + body).digest()
-        if int.from_bytes(digest, "big") < bound:
+        if digest <= limit:
             return nonce, digest, attempt + 1
         nonce += 1
     return None

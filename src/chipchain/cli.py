@@ -42,6 +42,7 @@ from .entropy_analysis import (
 )
 from .errors import ChipChainError, ConfigInvalid
 from .identity import (
+    POWMOD_BACKEND,
     AuditVerdict,
     PublicKey,
     SecurityState,
@@ -395,7 +396,8 @@ def _cmd_scenario_run(args):
 
 
 def _cmd_version(args):
-    return [f"chipchain {__version__} (pow kernel: {active_kernel()})"], 0, []
+    return [f"chipchain {__version__} (pow kernel: {active_kernel()}, "
+            f"powmod: {POWMOD_BACKEND})"], 0, []
 
 
 # frozen oracle anchors used by the embedded selftest

@@ -22,8 +22,10 @@ from functools import lru_cache
 
 try:
     from gmpy2 import powmod as _powmod
+    POWMOD_BACKEND = "gmpy2"
 except ImportError:  # pure fallback, same results
     _powmod = pow
+    POWMOD_BACKEND = "builtin"
 
 from .chip_model import Prn, SimulatedChip, extract_prn
 from .errors import PrimeSearchExhausted, SignatureMalformed
@@ -127,8 +129,19 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class SecretKey:
+    """Private exponent plus the CRT form that signing uses.
+
+    exponent_p = d mod (p - 1), exponent_q = d mod (q - 1) and
+    q_inverse = q^-1 mod p are derived once per key.
+    """
+
     modulus: int
     exponent: int
+    prime_p: int
+    prime_q: int
+    exponent_p: int
+    exponent_q: int
+    q_inverse: int
 
 
 @dataclass(frozen=True)
@@ -249,7 +262,8 @@ def _derive_core(seed: bytes, modulus_bits: int):
     while math.gcd(e, phi) != 1:
         e += 2
     d = pow(e, -1, phi)
-    return n, e, d, p, q
+    secret = SecretKey(n, d, p, q, d % (p - 1), d % (q - 1), pow(q, -1, p))
+    return PublicKey(n, e), secret
 
 
 def derive_keypair(response: Response, modulus_bits: int = 1024) -> ChipKeyPair:
@@ -260,14 +274,14 @@ def derive_keypair(response: Response, modulus_bits: int = 1024) -> ChipKeyPair:
     """
     if modulus_bits not in SUPPORTED_MODULUS_BITS:
         raise ValueError(f"modulus_bits must be one of {SUPPORTED_MODULUS_BITS}")
-    n, e, d, p, q = _derive_core(response.data, modulus_bits)
+    public, secret = _derive_core(response.data, modulus_bits)
     return ChipKeyPair(
         chip_id=response.chip_id,
         state_index=response.state_index,
-        public_key=PublicKey(n, e),
-        secret_key=SecretKey(n, d),
-        prime_p=p,
-        prime_q=q,
+        public_key=public,
+        secret_key=secret,
+        prime_p=secret.prime_p,
+        prime_q=secret.prime_q,
         modulus_bits=modulus_bits,
     )
 
@@ -294,10 +308,19 @@ def _padded_digest_int(message: bytes, size: int) -> int:
 
 
 def sign(secret_key: SecretKey, message: bytes) -> bytes:
-    """Signature over the padded digest of message."""
-    size = (secret_key.modulus.bit_length() + 7) // 8
+    """Signature over the padded digest of message.
+
+    Computed with the Chinese remainder theorem (Quisquater and
+    Couvreur, 1982): one exponentiation mod p and one mod q, joined by
+    Garner's formula.  The result equals em^d mod n, so the signature
+    bytes are the same as those of the plain modexp.
+    """
+    key = secret_key
+    size = (key.modulus.bit_length() + 7) // 8
     em = _padded_digest_int(bytes(message), size)
-    s = int(_powmod(em, secret_key.exponent, secret_key.modulus))
+    m1 = int(_powmod(em, key.exponent_p, key.prime_p))
+    m2 = int(_powmod(em, key.exponent_q, key.prime_q))
+    s = m2 + (key.q_inverse * (m1 - m2) % key.prime_p) * key.prime_q
     return s.to_bytes(size, "big")
 
 

@@ -28,6 +28,7 @@ from .errors import (
     CycleDetected,
     MultipleSinks,
     NonceExhausted,
+    SignatureMalformed,
     StateMismatch,
     UnknownChip,
 )
@@ -110,7 +111,7 @@ def verify_record(record: TransactionRecord) -> bool:
         return verify(record.sender_key,
                       signed_payload(record.receiver_key, record.hash_value),
                       record.signature)
-    except Exception:
+    except SignatureMalformed:
         return False
 
 

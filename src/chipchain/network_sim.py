@@ -48,6 +48,7 @@ sweep).
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -163,6 +164,24 @@ def _parse_float(raw: str, where: str) -> float:
         raise ConfigInvalid(f"{where}: expected number, got {raw!r}") from None
 
 
+def _check_chip_spec(spec: ChipSpec, where: str) -> ChipSpec:
+    """Reject chip parameters that new_chip would only refuse mid-run."""
+    problem = None
+    if not (math.isfinite(spec.mean_failures) and spec.mean_failures > 0):
+        problem = f"lambda must be finite and positive, got {spec.mean_failures}"
+    elif spec.rows < 1:
+        problem = f"y must be positive, got {spec.rows}"
+    elif not 0 <= spec.redundancy_rows <= spec.rows:
+        problem = (f"redundancy must be in [0, y={spec.rows}], "
+                   f"got {spec.redundancy_rows}")
+    elif not 0 <= spec.min_failures <= spec.redundancy_rows:
+        problem = (f"min_failures must be in [0, redundancy="
+                   f"{spec.redundancy_rows}], got {spec.min_failures}")
+    if problem:
+        raise ConfigInvalid(f"{where}: chip {spec.name!r}: {problem}")
+    return spec
+
+
 def _split_options(parts: Sequence[str], where: str) -> dict[str, str]:
     options = {}
     for part in parts:
@@ -254,7 +273,7 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
             raise ConfigInvalid(f"{where}: unknown chip options {sorted(unknown)}")
         if "seed" not in options:
             raise ConfigInvalid(f"{where}: chip {chip_name!r} needs seed=")
-        chips[chip_name] = ChipSpec(
+        chips[chip_name] = _check_chip_spec(ChipSpec(
             name=chip_name,
             seed=_parse_int(options["seed"], where),
             rows=_parse_int(options.get("y", str(default_rows)), where),
@@ -265,7 +284,7 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
                                        where),
             min_failures=_parse_int(options.get("min_failures",
                                                 str(default_min)), where),
-        )
+        ), where)
 
     nodes: dict[str, NodeSpec] = {}
     chip_owner: dict[str, str] = {}

@@ -158,3 +158,15 @@ def response_oracle(prn_rows, total_rows: int, challenge_data: bytes) -> bytes:
     for counter in (0, 1):
         out += hmac_sha256(key, challenge_data + struct.pack(">I", counter))
     return out
+
+
+def rsa_sign_oracle(message: bytes, d: int, n: int) -> bytes:
+    """Textbook RSA signature: one full modexp with d over the padded digest.
+
+    The encoded message is 00 01, then 0xff filler, then 00 and the
+    SHA-256 digest, filling the byte length of n.
+    """
+    size = (n.bit_length() + 7) // 8
+    digest = hashlib.sha256(message).digest()
+    encoded = b"\x00\x01" + b"\xff" * (size - len(digest) - 3) + b"\x00" + digest
+    return pow(int.from_bytes(encoded, "big"), d, n).to_bytes(size, "big")

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from chipchain.cli import dispatch, main
@@ -57,6 +59,7 @@ def test_version():
     assert result.exit_code == 0
     assert result.stdout_payload.startswith("chipchain 0.1.0")
     assert "pow kernel:" in result.stdout_payload
+    assert re.search(r"powmod: (gmpy2|builtin)\)", result.stdout_payload)
 
 
 def test_unknown_command_usage_error():

@@ -27,7 +27,7 @@ from chipchain import (
 from chipchain.identity import SUPPORTED_MODULUS_BITS, _next_prime
 
 from conftest import SMALL, make_small_chip
-from oracles import is_prime_trial, response_oracle
+from oracles import is_prime_trial, response_oracle, rsa_sign_oracle
 
 
 # --------------------------------------------------------------- challenges
@@ -264,6 +264,28 @@ def test_verify_wrong_length_raises():
 def test_signature_is_deterministic():
     pair = keypair_for_chip(make_small_chip(15), 0, modulus_bits=512)
     assert sign(pair.secret_key, b"m") == sign(pair.secret_key, b"m")
+
+
+@pytest.mark.parametrize("bits", SUPPORTED_MODULUS_BITS)
+def test_crt_fields_match_keypair(bits):
+    pair = keypair_for_chip(make_small_chip(6), 0, modulus_bits=bits)
+    key = pair.secret_key
+    p, q, d = pair.prime_p, pair.prime_q, key.exponent
+    assert (key.prime_p, key.prime_q) == (p, q)
+    assert key.modulus == p * q == pair.public_key.modulus
+    assert key.exponent_p == d % (p - 1)
+    assert key.exponent_q == d % (q - 1)
+    assert key.q_inverse == pow(q, -1, p)
+    assert key.q_inverse * q % p == 1
+
+
+@pytest.mark.parametrize("bits", SUPPORTED_MODULUS_BITS)
+def test_sign_matches_plain_rsa_oracle(bits):
+    pair = keypair_for_chip(make_small_chip(6), 0, modulus_bits=bits)
+    key = pair.secret_key
+    for message in (b"", b"m", b"chip nonce 0001", bytes(range(256)) * 4):
+        assert sign(key, message) == rsa_sign_oracle(message, key.exponent,
+                                                     key.modulus)
 
 
 # -------------------------------------------------------------------- audit

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -11,6 +12,7 @@ from chipchain import (
     MultipleSinks,
     NonceExhausted,
     RootStamp,
+    SignatureMalformed,
     StateMismatch,
     UnknownChip,
     ZERO_HASH,
@@ -31,6 +33,7 @@ from chipchain import (
     serialize_chain,
     sign,
     transfer,
+    verify,
     verify_chain,
     verify_record,
     verify_tree,
@@ -108,13 +111,22 @@ def test_verify_record_rejects_mutations():
     a = enroll_chip("a", make_small_chip(33), 0, modulus_bits=512)
     b = enroll_chip("b", make_small_chip(34), 0, modulus_bits=512)
     record = transfer(a, b, state_index=0)
-    import dataclasses
     flipped_hash = bytes([record.hash_value[0] ^ 1]) + record.hash_value[1:]
     assert not verify_record(dataclasses.replace(record, hash_value=flipped_hash))
     flipped_sig = bytes([record.signature[0] ^ 1]) + record.signature[1:]
     assert not verify_record(dataclasses.replace(record, signature=flipped_sig))
     assert not verify_record(dataclasses.replace(record, prev_hash=bytes(32)))
     assert not verify_record(dataclasses.replace(record, signature=b"too short"))
+
+
+def test_verify_record_wrong_length_signature_reads_false():
+    a = enroll_chip("a", make_small_chip(33), 0, modulus_bits=512)
+    b = enroll_chip("b", make_small_chip(34), 0, modulus_bits=512)
+    record = transfer(a, b, state_index=0)
+    for signature in (record.signature[:-1], record.signature + b"\x00", b""):
+        with pytest.raises(SignatureMalformed):
+            verify(record.sender_key, b"payload", signature)
+        assert verify_record(dataclasses.replace(record, signature=signature)) is False
 
 
 # ------------------------------------------------------------ tree building
@@ -205,7 +217,6 @@ def test_random_trees_match_oracle():
 
 
 def test_verify_tree_detects_tampering(fig_tree):
-    import dataclasses
     node = fig_tree.nodes["n1"]
     bad_record = dataclasses.replace(node.incoming[0], prev_hash=b"\x01" * 32)
     bad_node = dataclasses.replace(node, incoming=[bad_record, node.incoming[1]])
@@ -216,7 +227,6 @@ def test_verify_tree_detects_tampering(fig_tree):
 
 
 def test_verify_tree_detects_seq_swap(fig_tree):
-    import dataclasses
     node = fig_tree.nodes["n1"]
     swapped = [
         dataclasses.replace(node.incoming[0], seq=2),
@@ -407,7 +417,6 @@ def test_verify_chain_rejects_reordered_blocks(stamps):
 
 
 def test_verify_chain_rejects_height_rewrite(stamps):
-    import dataclasses
     chain = make_chain(stamps[:3])
     chain[1] = dataclasses.replace(chain[1], height=7)
     assert not verify_chain(chain, difficulty_bits=8)

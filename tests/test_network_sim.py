@@ -115,6 +115,32 @@ def test_parse_reports_line_numbers():
         parse_scenario(bad)
 
 
+@pytest.mark.parametrize(
+    "options, message_part",
+    [
+        ("lambda=nan", "lambda must be finite and positive"),
+        ("lambda=inf", "lambda must be finite and positive"),
+        ("lambda=-1", "lambda must be finite and positive"),
+        ("y=0", "y must be positive"),
+        ("y=10 redundancy=11", "redundancy must be in [0, y=10]"),
+        ("redundancy=3 min_failures=4", "min_failures must be in [0, redundancy=3]"),
+    ],
+)
+def test_parse_rejects_bad_chip_parameters(options, message_part):
+    bad = MINI + f"\n[chips]\ncd seed=4 {options}\n"
+    line_no = bad.splitlines().index(f"cd seed=4 {options}") + 1
+    with pytest.raises(ConfigInvalid, match=re.escape(message_part)) as caught:
+        parse_scenario(bad)
+    assert str(caught.value).startswith(f"line {line_no}: chip 'cd'")
+
+
+def test_parse_checks_chip_parameters_from_params_defaults():
+    bad = MINI.replace("y = 256", "y = 256\nlambda = nan")
+    line_no = bad.splitlines().index("ca seed=1") + 1
+    with pytest.raises(ConfigInvalid, match=f"line {line_no}: chip 'ca': lambda"):
+        parse_scenario(bad)
+
+
 def test_parse_ticks_must_not_decrease():
     with pytest.raises(ConfigInvalid, match="non-decreasing"):
         parse_scenario(MINI + "\n[schedule]\n1 sweep\n")

@@ -84,6 +84,26 @@ def test_non_byte_multiple_difficulty(kernel):
     assert digest[1] >> 5 == 0
 
 
+def _integer_rule_search(body, difficulty, max_attempts):
+    """First nonce from 0 whose digest, read as an integer, is below
+    2**(256 - difficulty)."""
+    bound = 1 << (256 - difficulty)
+    for nonce in range(max_attempts):
+        digest = sha(nonce, body)
+        if int.from_bytes(digest, "big") < bound:
+            return nonce, digest, nonce + 1
+    return None
+
+
+@pytest.mark.parametrize("difficulty", [0, 1, 8, 14, 256])
+def test_pure_kernel_matches_integer_rule(difficulty):
+    for body in (b"", b"parity", bytes(100)):
+        expected = _integer_rule_search(body, difficulty, 1 << 17)
+        assert pow_search_pure(body, 0, difficulty, max_attempts=1 << 17) == expected
+        if difficulty == 256:
+            assert expected is None
+
+
 def test_active_kernel_reports_something():
     assert active_kernel() in ("native", "pure")
 
