@@ -113,7 +113,9 @@ from .network_sim import (
     bundled_scenario,
     check_invariants,
     load_scenario,
+    load_topology,
     parse_scenario,
+    parse_topology,
     run_scenario,
 )
 

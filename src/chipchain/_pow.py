@@ -15,6 +15,16 @@ import os
 _NONCE_SPACE = 1 << 64
 
 
+def _check_search_args(nonce_start: int, difficulty_bits: int,
+                       max_attempts: int | None) -> None:
+    if not 0 <= difficulty_bits <= 256:
+        raise ValueError("difficulty_bits must be in [0, 256]")
+    if not 0 <= nonce_start < _NONCE_SPACE:
+        raise ValueError("nonce_start must fit in 64 bits")
+    if max_attempts is not None and max_attempts < 0:
+        raise ValueError("max_attempts must be >= 0")
+
+
 def pow_search_pure(body: bytes, nonce_start: int = 0,
                     difficulty_bits: int = 0,
                     max_attempts: int | None = None):
@@ -24,13 +34,7 @@ def pow_search_pure(body: bytes, nonce_start: int = 0,
     or after nonce_start, or None if the scan exhausted the nonce space
     or the attempt cap first.
     """
-    if not 0 <= difficulty_bits <= 256:
-        raise ValueError("difficulty_bits must be in [0, 256]")
-    if not 0 <= nonce_start < _NONCE_SPACE:
-        raise ValueError("nonce_start must fit in 64 bits")
-    if max_attempts is not None and max_attempts < 0:
-        raise ValueError("max_attempts must be >= 0")
-
+    _check_search_args(nonce_start, difficulty_bits, max_attempts)
     body = bytes(body)
     # big-endian bytes order like the integers they encode, so the
     # digest clears the target iff it is at most the largest passing value
@@ -65,12 +69,7 @@ def pow_search(body: bytes, nonce_start: int = 0, difficulty_bits: int = 0,
                max_attempts: int | None = None):
     """Dispatch to the fastest available kernel."""
     if HAVE_NATIVE and not _FORCE_PURE:
-        if not 0 <= difficulty_bits <= 256:
-            raise ValueError("difficulty_bits must be in [0, 256]")
-        if not 0 <= nonce_start < _NONCE_SPACE:
-            raise ValueError("nonce_start must fit in 64 bits")
-        if max_attempts is not None and max_attempts < 0:
-            raise ValueError("max_attempts must be >= 0")
+        _check_search_args(nonce_start, difficulty_bits, max_attempts)
         return _native.pow_search(bytes(body), nonce_start, difficulty_bits,
                                   max_attempts)
     return pow_search_pure(body, nonce_start, difficulty_bits, max_attempts)

@@ -42,6 +42,9 @@ from .errors import (
     UnknownGeneration,
 )
 
+# Largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX).
+MAX_MEAN_FAILURES = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
+
 ACCESS_NORMAL = "normal"
 ACCESS_SPECIAL = "special"
 
@@ -137,8 +140,14 @@ class FailureModel:
     redundancy_failure_rate: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.mean_failures):
+            raise ValueError(
+                f"mean_failures must be finite, got {self.mean_failures}")
         if self.mean_failures <= 0:
             raise ValueError("mean_failures must be positive")
+        if self.mean_failures > MAX_MEAN_FAILURES:
+            raise ValueError(f"mean_failures must be at most "
+                             f"{MAX_MEAN_FAILURES:.6g}, got {self.mean_failures}")
         if self.min_failures < 0:
             raise ValueError("min_failures must be >= 0")
         if not 0.0 <= self.redundancy_failure_rate < 1.0:

@@ -40,7 +40,7 @@ from .entropy_analysis import (
     format_scientific,
     generation_table,
 )
-from .errors import ChipChainError, ConfigInvalid
+from .errors import ChipChainError
 from .identity import (
     POWMOD_BACKEND,
     AuditVerdict,
@@ -67,6 +67,7 @@ from .network_sim import (
     bundled_scenario,
     check_invariants,
     load_scenario,
+    load_topology,
     run_scenario,
 )
 
@@ -89,72 +90,11 @@ def _parse_population(raw: str) -> int:
     return int(value)
 
 
-def _load_topology_file(path):
-    """Chips-and-edges config for the ledger commands.
-
-    Sections: optional [params] (y, lambda, redundancy, min_failures
-    defaults), [chips] with one `node_id seed=N [y= lambda= redundancy=
-    min_failures=]` line per chip, and [topology] with `a -> b` edges.
-    Returns (chips, topology, defaults).
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-
-    defaults = {"y": 2000, "lambda": 10.0, "redundancy": 20, "min_failures": 1}
-    chip_specs: dict[str, dict] = {}
-    topology: list[tuple[str, str]] = []
-    section = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"{path} line {line_no}"
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
-            if section not in ("params", "chips", "topology"):
-                raise ConfigInvalid(f"{where}: unknown section [{section}]")
-            continue
-        if section == "params":
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or key not in defaults:
-                raise ConfigInvalid(f"{where}: unknown parameter line {line!r}")
-            defaults[key] = float(value) if key == "lambda" else int(value)
-        elif section == "chips":
-            parts = line.split()
-            name, options = parts[0], {}
-            for part in parts[1:]:
-                key, sep, value = part.partition("=")
-                if not sep or key not in ("seed", "y", "lambda", "redundancy",
-                                          "min_failures"):
-                    raise ConfigInvalid(f"{where}: bad chip option {part!r}")
-                options[key] = value
-            if "seed" not in options:
-                raise ConfigInvalid(f"{where}: chip {name!r} needs seed=")
-            if name in chip_specs:
-                raise ConfigInvalid(f"{where}: duplicate chip {name!r}")
-            chip_specs[name] = options
-        elif section == "topology":
-            if "->" not in line:
-                raise ConfigInvalid(f"{where}: topology lines look like 'a -> b'")
-            src, _, dst = line.partition("->")
-            topology.append((src.strip(), dst.strip()))
-        else:
-            raise ConfigInvalid(f"{where}: content before any [section] header")
-
-    chips = {}
-    for name, options in chip_specs.items():
-        geometry = ChipGeometry(
-            rows=int(options.get("y", defaults["y"])),
-            redundancy_rows=int(options.get("redundancy",
-                                            defaults["redundancy"])))
-        model = FailureModel(
-            mean_failures=float(options.get("lambda", defaults["lambda"])),
-            min_failures=int(options.get("min_failures",
-                                         defaults["min_failures"])))
-        chips[name] = new_chip(geometry, model, seed=int(options["seed"]),
-                               chip_id=name)
-    return chips, tuple(topology), defaults
+def _load_ledger(path):
+    """Chip specs, their manufactured chips and the edges of a ledger file."""
+    specs, topology = load_topology(path)
+    chips = {name: spec.manufacture() for name, spec in specs.items()}
+    return specs, chips, topology
 
 
 def _fixture_path(args) -> str:
@@ -291,7 +231,7 @@ def _cmd_id_audit(args):
 
 
 def _cmd_ledger_build(args):
-    chips, topology, _ = _load_topology_file(args.topology)
+    _, chips, topology = _load_ledger(args.topology)
     tree = build_tree(topology, chips, args.l, args.modulus_bits)
     lines = []
     for node_id in sorted(tree.nodes):
@@ -306,7 +246,7 @@ def _cmd_ledger_build(args):
 
 
 def _cmd_ledger_mine(args):
-    chips, topology, _ = _load_topology_file(args.topology)
+    _, chips, topology = _load_ledger(args.topology)
     tree = build_tree(topology, chips, args.l, args.modulus_bits)
     chain = load_chain(args.chain) if os.path.exists(args.chain) else []
     stamp = tree.root_stamp()
@@ -332,16 +272,12 @@ def _cmd_ledger_verify(args):
 
 
 def _cmd_ledger_replace(args):
-    chips, topology, defaults = _load_topology_file(args.topology)
-    if args.old not in chips:
+    specs, chips, topology = _load_ledger(args.topology)
+    if args.old not in specs:
         raise ValueError(f"no chip {args.old!r} in {args.topology}")
     tree = build_tree(topology, chips, args.l, args.modulus_bits)
-    old_geometry = chips[args.old].geometry
-    replacement = new_chip(
-        old_geometry,
-        FailureModel(mean_failures=defaults["lambda"],
-                     min_failures=defaults["min_failures"]),
-        seed=args.new_seed, chip_id=f"{args.old}-replacement")
+    replacement = specs[args.old].manufacture(
+        args.new_seed, f"{args.old}-replacement")
     repaired, recomputed = replace_chip(tree, args.old, replacement, args.l)
 
     # independent route: rebuild everything from scratch with the swap
@@ -364,7 +300,7 @@ def _cmd_ledger_replace(args):
 
 
 def _cmd_ledger_rotate(args):
-    chips, topology, _ = _load_topology_file(args.topology)
+    _, chips, topology = _load_ledger(args.topology)
     tree = build_tree(topology, chips, args.from_l, args.modulus_bits)
     rotated = rotate_state_reproduce(tree, args.new_l)
     changed = sum(

@@ -43,6 +43,12 @@ Schedule actions: enroll NODE, spoof ATTACKER VICTIM, build_tree,
 mine [DIFFICULTY], rotate NEW_STATE [offline=a,b], sweep, and
 tamper NODE seed=N (silent physical chip swap, caught by the next
 sweep).
+
+Ledger files, read by the `chipchain ledger` commands, are the
+[params]/[chips]/[topology] part of this grammar: [params] holds only
+the chip defaults (y, lambda, redundancy, min_failures) and edges run
+between declared chips.  parse_topology reads them with the same steps
+as parse_scenario.
 """
 
 from __future__ import annotations
@@ -54,7 +60,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .chip_model import ChipGeometry, FailureModel, SimulatedChip, new_chip
+from .chip_model import (
+    MAX_MEAN_FAILURES,
+    ChipGeometry,
+    FailureModel,
+    SimulatedChip,
+    new_chip,
+)
 from .errors import ConfigInvalid, SignatureMalformed
 from .identity import (
     AuditVerdict,
@@ -100,13 +112,15 @@ class ChipSpec:
     redundancy_rows: int
     min_failures: int = 1
 
-    def geometry(self) -> ChipGeometry:
-        return ChipGeometry(rows=self.rows,
-                            redundancy_rows=self.redundancy_rows)
-
-    def model(self) -> FailureModel:
-        return FailureModel(mean_failures=self.mean_failures,
-                            min_failures=self.min_failures)
+    def manufacture(self, seed: int | None = None,
+                    chip_id: str | None = None) -> SimulatedChip:
+        """The ordered part; another seed makes another part of this design."""
+        return new_chip(
+            ChipGeometry(rows=self.rows, redundancy_rows=self.redundancy_rows),
+            FailureModel(mean_failures=self.mean_failures,
+                         min_failures=self.min_failures),
+            seed=self.seed if seed is None else seed,
+            chip_id=chip_id or self.name)
 
 
 @dataclass(frozen=True)
@@ -150,18 +164,16 @@ def _parse_bool(raw: str, where: str) -> bool:
     raise ConfigInvalid(f"{where}: expected yes/no, got {raw!r}")
 
 
-def _parse_int(raw: str, where: str) -> int:
+def _parse_number(raw: str, where: str, kind: type = int):
     try:
-        return int(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigInvalid(f"{where}: expected integer, got {raw!r}") from None
+        expected = "integer" if kind is int else "number"
+        raise ConfigInvalid(f"{where}: expected {expected}, got {raw!r}") from None
 
 
-def _parse_float(raw: str, where: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigInvalid(f"{where}: expected number, got {raw!r}") from None
+# PRN canonical bytes encode the row count in one 4-byte word.
+_MAX_ROWS = (1 << 32) - 1
 
 
 def _check_chip_spec(spec: ChipSpec, where: str) -> ChipSpec:
@@ -169,14 +181,21 @@ def _check_chip_spec(spec: ChipSpec, where: str) -> ChipSpec:
     problem = None
     if not (math.isfinite(spec.mean_failures) and spec.mean_failures > 0):
         problem = f"lambda must be finite and positive, got {spec.mean_failures}"
+    elif spec.mean_failures > MAX_MEAN_FAILURES:
+        problem = (f"lambda must be at most {MAX_MEAN_FAILURES:.6g}, "
+                   f"got {spec.mean_failures}")
     elif spec.rows < 1:
         problem = f"y must be positive, got {spec.rows}"
+    elif spec.rows > _MAX_ROWS:
+        problem = f"y must be at most {_MAX_ROWS}, got {spec.rows}"
     elif not 0 <= spec.redundancy_rows <= spec.rows:
         problem = (f"redundancy must be in [0, y={spec.rows}], "
                    f"got {spec.redundancy_rows}")
     elif not 0 <= spec.min_failures <= spec.redundancy_rows:
         problem = (f"min_failures must be in [0, redundancy="
                    f"{spec.redundancy_rows}], got {spec.min_failures}")
+    elif spec.seed < 0:
+        problem = f"seed must be >= 0, got {spec.seed}"
     if problem:
         raise ConfigInvalid(f"{where}: chip {spec.name!r}: {problem}")
     return spec
@@ -196,25 +215,21 @@ def _split_options(parts: Sequence[str], where: str) -> dict[str, str]:
     return options
 
 
-_PARAM_KEYS = ("difficulty", "modulus_bits", "column", "y", "lambda",
-               "redundancy", "min_failures")
+_Lines = list[tuple[int, str]]
+_Edges = tuple[tuple[str, str], ...]
+
+# chip option -> ChipSpec field; the [params] chip defaults share the keys
+_CHIP_FIELDS = {"seed": "seed", "y": "rows", "lambda": "mean_failures",
+                "redundancy": "redundancy_rows", "min_failures": "min_failures"}
+_CHIP_DEFAULTS = {"y": 2000, "lambda": 10.0, "redundancy": 20,
+                  "min_failures": 1}
+_SCENARIO_DEFAULTS = {"difficulty": 8, "modulus_bits": 512, "column": 0,
+                      **_CHIP_DEFAULTS}
 
 
-def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
-    """Parse and validate a scenario config; errors carry line numbers."""
-    params: dict[str, str] = {}
-    chip_lines: list[tuple[int, str]] = []
-    node_lines: list[tuple[int, str]] = []
-    topology_lines: list[tuple[int, str]] = []
-    schedule_lines: list[tuple[int, str]] = []
-    buckets = {
-        "params": None,  # handled inline
-        "chips": chip_lines,
-        "nodes": node_lines,
-        "topology": topology_lines,
-        "schedule": schedule_lines,
-    }
-
+def _read_sections(text: str, names: Sequence[str]) -> dict[str, _Lines]:
+    """Group the numbered, comment-stripped lines of a config by section."""
+    sections: dict[str, _Lines] = {name: [] for name in names}
     section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -222,73 +237,111 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in buckets:
+            if section not in sections:
                 raise ConfigInvalid(
                     f"line {line_no}: unknown section [{section}]")
             continue
         if section is None:
             raise ConfigInvalid(
                 f"line {line_no}: content before any [section] header")
-        if section == "params":
-            if "=" not in line:
-                raise ConfigInvalid(
-                    f"line {line_no}: params need key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _PARAM_KEYS:
-                raise ConfigInvalid(
-                    f"line {line_no}: unknown parameter {key!r}")
-            if key in params:
-                raise ConfigInvalid(f"line {line_no}: duplicate parameter {key!r}")
-            params[key] = value
-        else:
-            buckets[section].append((line_no, line))
+        sections[section].append((line_no, line))
+    return sections
 
-    difficulty = _parse_int(params.get("difficulty", "8"), "params.difficulty")
-    modulus_bits = _parse_int(params.get("modulus_bits", "512"),
-                              "params.modulus_bits")
-    column = _parse_int(params.get("column", "0"), "params.column")
-    default_rows = _parse_int(params.get("y", "2000"), "params.y")
-    default_lambda = _parse_float(params.get("lambda", "10"), "params.lambda")
-    default_redundancy = _parse_int(params.get("redundancy", "20"),
-                                    "params.redundancy")
-    default_min = _parse_int(params.get("min_failures", "1"),
-                             "params.min_failures")
-    if not 0 <= difficulty <= 32:
-        raise ConfigInvalid("params.difficulty must be in [0, 32]")
-    if modulus_bits not in (512, 1024, 2048):
-        raise ConfigInvalid("params.modulus_bits must be 512, 1024, or 2048")
 
-    chips: dict[str, ChipSpec] = {}
-    for line_no, line in chip_lines:
-        parts = line.split()
+def _parse_params(lines: _Lines, defaults: Mapping[str, object]) -> dict:
+    """`key = value` lines over defaults; each value takes its default's type."""
+    params = dict(defaults)
+    seen = set()
+    for line_no, line in lines:
         where = f"line {line_no}"
-        chip_name = parts[0]
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise ConfigInvalid(f"{where}: params need key = value")
+        if key not in defaults:
+            raise ConfigInvalid(f"{where}: unknown parameter {key!r}")
+        if key in seen:
+            raise ConfigInvalid(f"{where}: duplicate parameter {key!r}")
+        seen.add(key)
+        params[key] = _parse_number(value, f"{where}: params.{key}",
+                                    type(defaults[key]))
+    return params
+
+
+def _parse_chips(lines: _Lines,
+                 params: Mapping[str, object]) -> dict[str, ChipSpec]:
+    """`name seed=N [y= lambda= redundancy= min_failures=]` lines."""
+    chips: dict[str, ChipSpec] = {}
+    for line_no, line in lines:
+        where = f"line {line_no}"
+        chip_name, *parts = line.split()
         if chip_name in chips:
             raise ConfigInvalid(f"{where}: duplicate chip {chip_name!r}")
-        options = _split_options(parts[1:], where)
-        unknown = set(options) - {"seed", "y", "lambda", "redundancy",
-                                  "min_failures"}
+        options = _split_options(parts, where)
+        unknown = set(options) - set(_CHIP_FIELDS)
         if unknown:
             raise ConfigInvalid(f"{where}: unknown chip options {sorted(unknown)}")
         if "seed" not in options:
             raise ConfigInvalid(f"{where}: chip {chip_name!r} needs seed=")
-        chips[chip_name] = _check_chip_spec(ChipSpec(
-            name=chip_name,
-            seed=_parse_int(options["seed"], where),
-            rows=_parse_int(options.get("y", str(default_rows)), where),
-            mean_failures=_parse_float(options.get("lambda",
-                                                   str(default_lambda)), where),
-            redundancy_rows=_parse_int(options.get("redundancy",
-                                                   str(default_redundancy)),
-                                       where),
-            min_failures=_parse_int(options.get("min_failures",
-                                                str(default_min)), where),
-        ), where)
+        fields = {_CHIP_FIELDS[key]: params[key] for key in _CHIP_DEFAULTS}
+        for key, raw in options.items():
+            fields[_CHIP_FIELDS[key]] = _parse_number(
+                raw, where, float if key == "lambda" else int)
+        chips[chip_name] = _check_chip_spec(ChipSpec(name=chip_name, **fields),
+                                            where)
+    return chips
+
+
+def _parse_edges(lines: _Lines, check_endpoint) -> _Edges:
+    """`a -> b` lines; check_endpoint(name, where) vets each endpoint."""
+    edges: list[tuple[str, str]] = []
+    for line_no, line in lines:
+        where = f"line {line_no}"
+        src, arrow, dst = line.partition("->")
+        if not arrow:
+            raise ConfigInvalid(f"{where}: topology lines look like 'a -> b'")
+        src, dst = src.strip(), dst.strip()
+        for endpoint in (src, dst):
+            check_endpoint(endpoint, where)
+        if src == dst:
+            raise ConfigInvalid(f"{where}: self transfer {src!r}")
+        if (src, dst) in edges:
+            raise ConfigInvalid(f"{where}: duplicate edge {src} -> {dst}")
+        edges.append((src, dst))
+    return tuple(edges)
+
+
+def parse_topology(text: str) -> tuple[dict[str, ChipSpec], _Edges]:
+    """Parse a ledger file into (chip specs, edges); errors carry line numbers."""
+    sections = _read_sections(text, ("params", "chips", "topology"))
+    chips = _parse_chips(sections["chips"],
+                         _parse_params(sections["params"], _CHIP_DEFAULTS))
+
+    def declared(endpoint: str, where: str):
+        if endpoint not in chips:
+            raise ConfigInvalid(f"{where}: unknown chip {endpoint!r}")
+
+    return chips, _parse_edges(sections["topology"], declared)
+
+
+def load_topology(path) -> tuple[dict[str, ChipSpec], _Edges]:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_topology(fh.read())
+
+
+def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
+    """Parse and validate a scenario config; errors carry line numbers."""
+    sections = _read_sections(
+        text, ("params", "chips", "nodes", "topology", "schedule"))
+    params = _parse_params(sections["params"], _SCENARIO_DEFAULTS)
+    if not 0 <= params["difficulty"] <= 32:
+        raise ConfigInvalid("params.difficulty must be in [0, 32]")
+    if params["modulus_bits"] not in (512, 1024, 2048):
+        raise ConfigInvalid("params.modulus_bits must be 512, 1024, or 2048")
+    chips = _parse_chips(sections["chips"], params)
 
     nodes: dict[str, NodeSpec] = {}
     chip_owner: dict[str, str] = {}
-    for line_no, line in node_lines:
+    for line_no, line in sections["nodes"]:
         parts = line.split()
         where = f"line {line_no}"
         node_name = parts[0]
@@ -342,34 +395,25 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
             raise ConfigInvalid(f"node {spec.name!r} claims unknown node "
                                 f"{spec.claims!r}")
 
-    topology: list[tuple[str, str]] = []
-    for line_no, line in topology_lines:
-        where = f"line {line_no}"
-        if "->" not in line:
-            raise ConfigInvalid(f"{where}: topology lines look like 'a -> b'")
-        src, _, dst = line.partition("->")
-        src, dst = src.strip(), dst.strip()
-        for endpoint in (src, dst):
-            if endpoint not in nodes:
-                raise ConfigInvalid(f"{where}: unknown node {endpoint!r}")
-            if nodes[endpoint].role != ROLE_DEVICE:
-                raise ConfigInvalid(f"{where}: transfer endpoints must be "
-                                    f"devices, {endpoint!r} is "
-                                    f"{nodes[endpoint].role}")
-        if src == dst:
-            raise ConfigInvalid(f"{where}: self transfer {src!r}")
-        if (src, dst) in topology:
-            raise ConfigInvalid(f"{where}: duplicate edge {src} -> {dst}")
-        topology.append((src, dst))
+    def device(endpoint: str, where: str):
+        if endpoint not in nodes:
+            raise ConfigInvalid(f"{where}: unknown node {endpoint!r}")
+        if nodes[endpoint].role != ROLE_DEVICE:
+            raise ConfigInvalid(f"{where}: transfer endpoints must be "
+                                f"devices, {endpoint!r} is "
+                                f"{nodes[endpoint].role}")
+
+    topology = _parse_edges(sections["topology"], device)
 
     schedule: list[ScheduleItem] = []
     last_tick = 0
-    for line_no, line in schedule_lines:
+    state = 0
+    for line_no, line in sections["schedule"]:
         where = f"line {line_no}"
         parts = line.split()
         if len(parts) < 2:
             raise ConfigInvalid(f"{where}: schedule lines are 'TICK ACTION ...'")
-        tick = _parse_int(parts[0], where)
+        tick = _parse_number(parts[0], where)
         if tick < 1:
             raise ConfigInvalid(f"{where}: ticks start at 1")
         if tick < last_tick:
@@ -379,12 +423,18 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
         if action not in _ACTIONS:
             raise ConfigInvalid(f"{where}: unknown action {action!r}")
         args = _parse_action_args(action, rest, nodes, where)
+        if action == "rotate":
+            if args["state"] == state:
+                raise ConfigInvalid(f"{where}: rotate to state {state} "
+                                    f"does not change the state index")
+            state = args["state"]
         schedule.append(ScheduleItem(tick, action, args, line_no))
 
     return ScenarioConfig(
-        name=name, difficulty=difficulty, modulus_bits=modulus_bits,
-        column=column, chips=chips, nodes=nodes,
-        topology=tuple(topology), schedule=tuple(schedule),
+        name=name, difficulty=params["difficulty"],
+        modulus_bits=params["modulus_bits"], column=params["column"],
+        chips=chips, nodes=nodes, topology=topology,
+        schedule=tuple(schedule),
         management=managers[0].name, security=securities[0].name,
     )
 
@@ -412,14 +462,14 @@ def _parse_action_args(action: str, rest: Sequence[str],
                 "victim": node_of_role(rest[1], ROLE_DEVICE)}
     if action == "mine":
         if rest:
-            difficulty = _parse_int(rest[0], where)
+            difficulty = _parse_number(rest[0], where)
             if not 0 <= difficulty <= 32:
                 raise ConfigInvalid(f"{where}: difficulty must be in [0, 32]")
             return {"difficulty": difficulty}
         return {}
     if action == "rotate":
         need(1, "TICK rotate NEW_STATE [offline=a,b]")
-        args: dict[str, object] = {"state": _parse_int(rest[0], where)}
+        args: dict[str, object] = {"state": _parse_number(rest[0], where)}
         if args["state"] < 0:
             raise ConfigInvalid(f"{where}: state index must be >= 0")
         if len(rest) > 1:
@@ -436,8 +486,10 @@ def _parse_action_args(action: str, rest: Sequence[str],
         options = _split_options(rest[1:], where)
         if set(options) != {"seed"}:
             raise ConfigInvalid(f"{where}: tamper needs exactly seed=N")
-        return {"node": node_of_role(rest[0], ROLE_DEVICE),
-                "seed": _parse_int(options["seed"], where)}
+        seed = _parse_number(options["seed"], where)
+        if seed < 0:
+            raise ConfigInvalid(f"{where}: seed must be >= 0")
+        return {"node": node_of_role(rest[0], ROLE_DEVICE), "seed": seed}
     # build_tree and sweep take no arguments
     if rest:
         raise ConfigInvalid(f"{where}: {action} takes no arguments")
@@ -450,21 +502,20 @@ def load_scenario(path) -> ScenarioConfig:
     return parse_scenario(text, name=str(path))
 
 
+_BUNDLED = importlib.resources.files("chipchain") / "scenarios"
+
+
 def bundled_scenario(name: str) -> ScenarioConfig:
     """Load a scenario shipped inside the package."""
-    root = importlib.resources.files("chipchain") / "scenarios"
-    resource = root / f"{name}.cfg"
+    resource = _BUNDLED / f"{name}.cfg"
     if not resource.is_file():
-        known = sorted(p.name[:-4] for p in root.iterdir()
-                       if p.name.endswith(".cfg"))
         raise ConfigInvalid(f"no bundled scenario {name!r}; "
-                            f"available: {', '.join(known)}")
+                            f"available: {', '.join(list_bundled_scenarios())}")
     return parse_scenario(resource.read_text(encoding="utf-8"), name=name)
 
 
 def list_bundled_scenarios() -> list[str]:
-    root = importlib.resources.files("chipchain") / "scenarios"
-    return sorted(p.name[:-4] for p in root.iterdir()
+    return sorted(p.name[:-4] for p in _BUNDLED.iterdir()
                   if p.name.endswith(".cfg"))
 
 
@@ -579,11 +630,8 @@ class Simulation:
         self.clock = 0
         self.events: list[Event] = []
         self.state = SecurityState(0, True)
-        self.chips = {
-            spec.name: new_chip(spec.geometry(), spec.model(),
-                                seed=spec.seed, chip_id=spec.name)
-            for spec in config.chips.values()
-        }
+        self.chips = {spec.name: spec.manufacture()
+                      for spec in config.chips.values()}
         self.nodes = {
             spec.name: _NetworkNode(
                 spec, self.chips[spec.chip] if spec.chip else None)
@@ -791,8 +839,7 @@ class Simulation:
         """
         node = self.nodes[name]
         spec = self.config.chips[node.spec.chip]
-        node.chip = new_chip(spec.geometry(), spec.model(), seed=new_seed,
-                             chip_id=f"{spec.name}-swapped")
+        node.chip = spec.manufacture(new_seed, f"{spec.name}-swapped")
 
     # ----------------------------------------------------------------------
 

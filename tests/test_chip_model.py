@@ -29,6 +29,7 @@ from chipchain import (
     save_chip_fixture,
     write_column,
 )
+from chipchain.chip_model import MAX_MEAN_FAILURES
 
 
 # ---------------------------------------------------------------- geometry
@@ -63,6 +64,25 @@ def test_failure_model_validation():
         FailureModel(min_failures=-1)
     with pytest.raises(ValueError):
         FailureModel(redundancy_failure_rate=1.5)
+
+
+@pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
+def test_failure_model_rejects_non_finite_mean(mean):
+    with pytest.raises(ValueError, match="mean_failures must be finite"):
+        FailureModel(mean_failures=mean)
+
+
+def test_failure_model_mean_bound_matches_numpy():
+    with pytest.raises(ValueError, match="mean_failures must be at most"):
+        FailureModel(mean_failures=1e19)
+    too_large = math.nextafter(MAX_MEAN_FAILURES, math.inf)
+    with pytest.raises(ValueError, match="mean_failures must be at most"):
+        FailureModel(mean_failures=too_large)
+    with pytest.raises(ValueError, match="too large"):
+        np.random.default_rng(0).poisson(too_large)
+    model = FailureModel(mean_failures=MAX_MEAN_FAILURES)
+    chip = new_chip(ChipGeometry(rows=64), model, seed=1)
+    assert len(chip.failure_rows) == 20  # clipped to the spare rows
 
 
 # ------------------------------------------------------------- generations

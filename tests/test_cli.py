@@ -2,6 +2,14 @@ import re
 
 import pytest
 
+from chipchain import (
+    ChipGeometry,
+    FailureModel,
+    build_tree,
+    load_topology,
+    new_chip,
+    replace_chip,
+)
 from chipchain.cli import dispatch, main
 
 from oracles import binom_product
@@ -139,6 +147,16 @@ def test_chip_new_and_prn(tmp_path):
     )
 
 
+@pytest.mark.parametrize("value, diagnostics", [
+    ("nan", "ValueError: mean_failures must be finite, got nan"),
+    ("1e19", "ValueError: mean_failures must be at most 9.22337e+18, got 1e+19"),
+])
+def test_chip_new_rejects_bad_lambda(tmp_path, value, diagnostics):
+    result = dispatch(["chip", "new", "--lambda", value, "--dir", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.diagnostics == diagnostics
+
+
 def test_chip_prn_fixture_flag(tmp_path):
     dispatch(["chip", "new", "--chip-id", "beta", "--seed", "9",
               "--dir", str(tmp_path)])
@@ -274,6 +292,53 @@ def test_ledger_replace_unknown_node(topo_file):
                        "--old", "zz", "--new-seed", "99",
                        "--modulus-bits", "512"])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "old, new, message_part",
+    [
+        ("n0 seed=50", "n0 seed=50 lambda=nan", "lambda must be finite"),
+        ("n0 seed=50", "n0 seed=50 seed=51", "duplicate option 'seed'"),
+        ("y = 256", "y = abc", "params.y: expected integer"),
+        (None, "n2 -> n0", "duplicate edge"),
+        (None, "n2 -> n2", "self transfer"),
+        (None, "n9 -> n0", "unknown chip 'n9'"),
+        (None, "[nodes]", "unknown section [nodes]"),
+    ],
+)
+def test_ledger_build_rejects_bad_topology(tmp_path, old, new, message_part):
+    text = TOPOLOGY.replace(old, new) if old else TOPOLOGY + new + "\n"
+    line_no = text.splitlines().index(new) + 1 if old else len(text.splitlines())
+    path = tmp_path / "net.cfg"
+    path.write_text(text)
+    result = dispatch(["ledger", "build", "--topology", str(path),
+                       "--modulus-bits", "512"])
+    assert result.exit_code == 1
+    assert result.diagnostics.startswith(f"ConfigInvalid: line {line_no}: ")
+    assert message_part in result.diagnostics
+
+
+def test_ledger_replace_keeps_the_replaced_chips_parameters(tmp_path):
+    path = tmp_path / "net.cfg"
+    path.write_text(TOPOLOGY.replace("n3 seed=53",
+                                     "n3 seed=53 lambda=3 min_failures=2"))
+    result = dispatch(["ledger", "replace", "--topology", str(path),
+                       "--old", "n3", "--new-seed", "99",
+                       "--modulus-bits", "512", "--output", "records"])
+    assert result.exit_code == 0
+    assert field_anywhere(result, "rebuild_match") == "yes"
+
+    geometry = ChipGeometry(rows=256, redundancy_rows=20)
+    own = new_chip(geometry, FailureModel(mean_failures=3.0, min_failures=2),
+                   seed=99, chip_id="n3-replacement")
+    from_defaults = new_chip(geometry, FailureModel(), seed=99,
+                             chip_id="n3-replacement")
+    assert own.failure_rows != from_defaults.failure_rows
+    specs, topology = load_topology(path)
+    tree = build_tree(topology, {n: s.manufacture() for n, s in specs.items()},
+                      0, 512)
+    repaired, _ = replace_chip(tree, "n3", own, 0)
+    assert field_anywhere(result, "new_root") == repaired.root_hash.hex()[:16]
 
 
 def test_ledger_rotate(topo_file):

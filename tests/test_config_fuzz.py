@@ -1,0 +1,99 @@
+"""Mutation fuzz of the one config parser, in both of its entry points.
+
+Mutants of the scenario config (MINI) and of the ledger file (TOPOLOGY)
+must either parse or fail with a ChipChainError, and every chip spec in
+a config that parses must manufacture.
+"""
+
+import re
+
+from hypothesis import given, settings, strategies as st
+
+from chipchain import ChipChainError
+from chipchain.network_sim import parse_scenario, parse_topology
+
+from test_cli import TOPOLOGY
+from test_network_sim import MINI
+
+# boundary values of the chip checks, plus a few that are not numbers;
+# hypothesis draws early entries more often, so the rarest go first
+EDGES = ["99999999999999999999", "1e19", "-1", "nan", "4294967296", "0", "1",
+         "20", "21", "0.5", "-inf", "1e18", "abc"]
+OPTIONS = [f"{key}={value}" for value in EDGES
+           for key in ("y", "lambda", "seed", "redundancy", "min_failures")]
+TOKENS = ["->", "n0 -> n0", "=", "x=1", "[params]", "[chips]", "[nodes]",
+          "[topology]", "[schedule]", "[]", "rotate", "0", "1", "n0", "a",
+          "#", "role=device", "chip=ca", "offline=a,", "tamper a seed=5"]
+# number and option edits hit the chip checks; the rest the grammar
+KINDS = ["number"] * 3 + ["option"] * 3 + ["token", "drop", "duplicate",
+                                           "swap", "junk"]
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?")
+
+
+@st.composite
+def mutants(draw, base: str) -> str:
+    lines = base.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            lines.append("")
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(KINDS))
+        if kind == "number":
+            found = [(j, m) for j, line in enumerate(lines)
+                     for m in _NUMBER.finditer(line)]
+            if found:
+                j, m = draw(st.sampled_from(found))
+                lines[j] = (lines[j][:m.start()] + draw(st.sampled_from(EDGES))
+                            + lines[j][m.end():])
+        elif kind == "option":
+            targets = [j for j, line in enumerate(lines)
+                       if "seed=" in line or " = " in line] or [i]
+            j = draw(st.sampled_from(targets))
+            option = draw(st.sampled_from(OPTIONS))
+            if " = " in lines[j]:
+                option = option.replace("=", " = ", 1)
+                lines.insert(j, option)
+            else:
+                lines[j] += " " + option
+        elif kind == "token":
+            words = lines[i].split()
+            words.insert(draw(st.integers(0, len(words))),
+                         draw(st.sampled_from(TOKENS)))
+            if draw(st.booleans()) and len(words) > 1:
+                del words[draw(st.integers(0, len(words) - 1))]
+            lines[i] = " ".join(words)
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines.insert(i, draw(st.text(max_size=24)))
+    return "\n".join(lines)
+
+
+def _manufacture_all(chips):
+    for spec in chips.values():
+        spec.manufacture()
+
+
+@settings(max_examples=300)
+@given(mutants(MINI))
+def test_scenario_parser_fuzz(text):
+    try:
+        config = parse_scenario(text)
+    except ChipChainError:
+        return
+    _manufacture_all(config.chips)
+
+
+@settings(max_examples=300)
+@given(mutants(TOPOLOGY))
+def test_topology_parser_fuzz(text):
+    try:
+        chips, _ = parse_topology(text)
+    except ChipChainError:
+        return
+    _manufacture_all(chips)

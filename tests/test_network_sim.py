@@ -2,14 +2,23 @@ import re
 
 import pytest
 
-from chipchain import ConfigInvalid, verify_chain
+from chipchain import (
+    ChipGeometry,
+    ConfigInvalid,
+    FailureModel,
+    new_chip,
+    verify_chain,
+)
 from chipchain.network_sim import (
+    ChipSpec,
     Simulation,
     bundled_scenario,
     check_invariants,
     list_bundled_scenarios,
     load_scenario,
+    load_topology,
     parse_scenario,
+    parse_topology,
     run_scenario,
 )
 
@@ -100,6 +109,7 @@ def test_parse_defaults():
         ("[schedule]\n9 spoof a b", "attacker"),
         ("[schedule]\n9 rotate 1 offline=zz", "unknown"),
         ("[schedule]\n9 mine 40", "difficulty"),
+        ("[schedule]\n9 tamper a seed=-1", "seed must be >= 0"),
         ("[bogus]\nx = 1", "section"),
     ],
 )
@@ -124,6 +134,8 @@ def test_parse_reports_line_numbers():
         ("y=0", "y must be positive"),
         ("y=10 redundancy=11", "redundancy must be in [0, y=10]"),
         ("redundancy=3 min_failures=4", "min_failures must be in [0, redundancy=3]"),
+        ("lambda=1e19", "lambda must be at most 9.22337e+18"),
+        ("y=4294967296", "y must be at most 4294967295"),
     ],
 )
 def test_parse_rejects_bad_chip_parameters(options, message_part):
@@ -139,6 +151,36 @@ def test_parse_checks_chip_parameters_from_params_defaults():
     line_no = bad.splitlines().index("ca seed=1") + 1
     with pytest.raises(ConfigInvalid, match=f"line {line_no}: chip 'ca': lambda"):
         parse_scenario(bad)
+
+
+def test_parse_rejects_negative_chip_seed():
+    bad = MINI.replace("ca seed=1", "ca seed=-1")
+    line_no = bad.splitlines().index("ca seed=-1") + 1
+    with pytest.raises(ConfigInvalid,
+                       match=f"line {line_no}: chip 'ca': seed must be >= 0"):
+        parse_scenario(bad)
+
+
+def test_parse_reports_params_line_numbers():
+    bad = MINI.replace("y = 256", "y = abc")
+    line_no = bad.splitlines().index("y = abc") + 1
+    with pytest.raises(ConfigInvalid,
+                       match=f"line {line_no}: params.y: expected integer"):
+        parse_scenario(bad)
+
+
+@pytest.mark.parametrize("extra", ["6 rotate 0", "6 rotate 1\n7 rotate 1"])
+def test_parse_rejects_rotate_to_current_state(extra):
+    bad = MINI + extra + "\n"
+    line_no = len(bad.splitlines())
+    with pytest.raises(ConfigInvalid, match=f"line {line_no}: rotate to state "
+                                            "[01] does not change"):
+        parse_scenario(bad)
+
+
+def test_parse_tracks_state_across_rotations():
+    config = parse_scenario(MINI + "6 rotate 1\n7 rotate 0\n8 rotate 1\n")
+    assert [item.args["state"] for item in config.schedule[-3:]] == [1, 0, 1]
 
 
 def test_parse_ticks_must_not_decrease():
@@ -169,6 +211,72 @@ def test_load_scenario_from_path(tmp_path):
     config = load_scenario(path)
     assert config.name.endswith("mini.cfg")
     assert config.difficulty == 4
+
+
+# -------------------------------------------------------- ledger topology
+
+LEDGER = """
+[params]
+y = 256
+lambda = 8
+
+[chips]
+n0 seed=50
+n1 seed=51 lambda=3 min_failures=2
+n2 seed=52 y=300 redundancy=25
+
+[topology]
+n1 -> n0
+n2 -> n0
+"""
+
+
+def test_parse_topology_specs_and_edges():
+    chips, edges = parse_topology(LEDGER)
+    assert list(chips) == ["n0", "n1", "n2"]
+    assert chips["n0"] == ChipSpec("n0", 50, 256, 8.0, 20, 1)
+    assert chips["n1"] == ChipSpec("n1", 51, 256, 3.0, 20, 2)
+    assert chips["n2"] == ChipSpec("n2", 52, 300, 8.0, 25, 1)
+    assert edges == (("n1", "n0"), ("n2", "n0"))
+
+
+def test_load_topology_from_path(tmp_path):
+    path = tmp_path / "net.cfg"
+    path.write_text(LEDGER)
+    assert load_topology(path) == parse_topology(LEDGER)
+
+
+@pytest.mark.parametrize(
+    "extra, message_part",
+    [
+        ("[schedule]", "unknown section [schedule]"),
+        ("[params]\ndifficulty = 4", "unknown parameter 'difficulty'"),
+        ("n0 n1", "look like"),
+    ],
+)
+def test_parse_topology_rejections(extra, message_part):
+    bad = LEDGER + extra + "\n"
+    line_no = len(bad.splitlines())
+    with pytest.raises(ConfigInvalid, match=re.escape(message_part)) as caught:
+        parse_topology(bad)
+    assert str(caught.value).startswith(f"line {line_no}: ")
+
+
+def test_parse_topology_checks_chip_parameters_from_params_defaults():
+    bad = LEDGER.replace("lambda = 8", "lambda = nan")
+    with pytest.raises(ConfigInvalid, match="line 7: chip 'n0': lambda must be"):
+        parse_topology(bad)
+
+
+def test_chip_spec_manufacture():
+    spec = parse_topology(LEDGER)[0]["n1"]
+    model = FailureModel(mean_failures=3.0, min_failures=2)
+    own = new_chip(ChipGeometry(rows=256), model, seed=51, chip_id="n1")
+    made = spec.manufacture()
+    assert (made.chip_id, made.failure_rows) == ("n1", own.failure_rows)
+    other = new_chip(ChipGeometry(rows=256), model, seed=99, chip_id="n1-x")
+    made = spec.manufacture(99, "n1-x")
+    assert (made.chip_id, made.failure_rows) == ("n1-x", other.failure_rows)
 
 
 # ---------------------------------------------------------------- enrolment
