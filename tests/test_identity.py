@@ -11,6 +11,7 @@ from chipchain import (
     ISSUER_SECURITY,
     PrimeSearchExhausted,
     PublicKey,
+    Response,
     SecurityState,
     SignatureMalformed,
     crp_audit,
@@ -185,6 +186,40 @@ def test_keypair_regression_pin():
     assert fp == again
     assert len(fp) == 16
     assert int(fp, 16) >= 0
+
+
+# Frozen keys: (modulus bits, response label, key_fingerprint, sha256 of
+# p || q as fixed-width big-endian).  Derived from fixed response bytes,
+# so any change to the prime search or its primality test that picks a
+# different prime shows here.
+GOLDEN_KEYS = [
+    (512, 0, "2c4e18ad3269dfed",
+     "781bcf820ce78fcbff5ccabf88e14939bed9caf2f9d89739993b355b64636013"),
+    (512, 1, "44e893a3b2336e61",
+     "fba6ab766354fd52e38eece0646b189d462821ecbb4ce766a8649c5f26b3fc1a"),
+    (512, 2, "726d1feaab8b3dd8",
+     "203c4489a2e366d90d266d47dfcba27a74dca8f9382eab0e1340ef66ee15e35c"),
+    (1024, 3, "0ed9eb9f209570c0",
+     "d71d8fb7b2b81b1c24d15ab6de2a324e72463e03f4c982a5758181325db907a9"),
+    (1024, 4, "cd55492597ccc7e0",
+     "49ee649d116351f10b47c8576e1006db77a58768521b03a2b8a24639c10008b2"),
+    (2048, 5, "efc705065d57def6",
+     "8313225fc97b6344cc2dcd64e33eefd7d6164908af80750422ed6c2ab0928160"),
+]
+
+
+def golden_response(label: int) -> Response:
+    data = hashlib.sha512(b"chipchain/golden-key/%d" % label).digest()
+    return Response("golden", 0, data)
+
+
+@pytest.mark.parametrize("bits,label,fingerprint,primes_sha256", GOLDEN_KEYS)
+def test_golden_key_pins(bits, label, fingerprint, primes_sha256):
+    pair = derive_keypair(golden_response(label), modulus_bits=bits)
+    size = bits // 16
+    primes = pair.prime_p.to_bytes(size, "big") + pair.prime_q.to_bytes(size, "big")
+    assert key_fingerprint(pair.public_key) == fingerprint
+    assert hashlib.sha256(primes).hexdigest() == primes_sha256
 
 
 def test_prime_search_exhaustion():
