@@ -7,6 +7,14 @@ keypair, so the same chip at the same state index always reproduces the
 same keys.  Nothing is ever stored on the device side; possession of
 the physical chip is what regenerates the secret key.
 
+Each key prime is the first prime at or after a candidate drawn from a
+SHA-256 counter stream over the response: a residue sieve skips
+multiples of the odd primes below 2050, and a Baillie-PSW test
+(strong base 2 plus strong Lucas) confirms the survivors.  Keys must
+stay those of the 40-witness Miller-Rabin schedule the tests keep as
+the reference: both tests accept every prime and no composite is known
+to pass either, so the search stops on the same primes.
+
 Key sizes here are desk-scale (512 to 2048 bit) for fast simulation,
 not production parameters.
 """
@@ -169,41 +177,112 @@ def _first_primes(count: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-_MR_WITNESSES = _first_primes(40)
+_SMALL_PRIMES = _first_primes(40)  # 2 .. 173
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 _SIEVE_PRIMES = [p for p in _first_primes(310) if p > 2]  # odd primes < ~2050
 
 
-def _is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed witness schedule (deterministic)."""
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_base2_prp(n: int) -> bool:
     d = n - 1
     twos = (d & -d).bit_length() - 1
-    d >>= twos
-    for a in _MR_WITNESSES:
-        x = int(_powmod(a, d, n))
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(twos - 1):
-            x = int(_powmod(x, 2, n))
-            if x == n - 1:
-                break
-        else:
+    x = int(_powmod(2, d >> twos, n))
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(twos - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas test with Selfridge's method A parameters.
+
+    n must be odd, not a perfect square and coprime to the small
+    primes.  D is the first of 5, -7, 9, -11, ... with Jacobi(D/n) = -1
+    (for a square no such D exists), P = 1 and Q = (1 - D) / 4.
+    """
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:  # D shares a factor with n
             return False
-    return True
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    twos = (d & -d).bit_length() - 1
+    d >>= twos
+    # U_k, V_k and Q^k for k running over the binary digits of d:
+    # doubling U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k; incrementing
+    # U_k+1 = (U_k + V_k) / 2, V_k+1 = (D U_k + V_k) / 2 (P = 1).  The
+    # increment leaves its results unreduced (a few bits over n); the
+    # next doubling reduces them.
+    U, V, Qk = 1, 1, Q
+    for bit in bin(d)[3:]:
+        U = U * V % n
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            if U & 1:
+                U += n
+            if V & 1:
+                V += n
+            U >>= 1
+            V >>= 1
+            Qk *= Q
+    U, V, Qk = U % n, V % n, Qk % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(twos - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Baillie-PSW: small-prime trial division, a strong base-2 test and
+    a strong Lucas test (Baillie and Wagstaff, 1980; Pomerance, Selfridge
+    and Wagstaff, 1980).  Deterministic, and no composite is known to
+    pass it; below 2^64 it is exact.
+    """
+    if n <= _SMALL_PRIMES[-1]:
+        return n in _SMALL_PRIMES
+    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
+        return False
+    if not _is_strong_base2_prp(n):
+        return False
+    if math.isqrt(n) ** 2 == n:
+        return False
+    return _is_strong_lucas_prp(n)
 
 
 def _next_prime(candidate: int, max_steps: int = 1 << 17) -> int:
     """First prime at or after candidate, stepping odd numbers.
 
     candidate must be larger than the sieve primes (key-size integers
-    always are).  The residue sieve rejects most composites before any
-    Miller-Rabin round runs.
+    always are).  The residue sieve rejects most composites before the
+    Baillie-PSW test runs on the survivors.
     """
     if candidate % 2 == 0:
         candidate += 1

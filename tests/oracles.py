@@ -61,6 +61,19 @@ def is_prime_trial(n: int, witnesses=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37
     return True
 
 
+# The first 40 primes, 2 .. 173, by trial division.
+MR40_WITNESSES = tuple(p for p in range(2, 174) if all(p % q for q in range(2, p)))
+
+
+def is_prime_mr40(n: int) -> bool:
+    """The 40-witness Miller-Rabin schedule that confirmed key primes
+    before Baillie-PSW replaced it: trial division by the first 40
+    primes, then a strong test to each of them as base.  Deterministic,
+    and the reference the package's primality test must agree with.
+    """
+    return is_prime_trial(n, MR40_WITNESSES)
+
+
 def bruteforce_schedule(node_ids, edges):
     """Transfer order by repeatedly scanning for the smallest ready node.
 

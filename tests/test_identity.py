@@ -1,5 +1,6 @@
 import hashlib
 import math
+import signal
 
 import pytest
 
@@ -25,10 +26,11 @@ from chipchain import (
     sign,
     verify,
 )
-from chipchain.identity import SUPPORTED_MODULUS_BITS, _next_prime
+from chipchain import identity
+from chipchain.identity import SUPPORTED_MODULUS_BITS, _is_probable_prime, _next_prime
 
 from conftest import SMALL, make_small_chip
-from oracles import is_prime_trial, response_oracle, rsa_sign_oracle
+from oracles import is_prime_mr40, is_prime_trial, response_oracle, rsa_sign_oracle
 
 
 # --------------------------------------------------------------- challenges
@@ -236,6 +238,68 @@ def test_next_prime_finds_primes():
         # nothing prime was skipped on the way
         for skipped in range(start | 1, prime, 2):
             assert not is_prime_trial(skipped)
+
+
+# ------------------------------------------------------------- primality
+
+# Base-2 strong pseudoprimes, Carmichael numbers, strong pseudoprimes to
+# every prime base up to 23 and up to 37, and strong Lucas pseudoprimes
+# (Selfridge parameters): composites that fool one half of Baillie-PSW.
+PSEUDOPRIMES = [
+    2047, 3277, 4033, 4681, 8321,
+    561, 1105, 1729, 3215031751,
+    3825123056546413051, 318665857834031151167461,
+    5459, 5777, 10877, 16109, 18971,
+]
+
+
+def test_primality_agrees_with_mr40_below_200000():
+    for n in range(-3, 200000):
+        assert _is_probable_prime(n) == is_prime_mr40(n), n
+
+
+@pytest.mark.parametrize("n", PSEUDOPRIMES)
+def test_primality_rejects_pseudoprimes(n):
+    assert not _is_probable_prime(n)
+    assert not is_prime_mr40(n)
+
+
+def test_primality_rejects_squares_without_hanging():
+    """A perfect square has no D with Jacobi(D/n) = -1, so the Lucas
+    parameter search would never end on one.  1093 and 3511 are the
+    Wieferich primes: their squares pass the strong base-2 test."""
+    key_prime = derive_keypair(golden_response(0), modulus_bits=512).prime_p
+    roots = [p for p in range(2, 200) if is_prime_mr40(p)] + [1093, 3511, key_prime]
+
+    def expire(signum, frame):
+        raise TimeoutError("primality test did not return on a square")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        for root in roots:
+            assert not _is_probable_prime(root * root), root
+            assert not is_prime_mr40(root * root), root
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_primality_agrees_with_mr40_on_key_search_survivors(monkeypatch):
+    """Every sieve survivor the golden-key derivations test gets the
+    same verdict from the oracle, so the search picks the same primes."""
+    visited = []
+
+    def recording(n):
+        visited.append(n)
+        return _is_probable_prime(n)
+
+    monkeypatch.setattr(identity, "_is_probable_prime", recording)
+    for bits, label, _fingerprint, _digest in GOLDEN_KEYS:
+        identity._derive_core.__wrapped__(golden_response(label).data, bits)
+    assert len(visited) > 2 * len(GOLDEN_KEYS)
+    for n in visited:
+        assert _is_probable_prime(n) == is_prime_mr40(n), n
 
 
 # ------------------------------------------------------------ serialization
