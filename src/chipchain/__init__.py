@@ -46,6 +46,7 @@ from .errors import (
     ColumnOutOfRange,
     ConfigInvalid,
     CycleDetected,
+    FixtureInvalid,
     GeometryInvalid,
     KExceedsN,
     MultipleSinks,

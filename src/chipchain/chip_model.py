@@ -37,6 +37,7 @@ import numpy as np
 from .errors import (
     CapacityExceeded,
     ColumnOutOfRange,
+    FixtureInvalid,
     GeometryInvalid,
     PreprocessMissing,
     UnknownGeneration,
@@ -44,6 +45,8 @@ from .errors import (
 
 # Largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX).
 MAX_MEAN_FAILURES = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
+# PRN canonical bytes encode the row count in one 4-byte word.
+MAX_ROWS = (1 << 32) - 1
 
 ACCESS_NORMAL = "normal"
 ACCESS_SPECIAL = "special"
@@ -178,6 +181,38 @@ class Prn:
         return prn_canonical_bytes(self.rows, self.total_rows)
 
 
+def _checked_failure_rows(failure_rows: Iterable[int],
+                          geometry: ChipGeometry) -> tuple[int, ...]:
+    rows = tuple(sorted(int(r) for r in failure_rows))
+    if len(set(rows)) != len(rows):
+        raise ValueError("failure rows must be distinct")
+    if rows and (rows[0] < 0 or rows[-1] >= geometry.rows):
+        raise ValueError(f"failure row out of range for rows={geometry.rows}")
+    if len(rows) > geometry.redundancy_rows:
+        raise CapacityExceeded(
+            f"{len(rows)} failure rows exceed "
+            f"{geometry.redundancy_rows} spare rows")
+    return rows
+
+
+def _checked_swap_map(swap_map: Mapping[int, int] | None,
+                      rows: tuple[int, ...],
+                      geometry: ChipGeometry) -> dict[int, int]:
+    """The swap map of checked failure rows; None maps them in order."""
+    if swap_map is None:
+        return {r: i for i, r in enumerate(rows)}
+    swap_map = {int(k): int(v) for k, v in swap_map.items()}
+    if set(swap_map) != set(rows):
+        raise ValueError("swap map keys must equal the failure rows")
+    targets = set(swap_map.values())
+    if len(targets) != len(rows):
+        raise ValueError("swap map targets must be distinct")
+    if targets and (min(targets) < 0
+                    or max(targets) >= geometry.redundancy_rows):
+        raise ValueError("swap map target outside the redundancy array")
+    return swap_map
+
+
 class SimulatedChip:
     """One manufactured part: geometry, hidden failure map, cell state.
 
@@ -190,27 +225,8 @@ class SimulatedChip:
                  failure_rows: Iterable[int],
                  swap_map: Mapping[int, int] | None = None,
                  seed: int | None = None):
-        rows = tuple(sorted(int(r) for r in failure_rows))
-        if len(set(rows)) != len(rows):
-            raise ValueError("failure rows must be distinct")
-        if rows and (rows[0] < 0 or rows[-1] >= geometry.rows):
-            raise ValueError(f"failure row out of range for rows={geometry.rows}")
-        if len(rows) > geometry.redundancy_rows:
-            raise CapacityExceeded(
-                f"{len(rows)} failure rows exceed "
-                f"{geometry.redundancy_rows} spare rows")
-        if swap_map is None:
-            swap_map = {r: i for i, r in enumerate(rows)}
-        else:
-            swap_map = {int(k): int(v) for k, v in swap_map.items()}
-            if set(swap_map) != set(rows):
-                raise ValueError("swap map keys must equal the failure rows")
-            targets = set(swap_map.values())
-            if len(targets) != len(rows):
-                raise ValueError("swap map targets must be distinct")
-            if targets and (min(targets) < 0
-                            or max(targets) >= geometry.redundancy_rows):
-                raise ValueError("swap map target outside the redundancy array")
+        rows = _checked_failure_rows(failure_rows, geometry)
+        swap_map = _checked_swap_map(swap_map, rows, geometry)
 
         self.chip_id = chip_id
         self.geometry = geometry
@@ -364,45 +380,76 @@ def format_chip_fixture(chip: SimulatedChip) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FIXTURE_REQUIRED = ("chip_id", "rows", "redundancy_rows", "failure_rows")
+
+
 def parse_chip_fixture(text: str) -> SimulatedChip:
     """Rebuild a part from its fixture record.
 
     The recorded failure rows are authoritative; nothing is re-sampled.
+    A malformed record raises FixtureInvalid naming the offending line.
     """
-    fields: dict[str, str] = {}
+    fields: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"fixture line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    required = ("chip_id", "rows", "redundancy_rows", "failure_rows")
-    for key in required:
+            raise FixtureInvalid(f"fixture line {lineno}: expected key = value")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in fields:
+            raise FixtureInvalid(f"fixture line {lineno}: duplicate field "
+                                 f"{key!r} (first on line {fields[key][0]})")
+        fields[key] = (lineno, value)
+    for key in _FIXTURE_REQUIRED:
         if key not in fields:
-            raise ValueError(f"fixture missing field {key!r}")
+            raise FixtureInvalid(f"fixture missing field {key!r}")
 
-    def int_list(raw: str) -> list[int]:
-        return [int(part) for part in raw.split(",") if part.strip()]
+    def invalid(key: str, problem) -> FixtureInvalid:
+        return FixtureInvalid(f"fixture line {fields[key][0]}: {key}: {problem}")
 
-    rows = int_list(fields["failure_rows"])
+    def integers(key: str) -> list[int]:
+        raw = fields[key][1] if key in fields else ""
+        try:
+            return [int(part) for part in raw.split(",") if part.strip()]
+        except ValueError:
+            raise invalid(key, f"expected integers, got {raw!r}") from None
+
+    def integer(key: str, low: int, high: int | None = None) -> int:
+        value = fields[key][1]
+        try:
+            number = int(value)
+        except ValueError:
+            raise invalid(key, f"expected integer, got {value!r}") from None
+        if number < low or (high is not None and number > high):
+            bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise invalid(key, f"must be {bounds}, got {number}")
+        return number
+
+    rows = integer("rows", 1, MAX_ROWS)
     geometry = ChipGeometry(
-        rows=int(fields["rows"]),
-        cols=int(fields.get("cols", "8")),
-        redundancy_rows=int(fields["redundancy_rows"]),
+        rows=rows,
+        cols=integer("cols", 1) if "cols" in fields else 8,
+        redundancy_rows=integer("redundancy_rows", 0, rows),
     )
-    targets_raw = fields.get("swap_targets", "")
-    if targets_raw:
-        targets = int_list(targets_raw)
-        if len(targets) != len(rows):
-            raise ValueError("swap_targets length must match failure_rows")
-        swap_map = dict(zip(sorted(rows), targets))
-    else:
-        swap_map = None
-    seed_raw = fields.get("seed", "")
-    return SimulatedChip(fields["chip_id"], geometry, rows, swap_map,
-                         seed=int(seed_raw) if seed_raw else None)
+    seed = integer("seed", 0) if fields.get("seed", (0, ""))[1] else None
+    failure_rows = integers("failure_rows")
+    try:
+        failure_rows = _checked_failure_rows(failure_rows, geometry)
+    except (ValueError, CapacityExceeded) as exc:
+        raise invalid("failure_rows", exc) from None
+    swap_map = None
+    targets = integers("swap_targets")
+    if targets:
+        if len(targets) != len(failure_rows):
+            raise invalid("swap_targets", "length must match failure_rows")
+        try:
+            swap_map = _checked_swap_map(dict(zip(failure_rows, targets)),
+                                         failure_rows, geometry)
+        except ValueError as exc:
+            raise invalid("swap_targets", exc) from None
+    return SimulatedChip(fields["chip_id"][1], geometry, failure_rows,
+                         swap_map, seed=seed)
 
 
 def save_chip_fixture(chip: SimulatedChip, path) -> None:

@@ -59,3 +59,7 @@ class NonceExhausted(ChipChainError):
 
 class ConfigInvalid(ChipChainError):
     """Scenario configuration text failed validation."""
+
+
+class FixtureInvalid(ChipChainError, ValueError):
+    """Chip fixture record failed validation."""

@@ -62,6 +62,7 @@ import numpy as np
 
 from .chip_model import (
     MAX_MEAN_FAILURES,
+    MAX_ROWS,
     ChipGeometry,
     FailureModel,
     SimulatedChip,
@@ -71,6 +72,7 @@ from .errors import ConfigInvalid, SignatureMalformed
 from .identity import (
     AuditVerdict,
     ISSUER_MANAGEMENT,
+    SUPPORTED_MODULUS_BITS,
     PublicKey,
     SecurityState,
     crp_audit,
@@ -172,10 +174,6 @@ def _parse_number(raw: str, where: str, kind: type = int):
         raise ConfigInvalid(f"{where}: expected {expected}, got {raw!r}") from None
 
 
-# PRN canonical bytes encode the row count in one 4-byte word.
-_MAX_ROWS = (1 << 32) - 1
-
-
 def _check_chip_spec(spec: ChipSpec, where: str) -> ChipSpec:
     """Reject chip parameters that new_chip would only refuse mid-run."""
     problem = None
@@ -186,8 +184,8 @@ def _check_chip_spec(spec: ChipSpec, where: str) -> ChipSpec:
                    f"got {spec.mean_failures}")
     elif spec.rows < 1:
         problem = f"y must be positive, got {spec.rows}"
-    elif spec.rows > _MAX_ROWS:
-        problem = f"y must be at most {_MAX_ROWS}, got {spec.rows}"
+    elif spec.rows > MAX_ROWS:
+        problem = f"y must be at most {MAX_ROWS}, got {spec.rows}"
     elif not 0 <= spec.redundancy_rows <= spec.rows:
         problem = (f"redundancy must be in [0, y={spec.rows}], "
                    f"got {spec.redundancy_rows}")
@@ -225,6 +223,15 @@ _CHIP_DEFAULTS = {"y": 2000, "lambda": 10.0, "redundancy": 20,
                   "min_failures": 1}
 _SCENARIO_DEFAULTS = {"difficulty": 8, "modulus_bits": 512, "column": 0,
                       **_CHIP_DEFAULTS}
+# [params] keys whose values have a range: key -> (test, allowed values);
+# column indexes the columns of a chip as ChipSpec.manufacture builds it
+_PARAM_RANGES = {
+    "difficulty": (lambda v: 0 <= v <= 32, "in [0, 32]"),
+    "modulus_bits": (lambda v: v in SUPPORTED_MODULUS_BITS,
+                     "512, 1024, or 2048"),
+    "column": (lambda v: 0 <= v < ChipGeometry.cols,
+               f"in [0, {ChipGeometry.cols - 1}]"),
+}
 
 
 def _read_sections(text: str, names: Sequence[str]) -> dict[str, _Lines]:
@@ -262,8 +269,14 @@ def _parse_params(lines: _Lines, defaults: Mapping[str, object]) -> dict:
         if key in seen:
             raise ConfigInvalid(f"{where}: duplicate parameter {key!r}")
         seen.add(key)
-        params[key] = _parse_number(value, f"{where}: params.{key}",
-                                    type(defaults[key]))
+        number = _parse_number(value, f"{where}: params.{key}",
+                               type(defaults[key]))
+        if key in _PARAM_RANGES:
+            in_range, allowed = _PARAM_RANGES[key]
+            if not in_range(number):
+                raise ConfigInvalid(
+                    f"{where}: params.{key} must be {allowed}, got {number}")
+        params[key] = number
     return params
 
 
@@ -333,10 +346,6 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
     sections = _read_sections(
         text, ("params", "chips", "nodes", "topology", "schedule"))
     params = _parse_params(sections["params"], _SCENARIO_DEFAULTS)
-    if not 0 <= params["difficulty"] <= 32:
-        raise ConfigInvalid("params.difficulty must be in [0, 32]")
-    if params["modulus_bits"] not in (512, 1024, 2048):
-        raise ConfigInvalid("params.modulus_bits must be 512, 1024, or 2048")
     chips = _parse_chips(sections["chips"], params)
 
     nodes: dict[str, NodeSpec] = {}

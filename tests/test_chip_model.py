@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from chipchain import (
     ChipGeometry,
     ColumnOutOfRange,
     FailureModel,
+    FixtureInvalid,
     GeometryInvalid,
     PreprocessMissing,
     Prn,
@@ -388,6 +390,51 @@ def test_fixture_comments_and_blanks(tmp_path, desk_chip):
 def test_fixture_parse_errors(text):
     with pytest.raises(ValueError):
         parse_chip_fixture(text)
+
+
+FIXTURE = ("chip_id = x\nrows = 16\ncols = 8\nredundancy_rows = 4\nseed = 7\n"
+           "failure_rows = 3, 9\nswap_targets = 1, 0\n")
+
+
+@pytest.mark.parametrize(
+    "before, after, message",
+    [
+        ("rows = 16", "rows = abc", "rows: expected integer, got 'abc'"),
+        ("rows = 16", "rows = 0", "rows: must be in [1, 4294967295], got 0"),
+        ("cols = 8", "cols = 0", "cols: must be >= 1, got 0"),
+        ("redundancy_rows = 4", "redundancy_rows = 17",
+         "redundancy_rows: must be in [0, 16], got 17"),
+        ("seed = 7", "seed = -1", "seed: must be >= 0, got -1"),
+        ("failure_rows = 3, 9", "failure_rows = 3, x",
+         "failure_rows: expected integers, got '3, x'"),
+        ("failure_rows = 3, 9", "failure_rows = 3, 16",
+         "failure_rows: failure row out of range for rows=16"),
+        ("failure_rows = 3, 9", "failure_rows = 3, 3", "failure rows must be distinct"),
+        ("failure_rows = 3, 9", "failure_rows = 1, 2, 3, 4, 5",
+         "failure_rows: 5 failure rows exceed 4 spare rows"),
+        ("swap_targets = 1, 0", "swap_targets = 1", "length must match"),
+        ("swap_targets = 1, 0", "swap_targets = 1, 1", "targets must be distinct"),
+        ("swap_targets = 1, 0", "swap_targets = 1, 4",
+         "swap_targets: swap map target outside the redundancy array"),
+        ("seed = 7", "seed = 7\nrows = 32",
+         "duplicate field 'rows' (first on line 2)"),
+    ],
+)
+def test_fixture_errors_name_their_line(before, after, message):
+    text = FIXTURE.replace(before, after)
+    line_no = text.splitlines().index(after.splitlines()[-1]) + 1
+    with pytest.raises(FixtureInvalid, match=re.escape(message)) as caught:
+        parse_chip_fixture(text)
+    assert str(caught.value).startswith(f"fixture line {line_no}: ")
+    assert isinstance(caught.value, ValueError)
+
+
+def test_fixture_parses_the_reference_record():
+    chip = parse_chip_fixture(FIXTURE)
+    assert chip.failure_rows == (3, 9)
+    assert dict(chip.swap_map) == {3: 1, 9: 0}
+    assert chip.seed == 7
+    assert parse_chip_fixture(FIXTURE.replace("seed = 7", "seed =")).seed is None
 
 
 def test_fixture_numpy_free_types(tmp_path):

@@ -110,6 +110,7 @@ def test_parse_defaults():
         ("[schedule]\n9 rotate 1 offline=zz", "unknown"),
         ("[schedule]\n9 mine 40", "difficulty"),
         ("[schedule]\n9 tamper a seed=-1", "seed must be >= 0"),
+        ("[params]\ncolumn = 9", "params.column must be in [0, 7], got 9"),
         ("[bogus]\nx = 1", "section"),
     ],
 )
@@ -166,6 +167,19 @@ def test_parse_reports_params_line_numbers():
     line_no = bad.splitlines().index("y = abc") + 1
     with pytest.raises(ConfigInvalid,
                        match=f"line {line_no}: params.y: expected integer"):
+        parse_scenario(bad)
+
+
+@pytest.mark.parametrize("before, after, message", [
+    ("difficulty = 4", "difficulty = 33", "params.difficulty must be in [0, 32]"),
+    ("modulus_bits = 512", "modulus_bits = 768",
+     "params.modulus_bits must be 512, 1024, or 2048"),
+    ("y = 256", "column = 8", "params.column must be in [0, 7], got 8"),
+])
+def test_parse_reports_params_range_line_numbers(before, after, message):
+    bad = MINI.replace(before, after)
+    line_no = bad.splitlines().index(after) + 1
+    with pytest.raises(ConfigInvalid, match=re.escape(f"line {line_no}: {message}")):
         parse_scenario(bad)
 
 
