@@ -380,6 +380,8 @@ def format_chip_fixture(chip: SimulatedChip) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FIXTURE_FIELDS = ("chip_id", "rows", "cols", "redundancy_rows", "seed",
+                   "failure_rows", "swap_targets")
 _FIXTURE_REQUIRED = ("chip_id", "rows", "redundancy_rows", "failure_rows")
 
 
@@ -397,6 +399,8 @@ def parse_chip_fixture(text: str) -> SimulatedChip:
         if "=" not in line:
             raise FixtureInvalid(f"fixture line {lineno}: expected key = value")
         key, _, value = (part.strip() for part in line.partition("="))
+        if key not in _FIXTURE_FIELDS:
+            raise FixtureInvalid(f"fixture line {lineno}: unknown field {key!r}")
         if key in fields:
             raise FixtureInvalid(f"fixture line {lineno}: duplicate field "
                                  f"{key!r} (first on line {fields[key][0]})")

@@ -214,10 +214,11 @@ def _is_strong_base2_prp(n: int) -> bool:
 def _is_strong_lucas_prp(n: int) -> bool:
     """Strong Lucas test with Selfridge's method A parameters.
 
-    n must be odd, not a perfect square and coprime to the small
-    primes.  D is the first of 5, -7, 9, -11, ... with Jacobi(D/n) = -1
-    (for a square no such D exists), P = 1 and Q = (1 - D) / 4.
+    n must be odd and coprime to the small primes.  D is the first of
+    5, -7, 9, -11, ... with Jacobi(D/n) = -1, P = 1 and Q = (1 - D) / 4.
     """
+    if math.isqrt(n) ** 2 == n:  # no such D exists: the search would not end
+        return False
     D = 5
     while True:
         j = _jacobi(D, n)
@@ -270,11 +271,7 @@ def _is_probable_prime(n: int) -> bool:
         return n in _SMALL_PRIMES
     if math.gcd(n, _SMALL_PRIMORIAL) != 1:
         return False
-    if not _is_strong_base2_prp(n):
-        return False
-    if math.isqrt(n) ** 2 == n:
-        return False
-    return _is_strong_lucas_prp(n)
+    return _is_strong_base2_prp(n) and _is_strong_lucas_prp(n)
 
 
 def _next_prime(candidate: int, max_steps: int = 1 << 17) -> int:

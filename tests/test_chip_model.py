@@ -418,6 +418,7 @@ FIXTURE = ("chip_id = x\nrows = 16\ncols = 8\nredundancy_rows = 4\nseed = 7\n"
          "swap_targets: swap map target outside the redundancy array"),
         ("seed = 7", "seed = 7\nrows = 32",
          "duplicate field 'rows' (first on line 2)"),
+        ("cols = 8", "col = 2", "unknown field 'col'"),
     ],
 )
 def test_fixture_errors_name_their_line(before, after, message):

@@ -27,7 +27,12 @@ from chipchain import (
     verify,
 )
 from chipchain import identity
-from chipchain.identity import SUPPORTED_MODULUS_BITS, _is_probable_prime, _next_prime
+from chipchain.identity import (
+    SUPPORTED_MODULUS_BITS,
+    _is_probable_prime,
+    _is_strong_lucas_prp,
+    _next_prime,
+)
 
 from conftest import SMALL, make_small_chip
 from oracles import is_prime_mr40, is_prime_trial, response_oracle, rsa_sign_oracle
@@ -266,8 +271,10 @@ def test_primality_rejects_pseudoprimes(n):
 
 def test_primality_rejects_squares_without_hanging():
     """A perfect square has no D with Jacobi(D/n) = -1, so the Lucas
-    parameter search would never end on one.  1093 and 3511 are the
-    Wieferich primes: their squares pass the strong base-2 test."""
+    parameter search would not end on one before D reached a factor.
+    1093 and 3511 are the Wieferich primes: their squares pass the
+    strong base-2 test.  The Lucas test is also called alone, on the
+    odd squares coprime to the small primes that it accepts as input."""
     key_prime = derive_keypair(golden_response(0), modulus_bits=512).prime_p
     roots = [p for p in range(2, 200) if is_prime_mr40(p)] + [1093, 3511, key_prime]
 
@@ -280,6 +287,8 @@ def test_primality_rejects_squares_without_hanging():
         for root in roots:
             assert not _is_probable_prime(root * root), root
             assert not is_prime_mr40(root * root), root
+            if root > 173:
+                assert not _is_strong_lucas_prp(root * root), root
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
