@@ -9,7 +9,7 @@ management, security, device, and attacker nodes exercises the whole
 protocol deterministically (network_sim).
 """
 
-from ._pow import HAVE_NATIVE, active_kernel, pow_search, pow_search_pure
+from ._pow import active_kernel, pow_search
 from .chip_model import (
     ACCESS_NORMAL,
     ACCESS_SPECIAL,
@@ -42,6 +42,7 @@ from .entropy_analysis import (
 )
 from .errors import (
     CapacityExceeded,
+    ChainInvalid,
     ChipChainError,
     ColumnOutOfRange,
     ConfigInvalid,

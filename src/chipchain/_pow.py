@@ -1,40 +1,35 @@
 """Proof-of-work nonce search.
 
 A single hot loop: find the smallest nonce whose SHA-256 over
-(nonce || body) clears a leading-zero-bit difficulty target.  A C
-kernel (chipchain._powcore, OpenSSL SHA-256) is used when the build
-produced it; otherwise the pure-Python loop below runs.  Both return
-bit-identical results; set CHIPCHAIN_PURE=1 to force the fallback.
+(nonce || body) clears a leading-zero-bit difficulty target.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 
 _NONCE_SPACE = 1 << 64
 
 
-def _check_search_args(nonce_start: int, difficulty_bits: int,
-                       max_attempts: int | None) -> None:
-    if not 0 <= difficulty_bits <= 256:
-        raise ValueError("difficulty_bits must be in [0, 256]")
-    if not 0 <= nonce_start < _NONCE_SPACE:
-        raise ValueError("nonce_start must fit in 64 bits")
-    if max_attempts is not None and max_attempts < 0:
-        raise ValueError("max_attempts must be >= 0")
+def active_kernel() -> str:
+    """Name of the mining kernel; the pure-Python scan is the only one."""
+    return "pure"
 
 
-def pow_search_pure(body: bytes, nonce_start: int = 0,
-                    difficulty_bits: int = 0,
-                    max_attempts: int | None = None):
+def pow_search(body: bytes, nonce_start: int = 0, difficulty_bits: int = 0,
+               max_attempts: int | None = None):
     """Linear scan in pure Python.
 
     Returns (nonce, digest, attempts) for the first qualifying nonce at
     or after nonce_start, or None if the scan exhausted the nonce space
     or the attempt cap first.
     """
-    _check_search_args(nonce_start, difficulty_bits, max_attempts)
+    if not 0 <= difficulty_bits <= 256:
+        raise ValueError("difficulty_bits must be in [0, 256]")
+    if not 0 <= nonce_start < _NONCE_SPACE:
+        raise ValueError("nonce_start must fit in 64 bits")
+    if max_attempts is not None and max_attempts < 0:
+        raise ValueError("max_attempts must be >= 0")
     body = bytes(body)
     # big-endian bytes order like the integers they encode, so the
     # digest clears the target iff it is at most the largest passing value
@@ -50,26 +45,3 @@ def pow_search_pure(body: bytes, nonce_start: int = 0,
             return nonce, digest, attempt + 1
         nonce += 1
     return None
-
-
-try:
-    from . import _powcore as _native
-except ImportError:
-    _native = None
-
-_FORCE_PURE = os.environ.get("CHIPCHAIN_PURE", "") not in ("", "0")
-HAVE_NATIVE = _native is not None
-
-
-def active_kernel() -> str:
-    return "native" if (HAVE_NATIVE and not _FORCE_PURE) else "pure"
-
-
-def pow_search(body: bytes, nonce_start: int = 0, difficulty_bits: int = 0,
-               max_attempts: int | None = None):
-    """Dispatch to the fastest available kernel."""
-    if HAVE_NATIVE and not _FORCE_PURE:
-        _check_search_args(nonce_start, difficulty_bits, max_attempts)
-        return _native.pow_search(bytes(body), nonce_start, difficulty_bits,
-                                  max_attempts)
-    return pow_search_pure(body, nonce_start, difficulty_bits, max_attempts)

@@ -63,3 +63,7 @@ class ConfigInvalid(ChipChainError):
 
 class FixtureInvalid(ChipChainError, ValueError):
     """Chip fixture record failed validation."""
+
+
+class ChainInvalid(ChipChainError, ValueError):
+    """Serialized proof-of-work chain failed to parse."""

@@ -107,6 +107,15 @@ def _read_length_prefixed(data: bytes, offset: int) -> tuple[bytes, int]:
     return data[offset:offset + length], offset + length
 
 
+def _read_int(data: bytes, offset: int) -> tuple[int, int]:
+    """Read an integer field; only the encoding _int_bytes writes is valid."""
+    raw, offset = _read_length_prefixed(data, offset)
+    value = int.from_bytes(raw, "big")
+    if raw != _int_bytes(value):
+        raise ValueError("integer field is not minimally encoded")
+    return value, offset
+
+
 @dataclass(frozen=True)
 class PublicKey:
     modulus: int
@@ -122,10 +131,9 @@ class PublicKey:
 
     @classmethod
     def parse(cls, data: bytes, offset: int = 0) -> tuple["PublicKey", int]:
-        modulus, offset = _read_length_prefixed(data, offset)
-        exponent, offset = _read_length_prefixed(data, offset)
-        return cls(int.from_bytes(modulus, "big"),
-                   int.from_bytes(exponent, "big")), offset
+        modulus, offset = _read_int(data, offset)
+        exponent, offset = _read_int(data, offset)
+        return cls(modulus, exponent), offset
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PublicKey":

@@ -25,6 +25,7 @@ from typing import Iterable, Mapping, Sequence
 from ._pow import pow_search
 from .chip_model import Prn, SimulatedChip, extract_prn
 from .errors import (
+    ChainInvalid,
     CycleDetected,
     MultipleSinks,
     NonceExhausted,
@@ -144,6 +145,18 @@ def enroll_chip(node_id: str, chip: SimulatedChip, state_index: int,
                     genesis.hash_value, GENESIS_SIGNATURE)
 
 
+def _signed_record(sender: ChipNode, receiver: ChipNode,
+                   seq: int) -> TransactionRecord:
+    """The sender's next record toward the receiver, signed."""
+    h = record_hash(sender.public_key, sender.latest_hash,
+                    sender.latest_signature)
+    signature = sign(sender.keypair.secret_key,
+                     signed_payload(receiver.public_key, h))
+    return TransactionRecord(sender.public_key, receiver.public_key,
+                             sender.latest_hash, sender.latest_signature,
+                             h, signature, seq)
+
+
 def transfer(sender: ChipNode, receiver: ChipNode,
              state_index: int) -> TransactionRecord:
     """Execute one transfer and fold it into the receiver."""
@@ -155,17 +168,11 @@ def transfer(sender: ChipNode, receiver: ChipNode,
         raise StateMismatch(
             f"receiver {receiver.node_id} keyed at state "
             f"{receiver.keypair.state_index}, transfer wants {state_index}")
-    h = record_hash(sender.public_key, sender.latest_hash,
-                    sender.latest_signature)
-    signature = sign(sender.keypair.secret_key,
-                     signed_payload(receiver.public_key, h))
-    record = TransactionRecord(sender.public_key, receiver.public_key,
-                               sender.latest_hash, sender.latest_signature,
-                               h, signature, len(receiver.incoming) + 1)
+    record = _signed_record(sender, receiver, len(receiver.incoming) + 1)
     receiver.incoming.append(record)
     receiver.latest_hash = fold_hash(receiver.public_key,
-                                     receiver.latest_hash, h)
-    receiver.latest_signature = signature
+                                     receiver.latest_hash, record.hash_value)
+    receiver.latest_signature = record.signature
     return record
 
 
@@ -371,15 +378,10 @@ def replace_chip(tree: ChipMerkleTree, node_id: str, new_chip: SimulatedChip,
     for src, dst in tree.schedule:
         if src not in dirty:
             continue
-        sender, receiver = nodes[src], nodes[dst]
-        h = record_hash(sender.public_key, sender.latest_hash,
-                        sender.latest_signature)
-        signature = sign(sender.keypair.secret_key,
-                         signed_payload(receiver.public_key, h))
+        receiver = nodes[dst]
         position = arrival[(src, dst)]
-        receiver.incoming[position] = TransactionRecord(
-            sender.public_key, receiver.public_key, sender.latest_hash,
-            sender.latest_signature, h, signature, position + 1)
+        receiver.incoming[position] = _signed_record(nodes[src], receiver,
+                                                     position + 1)
         _refold(receiver)
         if dst not in dirty:
             dirty.add(dst)
@@ -486,17 +488,25 @@ def serialize_chain(blocks: Sequence[Block]) -> bytes:
 
 
 def parse_chain(data: bytes) -> list[Block]:
+    """Read serialize_chain's bytes back into blocks.
+
+    Any malformed block raises ChainInvalid naming the block's index and
+    the byte offset of its length prefix.
+    """
     blocks = []
     offset = 0
     while offset < len(data):
+        where = f"block {len(blocks)} at byte {offset}"
         if offset + 4 > len(data):
-            raise ValueError("truncated block length prefix")
-        length = int.from_bytes(data[offset:offset + 4], "big")
-        offset += 4
-        if offset + length > len(data):
-            raise ValueError("truncated block")
-        blocks.append(Block.parse(data[offset:offset + length]))
-        offset += length
+            raise ChainInvalid(f"{where}: truncated block length prefix")
+        end = offset + 4 + int.from_bytes(data[offset:offset + 4], "big")
+        if end > len(data):
+            raise ChainInvalid(f"{where}: truncated block")
+        try:
+            blocks.append(Block.parse(data[offset + 4:end]))
+        except ValueError as exc:
+            raise ChainInvalid(f"{where}: {exc}") from exc
+        offset = end
     return blocks
 
 

@@ -1,0 +1,48 @@
+"""The names the benchmark in perfbench/ relies on.
+
+perfbench traces a fixed list of public functions, labels each span by
+the function's defining module, and fails a run whose workload expects
+a label it never sees.  These checks catch a renamed, moved or deleted
+function here, without running the benchmark.
+"""
+
+import sys
+from pathlib import Path
+
+import chipchain
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _import_perfbench():
+    """Import tracing and workloads without writing into perfbench/."""
+    sys.path.insert(0, str(PERFBENCH))
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        import tracing
+        import workloads
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(PERFBENCH))
+    return tracing, workloads
+
+
+tracing, workloads = _import_perfbench()
+
+
+def test_traced_names_are_public_functions():
+    for name in tracing._TRACED:
+        assert callable(getattr(chipchain, name, None)), name
+
+
+def test_expected_labels_are_traced():
+    labels = {tracing.label_of(getattr(chipchain, name))
+              for name in tracing._TRACED}
+    for workload in workloads.WORKLOADS.values():
+        missing = set(workload.expected) - labels
+        assert not missing, (workload.name, missing)
+
+
+def test_active_kernel_is_a_string():
+    assert isinstance(chipchain.active_kernel(), str)

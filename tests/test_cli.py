@@ -5,10 +5,14 @@ import pytest
 from chipchain import (
     ChipGeometry,
     FailureModel,
+    PublicKey,
+    RootStamp,
     build_tree,
     load_topology,
+    mine_block,
     new_chip,
     replace_chip,
+    serialize_chain,
 )
 from chipchain.cli import dispatch, main
 
@@ -275,6 +279,21 @@ def test_ledger_verify_corrupt_file(tmp_path):
                        "--difficulty", "8"])
     assert result.exit_code == 1
     assert result.diagnostics
+
+
+def test_ledger_verify_truncated_chain_names_block_and_offset(tmp_path):
+    key = PublicKey((1 << 511) | 1, 65537)
+    first = mine_block(RootStamp(key, bytes(32), 0), difficulty_bits=4)
+    second = mine_block(RootStamp(key, bytes(32), 1), first.block_hash,
+                        difficulty_bits=4, height=1)
+    path = tmp_path / "chain.bin"
+    path.write_bytes(serialize_chain([first, second])[:-5])
+    result = dispatch(["ledger", "verify", "--chain", str(path),
+                       "--difficulty", "4"])
+    assert result.exit_code == 1
+    offset = 4 + len(first.to_bytes())
+    assert result.diagnostics == (
+        f"ChainInvalid: block 1 at byte {offset}: truncated block")
 
 
 def test_ledger_replace(topo_file):

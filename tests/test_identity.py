@@ -330,6 +330,19 @@ def test_public_key_rejects_trailing_garbage():
         PublicKey.from_bytes(pair.public_key.to_bytes()[:-3])
 
 
+@pytest.mark.parametrize("modulus, exponent", [
+    (b"\x00\xc3", b"\x01\x00\x01"),
+    (b"", b"\x03"),
+    (b"\xc3", b"\x00\x03"),
+], ids=["modulus-leading-zero", "modulus-empty", "exponent-leading-zero"])
+def test_public_key_rejects_non_minimal_integers(modulus, exponent):
+    blob = (len(modulus).to_bytes(4, "big") + modulus
+            + len(exponent).to_bytes(4, "big") + exponent)
+    with pytest.raises(ValueError, match="not minimally encoded"):
+        PublicKey.from_bytes(blob)
+    assert PublicKey.from_bytes(PublicKey(0, 3).to_bytes()) == PublicKey(0, 3)
+
+
 # ------------------------------------------------------------- sign/verify
 
 def test_sign_verify_roundtrip():

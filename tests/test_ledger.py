@@ -6,6 +6,7 @@ import pytest
 
 from chipchain import (
     Block,
+    ChainInvalid,
     ChipGeometry,
     CycleDetected,
     GENESIS_SIGNATURE,
@@ -474,6 +475,22 @@ def test_chain_parse_rejects_truncation(stamps):
         parse_chain(blob[:-5])
     with pytest.raises(ValueError):
         parse_chain(blob + b"\x00\x00\x00\x08extra!!!")
+
+
+def test_chain_parse_errors_name_block_and_offset(stamps):
+    chain = make_chain(stamps[:2])
+    blob = serialize_chain(chain)
+    second = 4 + len(chain[0].to_bytes())
+    cases = [
+        (blob[:-5], f"block 1 at byte {second}: truncated block"),
+        (blob + b"\x00\x00", f"block 2 at byte {len(blob)}: "
+                              "truncated block length prefix"),
+        (blob[:second] + b"\x00\x00\x00\x08extra!!!",
+         f"block 1 at byte {second}: truncated block header"),
+    ]
+    for data, message in cases:
+        with pytest.raises(ChainInvalid, match=f"^{message}"):
+            parse_chain(data)
 
 
 def test_chain_of_stamped_roots(fig_tree):
