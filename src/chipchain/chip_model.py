@@ -47,6 +47,10 @@ from .errors import (
 MAX_MEAN_FAILURES = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 # PRN canonical bytes encode the row count in one 4-byte word.
 MAX_ROWS = (1 << 32) - 1
+# Spare rows cap the failure-row count.  numpy's choice(y, count,
+# replace=False) permutes all y rows once count > y // 50; with count
+# <= 2^16 that needs y < 50 * 2^16, a permutation of at most ~26 MB.
+MAX_REDUNDANCY_ROWS = 1 << 16
 
 ACCESS_NORMAL = "normal"
 ACCESS_SPECIAL = "special"
@@ -107,6 +111,8 @@ class ChipGeometry:
     def __post_init__(self):
         if self.rows < 1:
             raise GeometryInvalid(f"rows must be positive, got {self.rows}")
+        if self.rows > MAX_ROWS:
+            raise GeometryInvalid(f"rows must be at most {MAX_ROWS}, got {self.rows}")
         if self.cols < 1:
             raise GeometryInvalid(f"cols must be positive, got {self.cols}")
         if self.block_count != 1:
@@ -118,6 +124,9 @@ class ChipGeometry:
         if self.redundancy_rows > self.rows:
             raise GeometryInvalid(
                 f"redundancy_rows={self.redundancy_rows} exceeds rows={self.rows}")
+        if self.redundancy_rows > MAX_REDUNDANCY_ROWS:
+            raise GeometryInvalid(f"redundancy_rows must be at most "
+                                  f"{MAX_REDUNDANCY_ROWS}, got {self.redundancy_rows}")
 
 
 def generation_geometry(name: str) -> ChipGeometry:
@@ -216,9 +225,13 @@ def _checked_swap_map(swap_map: Mapping[int, int] | None,
 class SimulatedChip:
     """One manufactured part: geometry, hidden failure map, cell state.
 
-    Cell arrays are materialized per column on first touch.  The
-    failure rows and the swap map are fixed at construction, the way a
-    real part fixes them at production test.
+    A written column is (regular fill, spare fill, routed spares): every
+    regular cell holds the last normal-mode value, every spare cell the
+    last special-mode value except the spares failure rows were routed
+    to since then.  Regular cells at failure rows are never read, so a
+    chip costs O(failure rows), not O(rows).  The failure rows and the
+    swap map are fixed at construction, the way a real part fixes them
+    at production test.
     """
 
     def __init__(self, chip_id: str, geometry: ChipGeometry,
@@ -234,8 +247,7 @@ class SimulatedChip:
         self.access_mode = ACCESS_NORMAL
         self._failure_rows = rows
         self._swap_map = swap_map
-        self._regular: dict[int, np.ndarray] = {}
-        self._redundancy: dict[int, np.ndarray] = {}
+        self._columns: dict[int, tuple[int, int, dict[int, int]]] = {}
         self._normal_written: set[int] = set()
         self._special_written: set[int] = set()
 
@@ -252,19 +264,11 @@ class SimulatedChip:
             raise ColumnOutOfRange(
                 f"column {column} outside 0..{self.geometry.cols - 1}")
 
-    def _regular_column(self, column: int) -> np.ndarray:
-        arr = self._regular.get(column)
-        if arr is None:
-            arr = np.zeros(self.geometry.rows, dtype=np.uint8)
-            self._regular[column] = arr
-        return arr
-
-    def _redundancy_column(self, column: int) -> np.ndarray:
-        arr = self._redundancy.get(column)
-        if arr is None:
-            arr = np.zeros(self.geometry.redundancy_rows, dtype=np.uint8)
-            self._redundancy[column] = arr
-        return arr
+    def _failure_bits(self, column: int) -> list[tuple[int, int]]:
+        """(row, bit) each failure row reads through the decoder."""
+        _, spare_fill, routed = self._columns[column]
+        return [(row, routed.get(self._swap_map[row], spare_fill))
+                for row in self._failure_rows]
 
     def __repr__(self):
         return (f"SimulatedChip(chip_id={self.chip_id!r}, "
@@ -292,7 +296,7 @@ def new_chip(geometry: ChipGeometry, failure_model: FailureModel | None = None,
         broken = rng.random(geometry.redundancy_rows) < model.redundancy_failure_rate
         usable = [i for i in range(geometry.redundancy_rows) if not broken[i]]
     else:
-        usable = list(range(geometry.redundancy_rows))
+        usable = range(geometry.redundancy_rows)
     if count > len(usable):
         raise CapacityExceeded(
             f"{count} failure rows but only {len(usable)} usable spare rows")
@@ -317,18 +321,13 @@ def write_column(chip: SimulatedChip, mode: str, column: int,
         raise ValueError("cell value must be 0 or 1")
     chip._check_column(column)
     chip.access_mode = mode
+    regular_fill, spare_fill, routed = chip._columns.get(column, (0, 0, {}))
     if mode == ACCESS_NORMAL:
-        regular = chip._regular_column(column)
-        spare = chip._redundancy_column(column)
-        dead = regular[list(chip.failure_rows)].copy() if chip.failure_rows else None
-        regular[:] = value
-        if dead is not None:
-            regular[list(chip.failure_rows)] = dead
-        for row in chip.failure_rows:
-            spare[chip._swap_map[row]] = value
+        routed.update(dict.fromkeys(chip._swap_map.values(), value))
+        chip._columns[column] = (value, spare_fill, routed)
         chip._normal_written.add(column)
     else:
-        chip._redundancy_column(column)[:] = value
+        chip._columns[column] = (regular_fill, value, {})
         chip._special_written.add(column)
     return chip
 
@@ -345,10 +344,9 @@ def read_column_normal(chip: SimulatedChip, column: int) -> np.ndarray:
             f"column {column} needs a normal-mode and a special-mode write "
             "before it can be read")
     chip.access_mode = ACCESS_NORMAL
-    out = chip._regular_column(column).copy()
-    spare = chip._redundancy_column(column)
-    for row in chip.failure_rows:
-        out[row] = spare[chip._swap_map[row]]
+    out = np.full(chip.geometry.rows, chip._columns[column][0], dtype=np.uint8)
+    for row, bit in chip._failure_bits(column):
+        out[row] = bit
     return out
 
 
@@ -360,8 +358,9 @@ def extract_prn(chip: SimulatedChip, column: int = 0) -> Prn:
     """
     write_column(chip, ACCESS_NORMAL, column, 0)
     write_column(chip, ACCESS_SPECIAL, column, 1)
-    bits = read_column_normal(chip, column)
-    rows = tuple(int(r) for r in np.flatnonzero(bits == 1))
+    chip.access_mode = ACCESS_NORMAL
+    # the regular fill is now 0: only failure rows can read 1
+    rows = tuple(row for row, bit in chip._failure_bits(column) if bit)
     return Prn(chip.chip_id, column, rows, chip.geometry.rows)
 
 
@@ -431,10 +430,14 @@ def parse_chip_fixture(text: str) -> SimulatedChip:
         return number
 
     rows = integer("rows", 1, MAX_ROWS)
+    redundancy_rows = integer("redundancy_rows", 0, rows)
+    if redundancy_rows > MAX_REDUNDANCY_ROWS:
+        raise invalid("redundancy_rows", f"must be at most "
+                      f"{MAX_REDUNDANCY_ROWS}, got {redundancy_rows}")
     geometry = ChipGeometry(
         rows=rows,
         cols=integer("cols", 1) if "cols" in fields else 8,
-        redundancy_rows=integer("redundancy_rows", 0, rows),
+        redundancy_rows=redundancy_rows,
     )
     seed = integer("seed", 0) if fields.get("seed", (0, ""))[1] else None
     failure_rows = integers("failure_rows")

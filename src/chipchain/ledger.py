@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ._pow import pow_search
-from .chip_model import Prn, SimulatedChip, extract_prn
+from .chip_model import SimulatedChip
 from .errors import (
     ChainInvalid,
     CycleDetected,
@@ -35,11 +35,8 @@ from .errors import (
 )
 from .identity import (
     ChipKeyPair,
-    ISSUER_MANAGEMENT,
     PublicKey,
-    derive_keypair,
-    make_challenge,
-    respond,
+    keypair_for_chip,
     sign,
     verify,
 )
@@ -122,7 +119,6 @@ class ChipNode:
 
     node_id: str
     chip: SimulatedChip
-    prn: Prn
     keypair: ChipKeyPair
     genesis: TransactionRecord
     incoming: list[TransactionRecord]
@@ -137,11 +133,9 @@ class ChipNode:
 def enroll_chip(node_id: str, chip: SimulatedChip, state_index: int,
                 modulus_bits: int = 1024, column: int = 0) -> ChipNode:
     """Derive a chip's keys at the state index and seat it at genesis."""
-    prn = extract_prn(chip, column)
-    challenge = make_challenge(state_index, ISSUER_MANAGEMENT)
-    keypair = derive_keypair(respond(prn, challenge), modulus_bits)
+    keypair = keypair_for_chip(chip, state_index, modulus_bits, column)
     genesis = genesis_record(keypair.public_key)
-    return ChipNode(node_id, chip, prn, keypair, genesis, [],
+    return ChipNode(node_id, chip, keypair, genesis, [],
                     genesis.hash_value, GENESIS_SIGNATURE)
 
 
@@ -355,10 +349,8 @@ def replace_chip(tree: ChipMerkleTree, node_id: str, new_chip: SimulatedChip,
 
     target = nodes[node_id]
     target.chip = new_chip
-    target.prn = extract_prn(new_chip, tree.column)
-    challenge = make_challenge(state_index, ISSUER_MANAGEMENT)
-    target.keypair = derive_keypair(respond(target.prn, challenge),
-                                    tree.modulus_bits)
+    target.keypair = keypair_for_chip(new_chip, state_index,
+                                      tree.modulus_bits, tree.column)
     target.genesis = genesis_record(target.public_key)
 
     # senders into the replaced node must re-address their records

@@ -62,6 +62,7 @@ import numpy as np
 
 from .chip_model import (
     MAX_MEAN_FAILURES,
+    MAX_REDUNDANCY_ROWS,
     MAX_ROWS,
     ChipGeometry,
     FailureModel,
@@ -188,6 +189,9 @@ def _check_chip_spec(spec: ChipSpec, where: str) -> ChipSpec:
         problem = f"y must be at most {MAX_ROWS}, got {spec.rows}"
     elif not 0 <= spec.redundancy_rows <= spec.rows:
         problem = (f"redundancy must be in [0, y={spec.rows}], "
+                   f"got {spec.redundancy_rows}")
+    elif spec.redundancy_rows > MAX_REDUNDANCY_ROWS:
+        problem = (f"redundancy must be at most {MAX_REDUNDANCY_ROWS}, "
                    f"got {spec.redundancy_rows}")
     elif not 0 <= spec.min_failures <= spec.redundancy_rows:
         problem = (f"min_failures must be in [0, redundancy="

@@ -183,3 +183,43 @@ def rsa_sign_oracle(message: bytes, d: int, n: int) -> bytes:
     digest = hashlib.sha256(message).digest()
     encoded = b"\x00\x01" + b"\xff" * (size - len(digest) - 3) + b"\x00" + digest
     return pow(int.from_bytes(encoded, "big"), d, n).to_bytes(size, "big")
+
+
+class DenseChipOracle:
+    """A chip's cells as full per-column lists, written out cell by cell.
+
+    Every regular row and every spare row of a touched column is a
+    stored cell, the dead regular cells at failure rows included; a
+    normal-mode write skips those and writes the spare each failure row
+    is swapped to instead.  read_normal returns None until the column
+    has seen a write in both modes.
+    """
+
+    def __init__(self, rows: int, redundancy_rows: int, swap_map):
+        self.rows = rows
+        self.redundancy_rows = redundancy_rows
+        self.swap_map = dict(swap_map)
+        self.regular = {}
+        self.spare = {}
+        self.modes = {}
+
+    def write(self, mode: str, column: int, value: int) -> None:
+        regular = self.regular.setdefault(column, [0] * self.rows)
+        spare = self.spare.setdefault(column, [0] * self.redundancy_rows)
+        if mode == "normal":
+            for row in range(self.rows):
+                if row in self.swap_map:
+                    spare[self.swap_map[row]] = value
+                else:
+                    regular[row] = value
+        else:
+            for index in range(self.redundancy_rows):
+                spare[index] = value
+        self.modes.setdefault(column, set()).add(mode)
+
+    def read_normal(self, column: int):
+        if self.modes.get(column) != {"normal", "special"}:
+            return None
+        regular, spare = self.regular[column], self.spare[column]
+        return [spare[self.swap_map[row]] if row in self.swap_map else regular[row]
+                for row in range(self.rows)]

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,7 +34,9 @@ from chipchain import (
     save_chip_fixture,
     write_column,
 )
-from chipchain.chip_model import MAX_MEAN_FAILURES
+from chipchain.chip_model import MAX_MEAN_FAILURES, MAX_REDUNDANCY_ROWS, MAX_ROWS
+
+from oracles import DenseChipOracle
 
 
 # ---------------------------------------------------------------- geometry
@@ -52,6 +57,8 @@ def test_geometry_defaults():
         dict(rows=100, block_count=2),
         dict(rows=100, redundancy_rows=-1),
         dict(rows=10, redundancy_rows=11),
+        dict(rows=MAX_ROWS + 1, redundancy_rows=0),
+        dict(rows=MAX_ROWS, redundancy_rows=MAX_REDUNDANCY_ROWS + 1),
     ],
 )
 def test_geometry_rejects_bad_shapes(kwargs):
@@ -291,6 +298,45 @@ def test_columns_independent():
         read_column_normal(chip, 3)
 
 
+@st.composite
+def swapped_layouts(draw):
+    """(rows, spare rows, swap map), failure rows and spares drawn freely."""
+    rows = draw(st.integers(1, 24))
+    spares = draw(st.integers(0, rows))
+    failures = draw(st.lists(st.integers(0, rows - 1), unique=True,
+                             max_size=spares))
+    targets = draw(st.permutations(range(spares)))
+    return rows, spares, dict(zip(failures, targets))
+
+
+WRITES = st.tuples(st.sampled_from([ACCESS_NORMAL, ACCESS_SPECIAL]),
+                   st.integers(0, 2), st.integers(0, 1))
+
+
+@given(swapped_layouts(), st.lists(WRITES, max_size=10))
+def test_sparse_cells_match_the_dense_oracle(layout, writes):
+    rows, spares, swap_map = layout
+    chip = SimulatedChip("dense", ChipGeometry(rows=rows, cols=3,
+                                               redundancy_rows=spares),
+                         list(swap_map), swap_map)
+    oracle = DenseChipOracle(rows, spares, swap_map)
+    for step in [None] + writes:
+        if step is not None:
+            write_column(chip, *step)
+            oracle.write(*step)
+        for column in range(3):
+            expected = oracle.read_normal(column)
+            if expected is None:
+                with pytest.raises(PreprocessMissing):
+                    read_column_normal(chip, column)
+            else:
+                assert read_column_normal(chip, column).tolist() == expected
+    oracle.write(ACCESS_NORMAL, 1, 0)
+    oracle.write(ACCESS_SPECIAL, 1, 1)
+    lit = tuple(row for row, bit in enumerate(oracle.read_normal(1)) if bit)
+    assert extract_prn(chip, 1).rows == lit == tuple(sorted(swap_map))
+
+
 # -------------------------------------------------------------- extraction
 
 def test_extract_prn_matches_failure_rows(desk_chip):
@@ -299,6 +345,32 @@ def test_extract_prn_matches_failure_rows(desk_chip):
     assert prn.total_rows == 2000
     assert prn.chip_id == desk_chip.chip_id
     assert prn.column == 0
+
+
+CAPPED_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from chipchain import (ChipGeometry, FailureModel, extract_prn,
+                       keypair_for_chip, new_chip)
+chip = new_chip(ChipGeometry(rows=(1 << 32) - 1, redundancy_rows=1 << 16),
+                FailureModel(mean_failures=1e9), seed=3)
+assert len(chip.failure_rows) == 1 << 16
+assert extract_prn(chip).rows == chip.failure_rows
+assert keypair_for_chip(chip, 0, modulus_bits=512).modulus_bits == 512
+"""
+
+
+def test_largest_chip_fits_in_one_gib():
+    # a chip costs O(failure rows): y = 2^32 - 1 with 2^16 failure rows
+    # is made, read out and keyed under a 1 GiB address-space cap
+    pytest.importorskip("resource")
+    import chipchain
+    src = os.path.dirname(os.path.dirname(chipchain.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", CAPPED_CHILD],
+                            env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr[-2000:]
 
 
 def test_extract_prn_repeatable(desk_chip):
@@ -419,6 +491,9 @@ FIXTURE = ("chip_id = x\nrows = 16\ncols = 8\nredundancy_rows = 4\nseed = 7\n"
         ("seed = 7", "seed = 7\nrows = 32",
          "duplicate field 'rows' (first on line 2)"),
         ("cols = 8", "col = 2", "unknown field 'col'"),
+        ("rows = 16\ncols = 8\nredundancy_rows = 4",
+         "rows = 4294967295\ncols = 8\nredundancy_rows = 65537",
+         "redundancy_rows: must be at most 65536, got 65537"),
     ],
 )
 def test_fixture_errors_name_their_line(before, after, message):

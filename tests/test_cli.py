@@ -161,6 +161,20 @@ def test_chip_new_rejects_bad_lambda(tmp_path, value, diagnostics):
     assert result.diagnostics == diagnostics
 
 
+@pytest.mark.parametrize("argv, diagnostics", [
+    (["--y", "4294967296"],
+     "GeometryInvalid: rows must be at most 4294967295, got 4294967296"),
+    (["--y", "4294967295", "--redundancy", "100000000", "--lambda", "1e8"],
+     "GeometryInvalid: redundancy_rows must be at most 65536, got 100000000"),
+])
+def test_chip_new_rejects_geometry_beyond_bounds(tmp_path, argv, diagnostics):
+    chip_dir = tmp_path / "chips"
+    result = dispatch(["chip", "new", *argv, "--dir", str(chip_dir)])
+    assert result.exit_code == 1
+    assert result.diagnostics == diagnostics
+    assert not chip_dir.exists()
+
+
 def test_chip_prn_fixture_flag(tmp_path):
     dispatch(["chip", "new", "--chip-id", "beta", "--seed", "9",
               "--dir", str(tmp_path)])

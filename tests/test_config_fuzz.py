@@ -2,14 +2,14 @@
 
 Mutants of the scenario config (MINI) and of the ledger file (TOPOLOGY)
 must either parse or fail with a ChipChainError, and every chip spec in
-a config that parses must manufacture.
+a config that parses must manufacture and yield its fingerprint.
 """
 
 import re
 
 from hypothesis import given, settings, strategies as st
 
-from chipchain import ChipChainError
+from chipchain import ChipChainError, extract_prn
 from chipchain.network_sim import parse_scenario, parse_topology
 
 from test_cli import TOPOLOGY
@@ -18,7 +18,8 @@ from test_network_sim import MINI
 # boundary values of the chip checks, plus a few that are not numbers;
 # hypothesis draws early entries more often, so the rarest go first
 EDGES = ["99999999999999999999", "1e19", "-1", "nan", "4294967296", "0", "1",
-         "20", "21", "0.5", "-inf", "1e18", "abc"]
+         "20", "21", "0.5", "-inf", "1e18", "abc", "4294967295", "65536",
+         "65537"]
 OPTIONS = [f"{key}={value}" for value in EDGES
            for key in ("y", "lambda", "seed", "redundancy", "min_failures")]
 TOKENS = ["->", "n0 -> n0", "=", "x=1", "[params]", "[chips]", "[nodes]",
@@ -76,7 +77,7 @@ def mutants(draw, base: str) -> str:
 
 def _manufacture_all(chips):
     for spec in chips.values():
-        spec.manufacture()
+        extract_prn(spec.manufacture())
 
 
 @settings(max_examples=300)

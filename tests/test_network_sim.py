@@ -137,6 +137,7 @@ def test_parse_reports_line_numbers():
         ("redundancy=3 min_failures=4", "min_failures must be in [0, redundancy=3]"),
         ("lambda=1e19", "lambda must be at most 9.22337e+18"),
         ("y=4294967296", "y must be at most 4294967295"),
+        ("y=4294967295 redundancy=65537", "redundancy must be at most 65536"),
     ],
 )
 def test_parse_rejects_bad_chip_parameters(options, message_part):
