@@ -30,18 +30,25 @@ def pow_search(body: bytes, nonce_start: int = 0, difficulty_bits: int = 0,
         raise ValueError("nonce_start must fit in 64 bits")
     if max_attempts is not None and max_attempts < 0:
         raise ValueError("max_attempts must be >= 0")
-    body = bytes(body)
     # big-endian bytes order like the integers they encode, so the
     # digest clears the target iff it is at most the largest passing value
     limit = ((1 << (256 - difficulty_bits)) - 1).to_bytes(32, "big")
-    remaining = _NONCE_SPACE - nonce_start
+    end = _NONCE_SPACE
     if max_attempts is not None:
-        remaining = min(remaining, max_attempts)
+        end = min(end, nonce_start + max_attempts)
     sha256 = hashlib.sha256
+    # nonce || body in one buffer: the top 7 nonce bytes are written
+    # once per 256 nonces and only the low byte inside
+    message = bytearray(8) + bytes(body)
     nonce = nonce_start
-    for attempt in range(remaining):
-        digest = sha256(nonce.to_bytes(8, "big") + body).digest()
-        if digest <= limit:
-            return nonce, digest, attempt + 1
-        nonce += 1
+    while nonce < end:
+        high = nonce >> 8
+        message[:7] = high.to_bytes(7, "big")
+        for low in range(nonce & 0xFF, min(end - (high << 8), 256)):
+            message[7] = low
+            digest = sha256(message).digest()
+            if digest <= limit:
+                nonce = high << 8 | low
+                return nonce, digest, nonce - nonce_start + 1
+        nonce = (high + 1) << 8
     return None

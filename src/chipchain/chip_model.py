@@ -25,6 +25,7 @@ number (PRN).
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 from dataclasses import dataclass
@@ -54,6 +55,12 @@ MAX_REDUNDANCY_ROWS = 1 << 16
 
 ACCESS_NORMAL = "normal"
 ACCESS_SPECIAL = "special"
+
+# RFC 2104 pads for HMAC-SHA256: key bytes XOR 0x36 and XOR 0x5c, by
+# table, as CPython's hmac module builds them.
+_HMAC_BLOCK = 64
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 _MBIT = 1 << 20
 _GBIT = 1 << 30
@@ -188,6 +195,27 @@ class Prn:
     @cached_property
     def canonical_bytes(self) -> bytes:
         return prn_canonical_bytes(self.rows, self.total_rows)
+
+    @cached_property
+    def hmac_states(self):
+        """(inner, outer) SHA-256 states keyed by canonical_bytes.
+
+        They have absorbed key XOR ipad and key XOR opad, the per-key
+        precomputation of RFC 2104 section 4; a key longer than the
+        64-byte block is hashed first.  Callers copy them, never update
+        them.
+        """
+        key = self.canonical_bytes
+        if len(key) > _HMAC_BLOCK:
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(_HMAC_BLOCK, b"\0")
+        return (hashlib.sha256(key.translate(_IPAD)),
+                hashlib.sha256(key.translate(_OPAD)))
+
+    def __reduce__(self):
+        # the cached hash states cannot be pickled; the fields rebuild them
+        return type(self), (self.chip_id, self.column, self.rows,
+                            self.total_rows)
 
 
 def _checked_failure_rows(failure_rows: Iterable[int],

@@ -7,6 +7,12 @@ keypair, so the same chip at the same state index always reproduces the
 same keys.  Nothing is ever stored on the device side; possession of
 the physical chip is what regenerates the secret key.
 
+The keyed digest is HMAC-SHA256 with the PRN's canonical bytes as the
+key.  Each Prn keeps the inner and outer SHA-256 states of its key,
+computed once (the precomputation of RFC 2104 section 4), so a
+response costs no key padding or key hashing; the response bytes are
+those of the plain HMAC construction.
+
 Each key prime is the first prime at or after a candidate drawn from a
 SHA-256 counter stream over the response: a residue sieve skips
 multiples of the odd primes below 2050, and a Baillie-PSW test
@@ -22,7 +28,6 @@ not production parameters.
 from __future__ import annotations
 
 import hashlib
-import hmac
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -80,12 +85,24 @@ class Response:
 
 
 def respond(prn: Prn, challenge: Challenge) -> Response:
-    """Keyed digest of the challenge under the chip fingerprint."""
-    key = prn.canonical_bytes
-    blocks = [
-        hmac.digest(key, challenge.data + i.to_bytes(4, "big"), "sha256")
-        for i in range(_RESPONSE_BLOCKS)
-    ]
+    """Keyed digest of the challenge under the chip fingerprint.
+
+    Block i is HMAC-SHA256(canonical PRN bytes, challenge || i as a
+    4-byte word).  The pad states come precomputed from the PRN
+    (RFC 2104 section 4), the challenge is absorbed once, and each
+    block branches from a copy of that state, so the bytes are those
+    of a textbook HMAC per block.
+    """
+    inner_pad, outer_pad = prn.hmac_states
+    inner = inner_pad.copy()
+    inner.update(challenge.data)
+    blocks = []
+    for i in range(_RESPONSE_BLOCKS):
+        block_inner = inner.copy()
+        block_inner.update(i.to_bytes(4, "big"))
+        outer = outer_pad.copy()
+        outer.update(block_inner.digest())
+        blocks.append(outer.digest())
     return Response(prn.chip_id, challenge.state_index, b"".join(blocks))
 
 

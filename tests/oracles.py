@@ -9,6 +9,7 @@ several outputs of these oracles as literals.
 
 import fractions
 import hashlib
+import hmac
 import struct
 
 
@@ -162,14 +163,20 @@ def hmac_sha256(key: bytes, msg: bytes) -> bytes:
     return hashlib.sha256(opad + inner).digest()
 
 
-def response_oracle(prn_rows, total_rows: int, challenge_data: bytes) -> bytes:
+def hmac_sha256_library(key: bytes, msg: bytes) -> bytes:
+    """The standard library's HMAC-SHA256, a second, independent oracle."""
+    return hmac.digest(key, msg, "sha256")
+
+
+def response_oracle(prn_rows, total_rows: int, challenge_data: bytes,
+                    mac=hmac_sha256) -> bytes:
     """Recompute the 64-byte keyed response from first principles."""
     key = struct.pack(">II", total_rows, len(prn_rows))
     for r in sorted(prn_rows):
         key += struct.pack(">I", r)
     out = b""
     for counter in (0, 1):
-        out += hmac_sha256(key, challenge_data + struct.pack(">I", counter))
+        out += mac(key, challenge_data + struct.pack(">I", counter))
     return out
 
 

@@ -1,8 +1,11 @@
+import copy
 import hashlib
 import math
+import pickle
 import signal
 
 import pytest
+from hypothesis import given, strategies as st
 
 from chipchain import (
     AuditVerdict,
@@ -11,6 +14,7 @@ from chipchain import (
     ISSUER_MANAGEMENT,
     ISSUER_SECURITY,
     PrimeSearchExhausted,
+    Prn,
     PublicKey,
     Response,
     SecurityState,
@@ -35,7 +39,14 @@ from chipchain.identity import (
 )
 
 from conftest import SMALL, make_small_chip
-from oracles import is_prime_mr40, is_prime_trial, response_oracle, rsa_sign_oracle
+from oracles import (
+    hmac_sha256,
+    hmac_sha256_library,
+    is_prime_mr40,
+    is_prime_trial,
+    response_oracle,
+    rsa_sign_oracle,
+)
 
 
 # --------------------------------------------------------------- challenges
@@ -86,6 +97,63 @@ def test_response_matches_keyed_hash_oracle():
     challenge = make_challenge(5)
     want = response_oracle(prn.rows, prn.total_rows, challenge.data)
     assert respond(prn, challenge).data == want
+
+
+@st.composite
+def _prns(draw):
+    total_rows = draw(st.integers(1, 2**32 - 1))
+    count = draw(st.integers(0, min(40, total_rows)))
+    rows = draw(st.lists(st.integers(0, total_rows - 1), min_size=count,
+                         max_size=count, unique=True))
+    return Prn("fuzz", 0, tuple(sorted(rows)), total_rows)
+
+
+_CHALLENGES = st.one_of(
+    st.builds(make_challenge, st.integers(0, 2**32),
+              st.sampled_from([ISSUER_MANAGEMENT, ISSUER_SECURITY])),
+    st.builds(lambda data: Challenge(0, ISSUER_MANAGEMENT, data),
+              st.binary(min_size=32, max_size=32)),
+)
+
+
+@given(prn=_prns(), challenges=st.lists(_CHALLENGES, min_size=1, max_size=5))
+def test_response_fuzz_matches_both_hmac_oracles(prn, challenges):
+    """Repeated, interleaved calls on one Prn share its cached pad
+    states; each must equal the textbook and the library HMAC."""
+    for challenge in challenges + challenges[::-1]:
+        got = respond(prn, challenge).data
+        assert got == response_oracle(prn.rows, prn.total_rows, challenge.data)
+        assert got == response_oracle(prn.rows, prn.total_rows, challenge.data,
+                                      mac=hmac_sha256_library)
+
+
+@pytest.mark.parametrize("failures, key_len, hashed", [(14, 64, False),
+                                                       (15, 68, True)])
+def test_response_key_block_boundary(failures, key_len, hashed):
+    """A 64-byte key fills the SHA-256 block and is used as is; a longer
+    one is hashed first, so it keys the same HMAC as its digest."""
+    prn = Prn("edge", 0, tuple(range(0, 3 * failures, 3)), 1000)
+    key = prn.canonical_bytes
+    assert len(key) == key_len
+    for challenge in (make_challenge(0), make_challenge(1, ISSUER_SECURITY)):
+        got = respond(prn, challenge).data
+        assert got == response_oracle(prn.rows, prn.total_rows, challenge.data)
+        assert got == response_oracle(prn.rows, prn.total_rows, challenge.data,
+                                      mac=hmac_sha256_library)
+        first_block = hmac_sha256(hashlib.sha256(key).digest(),
+                                  challenge.data + bytes(4))
+        assert (got[:32] == first_block) is hashed
+
+
+def test_responded_prn_pickles_and_deep_copies():
+    prn = extract_prn(make_small_chip(4))
+    challenge = make_challenge(2)
+    want = respond(prn, challenge)
+    for clone in (pickle.loads(pickle.dumps(prn)), copy.deepcopy(prn)):
+        assert clone == prn
+        assert hash(clone) == hash(prn)
+        assert respond(clone, challenge) == want
+        assert respond(prn, challenge) == want
 
 
 def test_response_differs_across_chips():

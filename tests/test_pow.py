@@ -48,6 +48,32 @@ def test_nonce_space_end():
     assert result is None or result[0] >= start
 
 
+@pytest.mark.parametrize("start", [250, 255, 256, 511, 2**64 - 300])
+def test_scan_rewrites_nonce_bytes_across_rollovers(start):
+    """The scan keeps nonce || body in one buffer and rewrites the high
+    nonce bytes once per 256 nonces; every attempt must still hash the
+    full nonce, before and after a low-byte rollover.  From 2**64 - 300
+    the attempt cap runs past the nonce space and the scan stops at
+    its end."""
+    body = b"rollover probe"
+    winners = []
+    for difficulty in list(range(10)) + [256]:
+        expected = _integer_rule_search(body, difficulty, 1000, start)
+        assert pow_search(body, start, difficulty, max_attempts=1000) == expected
+        if expected is not None:
+            winners.append(expected[0])
+    assert any(nonce >> 8 != start >> 8 for nonce in winners)
+
+
+def test_last_nonce_is_searchable():
+    last = 2**64 - 1
+    assert pow_search(b"tail", last, 0) == (last, sha(last, b"tail"), 1)
+
+
+def test_unreachable_target_ends_at_the_nonce_space():
+    assert pow_search(b"tail", nonce_start=2**64 - 2, difficulty_bits=256) is None
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         pow_search(b"x", difficulty_bits=-1)
@@ -67,14 +93,15 @@ def test_non_byte_multiple_difficulty():
     assert digest[1] >> 5 == 0
 
 
-def _integer_rule_search(body, difficulty, max_attempts):
-    """First nonce from 0 whose digest, read as an integer, is below
+def _integer_rule_search(body, difficulty, max_attempts, nonce_start=0):
+    """First nonce from nonce_start, within max_attempts and the 64-bit
+    nonce space, whose digest, read as an integer, is below
     2**(256 - difficulty)."""
     bound = 1 << (256 - difficulty)
-    for nonce in range(max_attempts):
+    for nonce in range(nonce_start, min(nonce_start + max_attempts, 2**64)):
         digest = sha(nonce, body)
         if int.from_bytes(digest, "big") < bound:
-            return nonce, digest, nonce + 1
+            return nonce, digest, nonce - nonce_start + 1
     return None
 
 
