@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -185,12 +186,31 @@ def prn_canonical_bytes(rows: Sequence[int], total_rows: int) -> bytes:
 
 @dataclass(frozen=True)
 class Prn:
-    """A chip's physical random number: its failure-row set."""
+    """A chip's physical random number: its failure-row set.
+
+    rows is stored sorted, so two Prns with the same row set compare and
+    hash equal; rows must be distinct and in [0, total_rows), and
+    total_rows must fit the 4-byte word of the canonical bytes.
+    """
 
     chip_id: str
     column: int
     rows: tuple[int, ...]
     total_rows: int
+
+    def __post_init__(self):
+        total = operator.index(self.total_rows)
+        if not 1 <= total <= MAX_ROWS:
+            raise GeometryInvalid(
+                f"total_rows must be in [1, {MAX_ROWS}], got {total}")
+        rows = tuple(sorted(map(operator.index, self.rows)))
+        if len(set(rows)) != len(rows):
+            raise GeometryInvalid(f"PRN rows must be distinct, got {rows}")
+        if rows and (rows[0] < 0 or rows[-1] >= total):
+            raise GeometryInvalid(
+                f"PRN rows must be in [0, {total}), got {rows[0]} .. {rows[-1]}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "total_rows", total)
 
     @cached_property
     def canonical_bytes(self) -> bytes:

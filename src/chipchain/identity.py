@@ -14,12 +14,14 @@ response costs no key padding or key hashing; the response bytes are
 those of the plain HMAC construction.
 
 Each key prime is the first prime at or after a candidate drawn from a
-SHA-256 counter stream over the response: a residue sieve skips
-multiples of the odd primes below 2050, and a Baillie-PSW test
-(strong base 2 plus strong Lucas) confirms the survivors.  Keys must
-stay those of the 40-witness Miller-Rabin schedule the tests keep as
-the reference: both tests accept every prime and no composite is known
-to pass either, so the search stops on the same primes.
+SHA-256 counter stream over the response.  A window sieve marks the
+multiples of the odd primes below 2^15 among 256 odd numbers at a time
+(Menezes, van Oorschot and Vanstone, Handbook of Applied Cryptography,
+section 4.4), and a Baillie-PSW test (strong base 2 plus strong Lucas)
+confirms the survivors in order.  Keys must stay those of the
+40-witness Miller-Rabin schedule the tests keep as the reference: both
+tests accept every prime and no composite is known to pass either, so
+the search stops on the same primes.
 
 Key sizes here are desk-scale (512 to 2048 bit) for fast simulation,
 not production parameters.
@@ -32,6 +34,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+
+import numpy as np
 
 try:
     from gmpy2 import powmod as _powmod
@@ -193,18 +197,28 @@ def key_fingerprint(key: PublicKey) -> str:
     return hashlib.sha256(key.to_bytes()).hexdigest()[:16]
 
 
-def _first_primes(count: int) -> tuple[int, ...]:
-    primes, candidate = [], 2
-    while len(primes) < count:
-        if all(candidate % p for p in primes):
-            primes.append(candidate)
-        candidate += 1
-    return tuple(primes)
+_SIEVE_BOUND = 1 << 15  # the window sieve uses the odd primes below this
+_SIEVE_WINDOW = 256  # odd steps marked per window
 
 
-_SMALL_PRIMES = _first_primes(40)  # 2 .. 173
+def _odd_primes_below(bound: int) -> np.ndarray:
+    """Odd primes below bound by the sieve of Eratosthenes, as int64."""
+    is_prime = np.ones(bound, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
+    return np.flatnonzero(is_prime)[1:].astype(np.int64)
+
+
+_SIEVE_PRIMES = _odd_primes_below(_SIEVE_BOUND)  # 3 .. 32749, 3511 primes
+_SIEVE_HALVES = (_SIEVE_PRIMES + 1) // 2  # 2^-1 mod each sieve prime
+_LARGEST_SIEVE_PRIME = int(_SIEVE_PRIMES[-1])
+# Primes below the window width can divide several numbers of a window;
+# each larger one divides at most one.
+_REPEAT_PRIMES = _SIEVE_PRIMES[_SIEVE_PRIMES < _SIEVE_WINDOW].tolist()
+_SMALL_PRIMES = (2,) + tuple(_SIEVE_PRIMES[:39].tolist())  # the first 40: 2 .. 173
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
-_SIEVE_PRIMES = [p for p in _first_primes(310) if p > 2]  # odd primes < ~2050
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -299,25 +313,51 @@ def _is_probable_prime(n: int) -> bool:
     return _is_strong_base2_prp(n) and _is_strong_lucas_prp(n)
 
 
+def _sieve_residues(candidate: int) -> np.ndarray:
+    """candidate mod every sieve prime, by Horner's rule over its 32-bit
+    words: each step is (r << 32 | word) % P, which stays below 2^47."""
+    words = candidate.to_bytes(4 * -(-candidate.bit_length() // 32), "big")
+    residues = np.zeros_like(_SIEVE_PRIMES)
+    for word in np.frombuffer(words, dtype=">u4").tolist():
+        residues <<= 32
+        residues |= word
+        residues %= _SIEVE_PRIMES
+    return residues
+
+
 def _next_prime(candidate: int, max_steps: int = 1 << 17) -> int:
     """First prime at or after candidate, stepping odd numbers.
 
-    candidate must be larger than the sieve primes (key-size integers
-    always are).  The residue sieve rejects most composites before the
-    Baillie-PSW test runs on the survivors.
+    Step s is the number candidate + 2s (candidate made odd).  A window
+    sieve marks, _SIEVE_WINDOW steps at a time, every step whose number
+    an odd prime below _SIEVE_BOUND divides; the Baillie-PSW test runs
+    on the unmarked steps in order.  A sieve prime P divides the number
+    at step s iff s = (P - candidate mod P) * 2^-1 mod P, plus a
+    multiple of P.  candidate must exceed the largest sieve prime, which
+    would otherwise mark itself (key-size integers always do).
     """
-    if candidate % 2 == 0:
-        candidate += 1
-    residues = [candidate % p for p in _SIEVE_PRIMES]
-    for step in range(max_steps):
-        offset = 2 * step
-        for r, p in zip(residues, _SIEVE_PRIMES):
-            if (r + offset) % p == 0:
-                break
-        else:
-            n = candidate + offset
+    if candidate <= _LARGEST_SIEVE_PRIME:
+        raise ValueError(
+            f"candidate must exceed {_LARGEST_SIEVE_PRIME}, got {candidate}")
+    candidate |= 1
+    # hits[i]: the first step of the window that _SIEVE_PRIMES[i] divides
+    hits = ((_SIEVE_PRIMES - _sieve_residues(candidate)) * _SIEVE_HALVES
+            % _SIEVE_PRIMES)
+    repeat = len(_REPEAT_PRIMES)
+    base = 0
+    while base < max_steps:
+        width = min(_SIEVE_WINDOW, max_steps - base)
+        composite = np.zeros(width, dtype=bool)
+        for p, hit in zip(_REPEAT_PRIMES, hits[:repeat].tolist()):
+            composite[hit::p] = True
+        single = hits[repeat:]
+        composite[single[single < width]] = True
+        for step in np.flatnonzero(~composite).tolist():
+            n = candidate + 2 * (base + step)
             if _is_probable_prime(n):
                 return n
+        hits = (hits - width) % _SIEVE_PRIMES
+        base += width
     raise PrimeSearchExhausted(
         f"no prime within {max_steps} odd steps of the candidate")
 

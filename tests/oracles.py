@@ -1,16 +1,18 @@
 """Independent reference implementations used to pin library results.
 
 Everything in this file is written the slow, obvious way and shares no
-code with the package: binomials as explicit products cross-checked
-against a Pascal recurrence, transfer schedules by repeated scanning,
-root folds by replaying the byte rules over plain dicts.  Tests freeze
-several outputs of these oracles as literals.
+code with the package but its exception types: binomials as explicit
+products cross-checked against a Pascal recurrence, transfer schedules
+by repeated scanning, root folds by replaying the byte rules over plain
+dicts.  Tests freeze several outputs of these oracles as literals.
 """
 
 import fractions
 import hashlib
 import hmac
 import struct
+
+from chipchain.errors import PrimeSearchExhausted
 
 
 def binom_product(n: int, k: int) -> int:
@@ -73,6 +75,33 @@ def is_prime_mr40(n: int) -> bool:
     and the reference the package's primality test must agree with.
     """
     return is_prime_trial(n, MR40_WITNESSES)
+
+
+# The first 310 primes but 2, 3 .. 2053, by trial division.
+_ORACLE_SIEVE_PRIMES = tuple(p for p in range(3, 2054, 2)
+                             if all(p % q for q in range(3, p, 2)))
+
+
+def next_prime_oracle(candidate: int, max_steps: int = 1 << 17,
+                      is_prime=is_prime_mr40) -> int:
+    """The per-step prime search the window sieve replaced, unchanged:
+    step odd numbers from candidate, test each against every residue
+    mod the odd primes up to 2053, and hand the survivors to is_prime.
+    candidate must be larger than the sieve primes."""
+    if candidate % 2 == 0:
+        candidate += 1
+    residues = [candidate % p for p in _ORACLE_SIEVE_PRIMES]
+    for step in range(max_steps):
+        offset = 2 * step
+        for r, p in zip(residues, _ORACLE_SIEVE_PRIMES):
+            if (r + offset) % p == 0:
+                break
+        else:
+            n = candidate + offset
+            if is_prime(n):
+                return n
+    raise PrimeSearchExhausted(
+        f"no prime within {max_steps} odd steps of the candidate")
 
 
 def bruteforce_schedule(node_ids, edges):

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -428,6 +429,47 @@ def test_canonical_ignores_chip_identity():
 
 def test_canonical_distinguishes_total_rows():
     assert prn_canonical_bytes((3,), 16) != prn_canonical_bytes((3,), 32)
+
+
+def test_prn_stores_rows_sorted():
+    a = Prn("a", 0, (7, 3), 16)
+    b = Prn("a", 0, (3, 7), 16)
+    assert a.rows == (3, 7)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert Prn("a", 0, [np.int64(5), np.uint32(1)], np.int64(16)).rows == (1, 5)
+
+
+def test_normalised_prn_pickles():
+    prn = Prn("a", 0, (9, 2, 5), 16)
+    clone = pickle.loads(pickle.dumps(prn))
+    assert clone == Prn("a", 0, (2, 5, 9), 16)
+    assert clone.rows == (2, 5, 9)
+    assert clone.hmac_states[0].digest() == prn.hmac_states[0].digest()
+
+
+@pytest.mark.parametrize("rows, total_rows, message", [
+    ((3, 3), 16, "distinct"),
+    ((1, 7, 1), 16, "distinct"),
+    ((20,), 16, r"in \[0, 16\)"),
+    ((16,), 16, r"in \[0, 16\)"),
+    ((-1, 4), 16, r"in \[0, 16\)"),
+    ((1,), 2**32, "total_rows"),
+    ((), 0, "total_rows"),
+    ((), -3, "total_rows"),
+])
+def test_prn_rejects_invalid_rows(rows, total_rows, message):
+    """Rejected at construction, before canonical_bytes packs a 4-byte
+    word that cannot hold total_rows or a response keys on a row set
+    that no chip of that size has."""
+    with pytest.raises(GeometryInvalid, match=message):
+        Prn("a", 0, rows, total_rows)
+
+
+def test_prn_accepts_its_bounds():
+    prn = Prn("a", 0, (0, MAX_ROWS - 1), MAX_ROWS)
+    assert prn.canonical_bytes[:4] == b"\xff\xff\xff\xff"
+    assert Prn("a", 0, (), 1).rows == ()
 
 
 # ----------------------------------------------------------------- fixtures

@@ -44,6 +44,7 @@ from oracles import (
     hmac_sha256_library,
     is_prime_mr40,
     is_prime_trial,
+    next_prime_oracle,
     response_oracle,
     rsa_sign_oracle,
 )
@@ -302,6 +303,15 @@ def test_prime_search_exhaustion():
         _next_prime(10**40 + 1, max_steps=0)
 
 
+def test_next_prime_refuses_candidates_the_sieve_would_mark():
+    """A candidate at or below the largest sieve prime (32749) could be
+    marked by itself and skipped, so it is refused."""
+    for candidate in (-5, 0, 2, 10007, 32748, 32749):
+        with pytest.raises(ValueError, match="must exceed 32749"):
+            _next_prime(candidate)
+    assert _next_prime(32750) == 32771
+
+
 def test_next_prime_finds_primes():
     # candidates above the sieve range, per the function contract
     for start in (10**6, 10**12 + 39, 10**30):
@@ -311,6 +321,36 @@ def test_next_prime_finds_primes():
         # nothing prime was skipped on the way
         for skipped in range(start | 1, prime, 2):
             assert not is_prime_trial(skipped)
+
+
+def _search_outcome(search, candidate, max_steps):
+    try:
+        return search(candidate, max_steps)
+    except PrimeSearchExhausted:
+        return PrimeSearchExhausted
+
+
+_CANDIDATES = st.integers(16, 1024).flatmap(
+    lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))
+
+
+@given(candidate=_CANDIDATES, max_steps=st.integers(0, 600))
+def test_next_prime_matches_per_step_oracle(candidate, max_steps):
+    """The window sieve returns the prime the per-step search returns,
+    and runs out of steps exactly when it does."""
+    want = _search_outcome(next_prime_oracle, candidate, max_steps)
+    assert _search_outcome(_next_prime, candidate, max_steps) == want
+
+
+def test_next_prime_across_two_window_boundaries():
+    """The maximal prime gap of 1132 after 1693182318746371 spans 566
+    odd steps from 1693182318746373, so the search crosses the window
+    boundaries at steps 256 and 512 before it finds the prime."""
+    start, prime = 1693182318746373, 1693182318747503
+    for search in (_next_prime, next_prime_oracle):
+        with pytest.raises(PrimeSearchExhausted):
+            search(start, max_steps=565)
+        assert search(start, max_steps=566) == prime
 
 
 # ------------------------------------------------------------- primality
@@ -377,6 +417,38 @@ def test_primality_agrees_with_mr40_on_key_search_survivors(monkeypatch):
     assert len(visited) > 2 * len(GOLDEN_KEYS)
     for n in visited:
         assert _is_probable_prime(n) == is_prime_mr40(n), n
+
+
+def test_sieve_leaves_no_small_factor_and_saves_tests(monkeypatch):
+    """The golden-key searches hand _is_probable_prime only numbers
+    without an odd prime factor below 2^15, and fewer of them than the
+    per-step search with its sieve up to 2053 does.  A wrong hit offset
+    would let composites through and keep every key: this catches it."""
+    odd_primorial = math.prod(p for p in range(3, 1 << 15, 2) if is_prime_trial(p))
+    sieved, per_step = [], []
+
+    def recording(n):
+        sieved.append(n)
+        return _is_probable_prime(n)
+
+    def recording_oracle(n):
+        per_step.append(n)
+        return is_prime_mr40(n)
+
+    derive = identity._derive_core.__wrapped__
+    seeds = [(golden_response(label).data, bits)
+             for bits, label, _fingerprint, _digest in GOLDEN_KEYS]
+    with monkeypatch.context() as patch:
+        patch.setattr(identity, "_is_probable_prime", recording)
+        keys = [derive(seed, bits) for seed, bits in seeds]
+    with monkeypatch.context() as patch:
+        patch.setattr(identity, "_next_prime",
+                      lambda candidate: next_prime_oracle(candidate,
+                                                          is_prime=recording_oracle))
+        assert [derive(seed, bits) for seed, bits in seeds] == keys
+    for n in sieved:
+        assert math.gcd(n, odd_primorial) == 1, n
+    assert len(sieved) < len(per_step)
 
 
 # ------------------------------------------------------------ serialization
