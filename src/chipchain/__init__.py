@@ -60,6 +60,7 @@ from .errors import (
     UnknownGeneration,
 )
 from .identity import (
+    Audit,
     AuditVerdict,
     Challenge,
     ChipKeyPair,

@@ -220,7 +220,7 @@ def _cmd_id_audit(args):
     else:
         nonce = hashlib.sha256(
             b"chipchain/cli-audit-nonce" + args.seed.to_bytes(8, "big")).digest()
-    verdict = crp_audit(chip, expected, state, nonce, args.column)
+    verdict = crp_audit(chip, expected, state, nonce, args.column).verdict
     genuine = verdict is AuditVerdict.GENUINE
     if args.output == "records":
         lines = [f"chip_id={chip.chip_id} l={args.l} "

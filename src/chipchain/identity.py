@@ -489,16 +489,30 @@ class AuditVerdict(Enum):
     IMPOSTOR = "Impostor"
 
 
+@dataclass(frozen=True)
+class Audit:
+    """Outcome of one challenge-response audit.
+
+    signature is the chip's signature over the verifier's nonce, the
+    transcript of the exchange, or None when no signature was made
+    (the claimed key has an unsupported size).
+    """
+
+    verdict: AuditVerdict
+    signature: bytes | None
+
+
 def crp_audit(chip: SimulatedChip, expected_key: PublicKey,
               state: SecurityState, nonce: bytes,
-              column: int = 0) -> AuditVerdict:
+              column: int = 0) -> Audit:
     """Challenge the physical chip and test it against a claimed key.
 
     The chip regenerates its keypair at the active state index and
     signs the fresh nonce.  Genuine requires both the regenerated
     public key to equal the claimed one and the nonce signature to
     verify under the claimed key; an Impostor verdict is a result, not
-    an error.
+    an error.  Either way the chip's signature comes back with the
+    verdict, so a caller keeping the transcript never signs again.
     """
     if not state.active:
         raise ValueError("cannot audit against an inactive security state")
@@ -507,7 +521,7 @@ def crp_audit(chip: SimulatedChip, expected_key: PublicKey,
         raise ValueError("nonce must be non-empty")
     bits = expected_key.modulus.bit_length()
     if bits not in SUPPORTED_MODULUS_BITS:
-        return AuditVerdict.IMPOSTOR
+        return Audit(AuditVerdict.IMPOSTOR, None)
     pair = keypair_for_chip(chip, state.index, bits, column)
     signature = sign(pair.secret_key, nonce)
     try:
@@ -515,5 +529,5 @@ def crp_audit(chip: SimulatedChip, expected_key: PublicKey,
     except SignatureMalformed:
         signature_ok = False
     if signature_ok and pair.public_key == expected_key:
-        return AuditVerdict.GENUINE
-    return AuditVerdict.IMPOSTOR
+        return Audit(AuditVerdict.GENUINE, signature)
+    return Audit(AuditVerdict.IMPOSTOR, signature)

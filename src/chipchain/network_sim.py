@@ -701,16 +701,15 @@ class Simulation:
                        verdict="Denied", reason=reason)
             self.denied.append(name)
             return False
-        pair = self._device_keypair(node)
-        claimed_key = pair.public_key
+        claimed_key = self._device_keypair(node).public_key
         self._emit("Response", node=name, key=key_fingerprint(claimed_key))
-        verdict = crp_audit(node.chip, claimed_key, self.state, nonce,
-                            self.config.column)
-        if verdict is AuditVerdict.GENUINE:
+        audit = crp_audit(node.chip, claimed_key, self.state, nonce,
+                          self.config.column)
+        if audit.verdict is AuditVerdict.GENUINE:
             self.members.add(name)
             self.registry[name] = claimed_key
             node.address = claimed_key
-            self.transcripts[name] = (nonce, sign(pair.secret_key, nonce))
+            self.transcripts[name] = (nonce, audit.signature)
             self.admitted.append(name)
             self._emit("Verdict", actor=self.config.management, node=name,
                        verdict="Admitted")
@@ -770,14 +769,13 @@ class Simulation:
             self._emit("Challenge", actor=self.config.management, node=name,
                        issuer=ISSUER_MANAGEMENT, state=self.state.index,
                        nonce=nonce.hex()[:16])
-            verdict = crp_audit(node.chip, self.registry[name], self.state,
-                                nonce, self.config.column)
-            retained = verdict is AuditVerdict.GENUINE
+            audit = crp_audit(node.chip, self.registry[name], self.state,
+                              nonce, self.config.column)
+            retained = audit.verdict is AuditVerdict.GENUINE
             self._emit("Verdict", actor=self.config.management, node=name,
                        verdict="Retained" if retained else "AuditFailed")
             if retained:
-                pair = self._device_keypair(node)
-                self.transcripts[name] = (nonce, sign(pair.secret_key, nonce))
+                self.transcripts[name] = (nonce, audit.signature)
             else:
                 failed.append(name)
         for name in failed:

@@ -46,3 +46,19 @@ def test_expected_labels_are_traced():
 
 def test_active_kernel_is_a_string():
     assert isinstance(chipchain.active_kernel(), str)
+
+
+def test_fig10_trace_sees_every_expected_label():
+    """A fig10 run under perfbench's tracer calls each label fig10 expects."""
+    tracer = tracing.Tracer()
+    tracer.op = 0
+    tracer.install()
+    try:
+        chipchain.run_scenario(chipchain.bundled_scenario("fig10-coexistence"),
+                               seed=0)
+    finally:
+        tracer.uninstall()
+    calls = {label: entry["calls"] for label, entry in tracer.summary().items()}
+    missing = [label for label in workloads.Fig10Sweep.expected
+               if not calls.get(label)]
+    assert not missing, missing

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chipchain import (
+    Audit,
     AuditVerdict,
     Challenge,
     ChipGeometry,
@@ -559,7 +560,7 @@ def test_audit_genuine():
     chip = make_small_chip(20)
     state = SecurityState(0)
     pair = keypair_for_chip(chip, 0, modulus_bits=512)
-    assert audited(chip, pair, state) is AuditVerdict.GENUINE
+    assert audited(chip, pair, state).verdict is AuditVerdict.GENUINE
 
 
 def test_audit_impostor_chip():
@@ -567,19 +568,19 @@ def test_audit_impostor_chip():
     state = SecurityState(0)
     pair = keypair_for_chip(make_small_chip(20), 0, modulus_bits=512)
     impostor = make_small_chip(21)
-    assert audited(impostor, pair, state) is AuditVerdict.IMPOSTOR
+    assert audited(impostor, pair, state).verdict is AuditVerdict.IMPOSTOR
 
 
 def test_audit_stale_state():
     chip = make_small_chip(20)
     pair_old = keypair_for_chip(chip, 0, modulus_bits=512)
-    assert audited(chip, pair_old, SecurityState(1)) is AuditVerdict.IMPOSTOR
+    assert audited(chip, pair_old, SecurityState(1)).verdict is AuditVerdict.IMPOSTOR
 
 
 def test_audit_rotated_key_recovers():
     chip = make_small_chip(20)
     pair_new = keypair_for_chip(chip, 1, modulus_bits=512)
-    assert audited(chip, pair_new, SecurityState(1)) is AuditVerdict.GENUINE
+    assert audited(chip, pair_new, SecurityState(1)).verdict is AuditVerdict.GENUINE
 
 
 def test_audit_inactive_state_refused():
@@ -600,15 +601,62 @@ def test_audit_requires_nonce():
 def test_audit_unsupported_claimed_key():
     chip = make_small_chip(20)
     bogus = PublicKey(modulus=(1 << 767) + 11, exponent=65537)
-    assert crp_audit(chip, bogus, SecurityState(0), b"n") is AuditVerdict.IMPOSTOR
+    assert crp_audit(chip, bogus, SecurityState(0), b"n").verdict is AuditVerdict.IMPOSTOR
 
 
 def test_audit_column_sensitivity():
     # same chip, same state: the fingerprint is column-independent
     chip = make_small_chip(22)
     pair = keypair_for_chip(chip, 0, modulus_bits=512, column=0)
-    assert crp_audit(chip, pair.public_key, SecurityState(0), b"n", column=3) is AuditVerdict.GENUINE
+    assert crp_audit(chip, pair.public_key, SecurityState(0), b"n", column=3).verdict is AuditVerdict.GENUINE
 
+
+
+def test_audit_genuine_returns_a_signature_under_the_expected_key():
+    chip = make_small_chip(20)
+    pair = keypair_for_chip(chip, 0, modulus_bits=512)
+    audit = audited(chip, pair, SecurityState(0), nonce=b"genuine-nonce")
+    assert isinstance(audit, Audit)
+    assert audit.verdict is AuditVerdict.GENUINE
+    assert audit.signature == sign(pair.secret_key, b"genuine-nonce")
+    assert verify(pair.public_key, b"genuine-nonce", audit.signature)
+    with pytest.raises(AttributeError):
+        audit.signature = b""
+
+
+def test_audit_impostor_returns_its_own_signature():
+    claimed = keypair_for_chip(make_small_chip(20), 0, modulus_bits=512)
+    impostor = make_small_chip(21)
+    own = keypair_for_chip(impostor, 0, modulus_bits=512)
+    audit = audited(impostor, claimed, SecurityState(0), nonce=b"n")
+    assert audit.verdict is AuditVerdict.IMPOSTOR
+    assert audit.signature == sign(own.secret_key, b"n")
+    assert verify(own.public_key, b"n", audit.signature)
+    assert not verify(claimed.public_key, b"n", audit.signature)
+
+
+def test_audit_unsupported_claimed_key_makes_no_signature():
+    chip = make_small_chip(20)
+    bogus = PublicKey(modulus=(1 << 767) + 11, exponent=65537)
+    audit = crp_audit(chip, bogus, SecurityState(0), b"n")
+    assert audit == Audit(AuditVerdict.IMPOSTOR, None)
+
+
+@pytest.mark.parametrize("state, nonce, message", [
+    (SecurityState(0, active=False), b"n", "inactive"),
+    (SecurityState(0), b"", "non-empty"),
+])
+def test_audit_refusals_still_raise(monkeypatch, state, nonce, message):
+    """A refused audit raises before the chip signs anything."""
+    chip = make_small_chip(20)
+    pair = keypair_for_chip(chip, 0, modulus_bits=512)
+
+    def no_signing(*args):
+        raise AssertionError("a refused audit must not sign")
+
+    monkeypatch.setattr(identity, "sign", no_signing)
+    with pytest.raises(ValueError, match=message):
+        crp_audit(chip, pair.public_key, state, nonce)
 
 def test_fingerprint_distinctness_sweep():
     """No fingerprint, response, or key collides across a small chip batch."""

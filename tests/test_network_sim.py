@@ -1,14 +1,21 @@
+import hashlib
 import re
+import sys
 
 import pytest
 
+import chipchain
 from chipchain import (
     ChipGeometry,
     ConfigInvalid,
     FailureModel,
+    keypair_for_chip,
     new_chip,
+    sign,
+    verify,
     verify_chain,
 )
+from chipchain import network_sim
 from chipchain.network_sim import (
     ChipSpec,
     Simulation,
@@ -423,6 +430,89 @@ def test_replayed_signature_is_the_old_transcript():
     assert sim.transcripts["a"][1] == old_signature
 
 
+def test_replay_after_sweep_replays_the_sweep_signature(monkeypatch):
+    """A sweep renews the transcript, so a later replay sends the new bytes."""
+    sim = Simulation(spoof_config("replay"), seed=0)
+    sim.enroll("a")
+    enrolled = sim.transcripts["a"]
+    sim.sweep()
+    swept = sim.transcripts["a"]
+    assert swept != enrolled
+    sent = []
+
+    def recording_verify(public_key, message, signature):
+        sent.append(signature)
+        return verify(public_key, message, signature)
+
+    monkeypatch.setattr(network_sim, "verify", recording_verify)
+    assert sim.spoof("mal", "a")
+    assert sent == [swept[1]]
+    assert sim.rejections == 1
+
+
+# -------------------------------------------------------------- transcripts
+
+def assert_transcript_is_the_audit_signature(sim, name):
+    """The stored transcript is the chip's signature over the audit nonce."""
+    nonce, signature = sim.transcripts[name]
+    challenges = [dict(e.fields) for e in sim.events
+                  if e.kind == "Challenge" and dict(e.fields)["node"] == name]
+    assert challenges[-1]["nonce"] == nonce.hex()[:16]
+    node = sim.nodes[name]
+    pair = keypair_for_chip(node.chip, sim.state.index,
+                            sim.config.modulus_bits, sim.config.column)
+    assert signature == sign(pair.secret_key, nonce)
+    assert verify(sim.registry[name], nonce, signature)
+
+
+def test_enroll_transcript_is_the_audit_signature():
+    sim = Simulation(mini_config(), seed=0)
+    for name in ("a", "b", "c"):
+        assert sim.enroll(name)
+        assert_transcript_is_the_audit_signature(sim, name)
+
+
+def test_sweep_transcript_is_the_audit_signature():
+    sim = Simulation(mini_config(), seed=0)
+    sim.run()
+    enrolled = dict(sim.transcripts)
+    sim.rotate(1)
+    assert sim.sweep() == ()
+    for name in ("a", "b", "c"):
+        assert sim.transcripts[name] != enrolled[name]
+        assert_transcript_is_the_audit_signature(sim, name)
+
+
+def _count_calls_everywhere(monkeypatch, original, on_call):
+    """Wrap original in every chipchain namespace that binds it."""
+
+    def counting(*args, **kwargs):
+        on_call(*args, **kwargs)
+        return original(*args, **kwargs)
+
+    for name, module in sorted(sys.modules.items()):
+        if name == "chipchain" or name.startswith("chipchain."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+
+
+def test_fig10_signs_each_nonce_once(monkeypatch):
+    """One fig10 run: 35 signatures, 55 derivations of 19 responses."""
+    signatures = []
+    responses = []
+    _count_calls_everywhere(monkeypatch, chipchain.sign,
+                            lambda key, message: signatures.append(message))
+    _count_calls_everywhere(
+        monkeypatch, chipchain.derive_keypair,
+        lambda response, *args, **kwargs: responses.append(response.data))
+    log = run_scenario(bundled_scenario("fig10-coexistence"), seed=0)
+    assert log.chain_ok()
+    assert len(signatures) == 35
+    assert len(responses) == 55
+    assert len(set(responses)) == 19
+
+
 # ------------------------------------------------------------------- sweeps
 
 def test_sweep_keeps_honest_members():
@@ -559,6 +649,22 @@ def test_replay_is_byte_identical():
     b = run_scenario(config, seed=5)
     assert a.to_records() == b.to_records()
     assert a.chain == b.chain
+
+
+FIG10_GOLDEN = {
+    0: "13450f2bf8e0e5d67657be2fe66c970aefa3fc64bcc5aa0b4cfa31135530aa2d",
+    1: "db586ca592dcdba3584423ae1d1003f46ae16fffb8904dac03b8e8852c6fb1b2",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FIG10_GOLDEN))
+def test_fig10_golden_bytes(seed):
+    """Event records and block hashes of a fig10 run, pinned by SHA-256."""
+    log = run_scenario(bundled_scenario("fig10-coexistence"), seed=seed)
+    digest = hashlib.sha256("\n".join(log.to_records()).encode())
+    for block in log.chain:
+        digest.update(block.block_hash)
+    assert digest.hexdigest() == FIG10_GOLDEN[seed]
 
 
 def test_seed_changes_only_nonces():
