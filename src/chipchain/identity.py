@@ -14,14 +14,15 @@ response costs no key padding or key hashing; the response bytes are
 those of the plain HMAC construction.
 
 Each key prime is the first prime at or after a candidate drawn from a
-SHA-256 counter stream over the response.  A window sieve marks the
-multiples of the odd primes below 2^15 among 256 odd numbers at a time
-(Menezes, van Oorschot and Vanstone, Handbook of Applied Cryptography,
-section 4.4), and a Baillie-PSW test (strong base 2 plus strong Lucas)
-confirms the survivors in order.  Keys must stay those of the
-40-witness Miller-Rabin schedule the tests keep as the reference: both
-tests accept every prime and no composite is known to pass either, so
-the search stops on the same primes.
+SHA-256 counter stream over the response.  The candidate's residues mod
+the odd primes below 2^15 come from one int64 matrix product over its
+32-bit words; a window sieve then marks their multiples among 256 odd
+numbers at a time (Menezes, van Oorschot and Vanstone, Handbook of
+Applied Cryptography, section 4.4), and a Baillie-PSW test (strong
+base 2 plus extra-strong Lucas) confirms the survivors in order.  Keys
+must stay those of the 40-witness Miller-Rabin schedule the tests keep
+as the reference: both tests accept every prime and no composite is
+known to pass either, so the search stops on the same primes.
 
 Key sizes here are desk-scale (512 to 2048 bit) for fast simulation,
 not production parameters.
@@ -219,6 +220,22 @@ _LARGEST_SIEVE_PRIME = int(_SIEVE_PRIMES[-1])
 _REPEAT_PRIMES = _SIEVE_PRIMES[_SIEVE_PRIMES < _SIEVE_WINDOW].tolist()
 _SMALL_PRIMES = (2,) + tuple(_SIEVE_PRIMES[:39].tolist())  # the first 40: 2 .. 173
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+_CHUNK_WORDS = 8  # 32-bit words per 256-bit chunk of a candidate
+
+
+def _word_powers(count: int) -> np.ndarray:
+    """Row k holds 2^(32k) mod each sieve prime, for k < count."""
+    shift = (1 << 32) % _SIEVE_PRIMES
+    rows = np.ones((count, len(_SIEVE_PRIMES)), dtype=np.int64)
+    for k in range(1, count):
+        rows[k] = rows[k - 1] * shift % _SIEVE_PRIMES
+    return rows
+
+
+# 2^(32k) mod P for the words of a chunk (8 rows, about 225 kB), and
+# 2^256 mod P to fold one chunk into the next.
+_WORD_POWERS = _word_powers(_CHUNK_WORDS + 1)
+_WORD_POWERS, _CHUNK_POWER = _WORD_POWERS[:-1], _WORD_POWERS[-1]
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -250,78 +267,80 @@ def _is_strong_base2_prp(n: int) -> bool:
     return False
 
 
-def _is_strong_lucas_prp(n: int) -> bool:
-    """Strong Lucas test with Selfridge's method A parameters.
+def _is_extra_strong_lucas_prp(n: int) -> bool:
+    """Extra-strong Lucas test (Grantham, Frobenius pseudoprimes, 2001).
 
-    n must be odd and coprime to the small primes.  D is the first of
-    5, -7, 9, -11, ... with Jacobi(D/n) = -1, P = 1 and Q = (1 - D) / 4.
+    n must be odd.  Q = 1 and P is the first of 3, 4, 5, ... with
+    Jacobi(P^2 - 4 / n) = -1.  With n + 1 = d 2^s, d odd, n passes iff
+    U_d = 0 and V_d = +-2 (mod n), or V_(d 2^r) = 0 for some
+    0 <= r < s - 1.  Every odd prime passes but 5, which divides
+    3^2 - 4.
     """
-    if math.isqrt(n) ** 2 == n:  # no such D exists: the search would not end
+    if math.isqrt(n) ** 2 == n:  # no such P exists: the search would not end
         return False
-    D = 5
+    P = 3
     while True:
-        j = _jacobi(D, n)
+        j = _jacobi(P * P - 4, n)
         if j == -1:
             break
-        if j == 0:  # D shares a factor with n
+        if j == 0:  # P^2 - 4 shares a factor with n
             return False
-        D = -D - 2 if D > 0 else -D + 2
-    Q = (1 - D) // 4
+        P += 1
     d = n + 1
     twos = (d & -d).bit_length() - 1
     d >>= twos
-    # U_k, V_k and Q^k for k running over the binary digits of d:
-    # doubling U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k; incrementing
-    # U_k+1 = (U_k + V_k) / 2, V_k+1 = (D U_k + V_k) / 2 (P = 1).  The
-    # increment leaves its results unreduced (a few bits over n); the
-    # next doubling reduces them.
-    U, V, Qk = 1, 1, Q
+    # V = V_k and W = V_k+1 for k running over the binary digits of d,
+    # two products per digit: V_2k = V_k^2 - 2 and V_2k+1 = V_k V_k+1 - P.
+    # Each value is reduced before its constant is subtracted, so it
+    # stays in [-P, n) until the final reduction.
+    V, W = P % n, (P * P - 2) % n
     for bit in bin(d)[3:]:
-        U = U * V % n
-        V = (V * V - 2 * Qk) % n
-        Qk = Qk * Qk % n
         if bit == "1":
-            U, V = U + V, D * U + V
-            if U & 1:
-                U += n
-            if V & 1:
-                V += n
-            U >>= 1
-            V >>= 1
-            Qk *= Q
-    U, V, Qk = U % n, V % n, Qk % n
-    if U == 0 or V == 0:
+            V = V * W % n - P
+            W = W * W % n - 2
+        else:
+            W = V * W % n - P
+            V = V * V % n - 2
+    V, W = V % n, W % n
+    # (P^2 - 4) U_d = 2 V_d+1 - P V_d, and P^2 - 4 is a unit mod n.
+    if (V == 2 or V == n - 2) and (2 * W - P * V) % n == 0:
         return True
     for _ in range(twos - 1):
-        V = (V * V - 2 * Qk) % n
         if V == 0:
             return True
-        Qk = Qk * Qk % n
+        V = (V * V - 2) % n
     return False
 
 
 def _is_probable_prime(n: int) -> bool:
     """Baillie-PSW: small-prime trial division, a strong base-2 test and
-    a strong Lucas test (Baillie and Wagstaff, 1980; Pomerance, Selfridge
-    and Wagstaff, 1980).  Deterministic, and no composite is known to
-    pass it; below 2^64 it is exact.
+    an extra-strong Lucas test (Baillie and Wagstaff, 1980; Grantham,
+    2001).  Deterministic, and no composite is known to pass it; below
+    2^64 it is exact.
     """
     if n <= _SMALL_PRIMES[-1]:
         return n in _SMALL_PRIMES
     if math.gcd(n, _SMALL_PRIMORIAL) != 1:
         return False
-    return _is_strong_base2_prp(n) and _is_strong_lucas_prp(n)
+    return _is_strong_base2_prp(n) and _is_extra_strong_lucas_prp(n)
 
 
 def _sieve_residues(candidate: int) -> np.ndarray:
-    """candidate mod every sieve prime, by Horner's rule over its 32-bit
-    words: each step is (r << 32 | word) % P, which stays below 2^47."""
-    words = candidate.to_bytes(4 * -(-candidate.bit_length() // 32), "big")
-    residues = np.zeros_like(_SIEVE_PRIMES)
-    for word in np.frombuffer(words, dtype=">u4").tolist():
-        residues <<= 32
-        residues |= word
-        residues %= _SIEVE_PRIMES
+    """candidate mod every sieve prime.
+
+    Each 256-bit chunk of candidate is a row of eight 32-bit words, low
+    word first, and one int64 product with _WORD_POWERS gives each
+    chunk's sum of word * 2^(32k) mod P: every term is below 2^47 and
+    every sum below 2^50, so the product is exact.  Higher chunks fold
+    in by Horner's rule with 2^256 mod P.
+    """
+    chunks = -(-candidate.bit_length() // 256) or 1
+    words = np.frombuffer(candidate.to_bytes(32 * chunks, "little"), dtype="<u4")
+    sums = words.astype(np.int64).reshape(chunks, _CHUNK_WORDS) @ _WORD_POWERS
+    sums %= _SIEVE_PRIMES
+    residues = sums[-1]
+    for chunk in sums[-2::-1]:
+        residues = (residues * _CHUNK_POWER + chunk) % _SIEVE_PRIMES
     return residues
 
 
@@ -330,11 +349,12 @@ def _next_prime(candidate: int, max_steps: int = 1 << 17) -> int:
 
     Step s is the number candidate + 2s (candidate made odd).  A window
     sieve marks, _SIEVE_WINDOW steps at a time, every step whose number
-    an odd prime below _SIEVE_BOUND divides; the Baillie-PSW test runs
-    on the unmarked steps in order.  A sieve prime P divides the number
-    at step s iff s = (P - candidate mod P) * 2^-1 mod P, plus a
-    multiple of P.  candidate must exceed the largest sieve prime, which
-    would otherwise mark itself (key-size integers always do).
+    an odd prime below _SIEVE_BOUND divides; the Baillie-PSW test
+    (strong base 2, then extra-strong Lucas) runs on the unmarked steps
+    in order.  A sieve prime P divides the number at step s iff
+    s = (P - candidate mod P) * 2^-1 mod P, plus a multiple of P.
+    candidate must exceed the largest sieve prime, which would
+    otherwise mark itself (key-size integers always do).
     """
     if candidate <= _LARGEST_SIEVE_PRIME:
         raise ValueError(
@@ -466,13 +486,20 @@ def sign(secret_key: SecretKey, message: bytes) -> bytes:
 
 
 def verify(public_key: PublicKey, message: bytes, signature: bytes) -> bool:
-    """True iff signature opens to the padded digest of message."""
+    """True iff signature opens to the padded digest of message.
+
+    A signature integer at or above the modulus is refused (the RSAVP1
+    range check, RFC 8017 section 5.2.2): s + n would otherwise open to
+    the same digest as s whenever it fits the key's byte size.
+    """
     size = public_key.byte_size
     if len(signature) != size:
         raise SignatureMalformed(
             f"signature must be {size} bytes for this key, got {len(signature)}")
-    recovered = int(_powmod(int.from_bytes(signature, "big"),
-                            public_key.exponent, public_key.modulus))
+    s = int.from_bytes(signature, "big")
+    if s >= public_key.modulus:
+        return False
+    recovered = int(_powmod(s, public_key.exponent, public_key.modulus))
     return recovered == _padded_digest_int(bytes(message), size)
 
 

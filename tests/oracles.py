@@ -10,6 +10,7 @@ dicts.  Tests freeze several outputs of these oracles as literals.
 import fractions
 import hashlib
 import hmac
+import math
 import struct
 
 from chipchain.errors import PrimeSearchExhausted
@@ -75,6 +76,64 @@ def is_prime_mr40(n: int) -> bool:
     and the reference the package's primality test must agree with.
     """
     return is_prime_trial(n, MR40_WITNESSES)
+
+
+def jacobi_oracle(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0, by the textbook rules: reduce
+    a mod n, pull out factors of 2 with (2/n) = (-1)^((n^2 - 1)/8), and
+    swap by quadratic reciprocity, (-1)^((a - 1)(n - 1)/4)."""
+    sign = 1
+    a %= n
+    while a > 1:
+        if a % 2 == 0:
+            sign *= (-1) ** ((n * n - 1) // 8)
+            a //= 2
+        else:
+            sign *= (-1) ** ((a - 1) * (n - 1) // 4)
+            a, n = n % a, a
+    if a == 0:
+        return 1 if n == 1 else 0
+    return sign
+
+
+def extra_strong_lucas_oracle(n: int) -> bool:
+    """Extra-strong Lucas test from its definition, for odd n > 0.
+
+    Q = 1 and P is the first of 3, 4, 5, ... with (P^2 - 4 / n) = -1
+    (a Jacobi symbol of 0 rejects n; a square has no such P and is
+    rejected).  U_d and V_d for the odd part d of n + 1 = d 2^s come
+    from the doubling formulas of both sequences, U_2k = U_k V_k and
+    V_2k = V_k^2 - 2, and the step formulas U_k+1 = (P U_k + V_k) / 2
+    and V_k+1 = (D U_k + P V_k) / 2.  n passes iff U_d = 0 and
+    V_d = +-2, or V_(d 2^r) = 0 for some 0 <= r < s - 1.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    P = 3
+    while True:
+        D = P * P - 4
+        symbol = jacobi_oracle(D, n)
+        if symbol == -1:
+            break
+        if symbol == 0:
+            return False
+        P += 1
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    half = (n + 1) // 2  # 2^-1 mod n
+    U, V = 1, P % n  # k = 1
+    for digit in bin(d)[3:]:
+        U, V = U * V % n, (V * V - 2) % n
+        if digit == "1":
+            U, V = (P * U + V) * half % n, (D * U + P * V) * half % n
+    if U == 0 and V in (2 % n, (n - 2) % n):
+        return True
+    for _ in range(s - 1):
+        if V == 0:
+            return True
+        V = (V * V - 2) % n
+    return False
 
 
 # The first 310 primes but 2, 3 .. 2053, by trial division.

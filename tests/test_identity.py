@@ -34,13 +34,15 @@ from chipchain import (
 from chipchain import identity
 from chipchain.identity import (
     SUPPORTED_MODULUS_BITS,
+    _is_extra_strong_lucas_prp,
     _is_probable_prime,
-    _is_strong_lucas_prp,
     _next_prime,
+    _sieve_residues,
 )
 
 from conftest import SMALL, make_small_chip
 from oracles import (
+    extra_strong_lucas_oracle,
     hmac_sha256,
     hmac_sha256_library,
     is_prime_mr40,
@@ -357,13 +359,22 @@ def test_next_prime_across_two_window_boundaries():
 # ------------------------------------------------------------- primality
 
 # Base-2 strong pseudoprimes, Carmichael numbers, strong pseudoprimes to
-# every prime base up to 23 and up to 37, and strong Lucas pseudoprimes
-# (Selfridge parameters): composites that fool one half of Baillie-PSW.
+# every prime base up to 23 and up to 37, strong Lucas pseudoprimes
+# (Selfridge parameters) and the extra-strong Lucas pseudoprimes below
+# 10^5 but 5777 and 10877, listed with the Selfridge ones: composites
+# that fool one half of Baillie-PSW.
 PSEUDOPRIMES = [
     2047, 3277, 4033, 4681, 8321,
     561, 1105, 1729, 3215031751,
     3825123056546413051, 318665857834031151167461,
     5459, 5777, 10877, 16109, 18971,
+    989, 3239, 27971, 29681, 30739, 31631, 39059, 72389, 73919, 75077,
+]
+
+# The extra-strong Lucas pseudoprimes below 10^5 (OEIS A217719).
+EXTRA_STRONG_LUCAS_PSEUDOPRIMES = [
+    989, 3239, 5777, 10877, 27971, 29681, 30739, 31631, 39059, 72389,
+    73919, 75077,
 ]
 
 
@@ -379,8 +390,9 @@ def test_primality_rejects_pseudoprimes(n):
 
 
 def test_primality_rejects_squares_without_hanging():
-    """A perfect square has no D with Jacobi(D/n) = -1, so the Lucas
-    parameter search would not end on one before D reached a factor.
+    """A perfect square has no P with Jacobi(P^2 - 4 / n) = -1, so the
+    Lucas parameter search would not end on one before P^2 - 4 reached a
+    factor.
     1093 and 3511 are the Wieferich primes: their squares pass the
     strong base-2 test.  The Lucas test is also called alone, on the
     odd squares coprime to the small primes that it accepts as input."""
@@ -397,10 +409,47 @@ def test_primality_rejects_squares_without_hanging():
             assert not _is_probable_prime(root * root), root
             assert not is_prime_mr40(root * root), root
             if root > 173:
-                assert not _is_strong_lucas_prp(root * root), root
+                assert not _is_extra_strong_lucas_prp(root * root), root
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_extra_strong_lucas_matches_oracle_below_100000():
+    for n in range(1, 100000, 2):
+        assert _is_extra_strong_lucas_prp(n) == extra_strong_lucas_oracle(n), n
+
+
+def test_extra_strong_lucas_pseudoprimes_below_100000():
+    """The Lucas step alone accepts exactly the twelve composites of
+    A217719 below 10^5, and PSEUDOPRIMES holds each of them, so
+    test_primality_rejects_pseudoprimes checks Baillie-PSW on them."""
+    fooled = [n for n in range(3, 100000, 2)
+              if _is_extra_strong_lucas_prp(n) and not is_prime_mr40(n)]
+    assert fooled == EXTRA_STRONG_LUCAS_PSEUDOPRIMES
+    assert set(EXTRA_STRONG_LUCAS_PSEUDOPRIMES) <= set(PSEUDOPRIMES)
+
+
+def _prime_of(bits):
+    return st.integers(1 << (bits - 1), (1 << bits) - 1).map(
+        lambda candidate: next_prime_oracle(candidate, is_prime=is_prime_trial))
+
+
+_ODD_LUCAS_INPUTS = st.one_of(
+    st.integers(16, 1024).flatmap(
+        lambda bits: st.integers(1 << (bits - 2), (1 << (bits - 1)) - 1)
+    ).map(lambda half: 2 * half + 1),
+    st.tuples(st.integers(13, 512), st.integers(13, 512)).flatmap(
+        lambda bits: st.tuples(_prime_of(bits[0]), _prime_of(bits[1]))
+    ).map(lambda primes: primes[0] * primes[1]),
+)
+
+
+@given(n=_ODD_LUCAS_INPUTS)
+def test_extra_strong_lucas_matches_oracle(n):
+    """The V-only ladder agrees with the U and V doubling formulas on odd
+    numbers of 16 to 1024 bits and on products of two primes."""
+    assert _is_extra_strong_lucas_prp(n) == extra_strong_lucas_oracle(n)
 
 
 def test_primality_agrees_with_mr40_on_key_search_survivors(monkeypatch):
@@ -450,6 +499,59 @@ def test_sieve_leaves_no_small_factor_and_saves_tests(monkeypatch):
     for n in sieved:
         assert math.gcd(n, odd_primorial) == 1, n
     assert len(sieved) < len(per_step)
+
+
+def test_golden_prime_search_work_is_pinned(monkeypatch):
+    """The six golden derivations hand _is_probable_prime 249 numbers,
+    and the Lucas test runs once per prime they return, on nothing else.
+    A change that sieves less or confirms a prime twice shows here."""
+    tested, lucas = [], []
+
+    def recording(n):
+        tested.append(n)
+        return _is_probable_prime(n)
+
+    def recording_lucas(n):
+        lucas.append(n)
+        return _is_extra_strong_lucas_prp(n)
+
+    monkeypatch.setattr(identity, "_is_probable_prime", recording)
+    monkeypatch.setattr(identity, "_is_extra_strong_lucas_prp", recording_lucas)
+    primes = []
+    for bits, label, _fingerprint, _digest in GOLDEN_KEYS:
+        _public, secret = identity._derive_core.__wrapped__(
+            golden_response(label).data, bits)
+        primes += [secret.prime_p, secret.prime_q]
+    assert len(tested) == 249
+    assert lucas == primes
+
+
+def _sieve_oracle(candidate):
+    return [candidate % p for p in identity._SIEVE_PRIMES.tolist()]
+
+
+@given(candidate=st.one_of(_CANDIDATES, st.integers(1025, 4096).flatmap(
+    lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))))
+def test_sieve_residues_are_exact(candidate):
+    """Exact for key-size candidates of 16 to 1024 bits, and for wider
+    ones, which fold in more 256-bit chunks."""
+    assert _sieve_residues(candidate).tolist() == _sieve_oracle(candidate)
+
+
+def test_sieve_residues_at_word_and_chunk_boundaries():
+    edges = [(1 << 256) - 1, (1 << 256) + 1, (1 << 1024) - 1]
+    for k in range(1, 33):
+        edges += [(1 << (32 * k)) - 1, 1 << (32 * k)]
+    for candidate in edges:
+        assert _sieve_residues(candidate).tolist() == _sieve_oracle(candidate), candidate
+
+
+def test_sieve_residue_product_stays_below_2_63():
+    """The largest sum the int64 product can form, every word at
+    2^32 - 1, fits in an int64, so no residue is taken of a wrapped sum."""
+    largest_word = (1 << 32) - 1
+    columns = zip(*identity._WORD_POWERS.tolist())
+    assert max(largest_word * sum(column) for column in columns) < 1 << 63
 
 
 # ------------------------------------------------------------ serialization
@@ -515,6 +617,29 @@ def test_verify_rejects_cross_key():
     b = keypair_for_chip(make_small_chip(14), 0, modulus_bits=512)
     signature = sign(a.secret_key, b"hello")
     assert not verify(b.public_key, b"hello", signature)
+
+
+def test_verify_rejects_signature_plus_modulus():
+    """s + n opens to the same digest as s; verify refuses any signature
+    integer at or above the modulus (RFC 8017 section 5.2.2)."""
+    pair = keypair_for_chip(new_chip(ChipGeometry(rows=256), seed=0), 0,
+                            modulus_bits=512)
+    n, size = pair.public_key.modulus, pair.public_key.byte_size
+    for i in range(200):
+        message = b"message %d" % i
+        signature = sign(pair.secret_key, message)
+        forged_int = int.from_bytes(signature, "big") + n
+        if forged_int < 1 << (8 * size):
+            break
+    else:
+        pytest.fail("no signature s with s + n inside the key's byte size")
+    forged = forged_int.to_bytes(size, "big")
+    assert forged != signature
+    assert pow(forged_int, pair.public_key.exponent, n) == pow(
+        int.from_bytes(signature, "big"), pair.public_key.exponent, n)
+    assert verify(pair.public_key, message, signature)
+    assert not verify(pair.public_key, message, forged)
+    assert not verify(pair.public_key, message, n.to_bytes(size, "big"))
 
 
 def test_verify_wrong_length_raises():

@@ -130,6 +130,20 @@ def test_verify_record_wrong_length_signature_reads_false():
         assert verify_record(dataclasses.replace(record, signature=signature)) is False
 
 
+def test_verify_record_rejects_signature_plus_modulus():
+    """A record whose signature bytes encode s + n instead of s opens to
+    the same digest under the sender's key and must still be refused."""
+    a = enroll_chip("a", make_small_chip(30), 0, modulus_bits=512)
+    b = enroll_chip("b", make_small_chip(31), 0, modulus_bits=512)
+    record = transfer(a, b, state_index=0)
+    key = record.sender_key
+    forged_int = int.from_bytes(record.signature, "big") + key.modulus
+    assert forged_int < 1 << (8 * key.byte_size)
+    forged = forged_int.to_bytes(key.byte_size, "big")
+    assert verify_record(record)
+    assert not verify_record(dataclasses.replace(record, signature=forged))
+
+
 # ------------------------------------------------------------ tree building
 
 def test_fig_tree_shape(fig_tree):
