@@ -66,6 +66,7 @@ from .identity import (
     ChipKeyPair,
     ISSUER_MANAGEMENT,
     ISSUER_SECURITY,
+    MAX_STATE_INDEX,
     POWMOD_BACKEND,
     PublicKey,
     Response,

@@ -42,6 +42,7 @@ from .entropy_analysis import (
 )
 from .errors import ChipChainError
 from .identity import (
+    MAX_STATE_INDEX,
     POWMOD_BACKEND,
     AuditVerdict,
     PublicKey,
@@ -424,6 +425,19 @@ def _cmd_selftest(args):
 # -- parser ----------------------------------------------------------------
 
 
+def _state_index(text: str) -> int:
+    """argparse type for a state index: an integer in [0, 2^64 - 1]."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid state index {text!r}") from None
+    if not 0 <= value <= MAX_STATE_INDEX:
+        raise argparse.ArgumentTypeError(
+            f"state index must be in [0, 2^64 - 1], got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
@@ -486,7 +500,8 @@ def _build_parser() -> argparse.ArgumentParser:
     keygen = ident_sub.add_parser("keygen", parents=[common],
                                   help="derive the keypair of a chip fixture")
     keygen.add_argument("--chip", required=True, help="chip fixture path")
-    keygen.add_argument("--l", type=int, default=0, help="state index")
+    keygen.add_argument("--l", type=_state_index, default=0,
+                        help="state index")
     keygen.add_argument("--column", type=int, default=0)
     keygen.add_argument("--show-secret", action="store_true")
     keygen.set_defaults(handler=_cmd_id_keygen)
@@ -496,7 +511,8 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--chip", required=True, help="chip fixture path")
     audit.add_argument("--pk", required=True,
                        help="claimed public key, hex as printed by keygen")
-    audit.add_argument("--l", type=int, default=0, help="state index")
+    audit.add_argument("--l", type=_state_index, default=0,
+                       help="state index")
     audit.add_argument("--column", type=int, default=0)
     audit.add_argument("--nonce", help="hex nonce; default derives from --seed")
     audit.set_defaults(handler=_cmd_id_audit)
@@ -508,13 +524,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                   help="execute a transfer topology")
     build.add_argument("--topology", required=True,
                        help="config file with [chips] and [topology]")
-    build.add_argument("--l", type=int, default=0, help="state index")
+    build.add_argument("--l", type=_state_index, default=0,
+                       help="state index")
     build.set_defaults(handler=_cmd_ledger_build)
 
     mine = ledger_sub.add_parser("mine", parents=[common],
                                  help="mine the tree's root stamp onto a chain")
     mine.add_argument("--topology", required=True)
-    mine.add_argument("--l", type=int, default=0)
+    mine.add_argument("--l", type=_state_index, default=0)
     mine.add_argument("--difficulty", type=int, required=True,
                       help="leading zero bits")
     mine.add_argument("--chain", required=True,
@@ -535,14 +552,14 @@ def _build_parser() -> argparse.ArgumentParser:
     replace.add_argument("--old", required=True, help="node id to replace")
     replace.add_argument("--new-seed", type=int, required=True,
                          help="manufacture seed of the replacement chip")
-    replace.add_argument("--l", type=int, default=0)
+    replace.add_argument("--l", type=_state_index, default=0)
     replace.set_defaults(handler=_cmd_ledger_replace)
 
     rotate = ledger_sub.add_parser("rotate", parents=[common],
                                    help="reproduce the tree at a new state")
     rotate.add_argument("--topology", required=True)
-    rotate.add_argument("--from-l", type=int, default=0)
-    rotate.add_argument("--new-l", type=int, required=True)
+    rotate.add_argument("--from-l", type=_state_index, default=0)
+    rotate.add_argument("--new-l", type=_state_index, required=True)
     rotate.set_defaults(handler=_cmd_ledger_rotate)
 
     scenario = sub.add_parser("scenario", help="scripted network runs")

@@ -24,6 +24,12 @@ must stay those of the 40-witness Miller-Rabin schedule the tests keep
 as the reference: both tests accept every prime and no composite is
 known to pass either, so the search stops on the same primes.
 
+Every modular exponentiation (the base-2 test, signing, verifying)
+goes through _bn.powmod: OpenSSL's BN_mod_exp in the system libcrypto
+when it loads (POWMOD_BACKEND "libcrypto"), else builtin pow
+("builtin").  Both give the same numbers, so keys and signatures are
+the same bytes on either backend.
+
 Key sizes here are desk-scale (512 to 2048 bit) for fast simulation,
 not production parameters.
 """
@@ -38,13 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-try:
-    from gmpy2 import powmod as _powmod
-    POWMOD_BACKEND = "gmpy2"
-except ImportError:  # pure fallback, same results
-    _powmod = pow
-    POWMOD_BACKEND = "builtin"
-
+from ._bn import BACKEND as POWMOD_BACKEND, powmod as _powmod
 from .chip_model import Prn, SimulatedChip, extract_prn
 from .errors import PrimeSearchExhausted, SignatureMalformed
 
@@ -56,6 +56,8 @@ SUPPORTED_MODULUS_BITS = (512, 1024, 2048)
 _CHALLENGE_TAG = b"chipchain/challenge/v1"
 _KDF_TAG = b"chipchain/keyseed/v1"
 _ISSUER_TAGS = {ISSUER_MANAGEMENT: b"MGT\x00", ISSUER_SECURITY: b"SEC\x00"}
+
+MAX_STATE_INDEX = (1 << 64) - 1  # a challenge packs the index in 8 bytes
 
 _RESPONSE_BLOCKS = 2  # 2 x SHA-256 = 64 response bytes
 
@@ -70,8 +72,9 @@ class Challenge:
 
 
 def make_challenge(state_index: int, issuer: str = ISSUER_MANAGEMENT) -> Challenge:
-    if state_index < 0:
-        raise ValueError("state_index must be >= 0")
+    if not 0 <= state_index <= MAX_STATE_INDEX:
+        raise ValueError(
+            f"state_index must be in [0, 2^64 - 1], got {state_index}")
     if issuer not in _ISSUER_TAGS:
         raise ValueError(f"issuer must be one of {sorted(_ISSUER_TAGS)}")
     data = hashlib.sha256(
@@ -257,7 +260,7 @@ def _jacobi(a: int, n: int) -> int:
 def _is_strong_base2_prp(n: int) -> bool:
     d = n - 1
     twos = (d & -d).bit_length() - 1
-    x = int(_powmod(2, d >> twos, n))
+    x = _powmod(2, d >> twos, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(twos - 1):
@@ -400,7 +403,9 @@ class _ByteStream:
         return out
 
 
-@lru_cache(maxsize=16384)
+# Bounded so that memory does not grow with throughput: a fig10 run
+# reuses 19 keys and a 64-node tree check about 130.
+@lru_cache(maxsize=1024)
 def _derive_core(seed: bytes, modulus_bits: int):
     half = modulus_bits // 2
     stream = _ByteStream(seed)
@@ -479,8 +484,8 @@ def sign(secret_key: SecretKey, message: bytes) -> bytes:
     key = secret_key
     size = (key.modulus.bit_length() + 7) // 8
     em = _padded_digest_int(bytes(message), size)
-    m1 = int(_powmod(em, key.exponent_p, key.prime_p))
-    m2 = int(_powmod(em, key.exponent_q, key.prime_q))
+    m1 = _powmod(em, key.exponent_p, key.prime_p)
+    m2 = _powmod(em, key.exponent_q, key.prime_q)
     s = m2 + (key.q_inverse * (m1 - m2) % key.prime_p) * key.prime_q
     return s.to_bytes(size, "big")
 
@@ -499,7 +504,7 @@ def verify(public_key: PublicKey, message: bytes, signature: bytes) -> bool:
     s = int.from_bytes(signature, "big")
     if s >= public_key.modulus:
         return False
-    recovered = int(_powmod(s, public_key.exponent, public_key.modulus))
+    recovered = _powmod(s, public_key.exponent, public_key.modulus)
     return recovered == _padded_digest_int(bytes(message), size)
 
 

@@ -73,6 +73,7 @@ from .errors import ConfigInvalid, SignatureMalformed
 from .identity import (
     AuditVerdict,
     ISSUER_MANAGEMENT,
+    MAX_STATE_INDEX,
     SUPPORTED_MODULUS_BITS,
     PublicKey,
     SecurityState,
@@ -483,8 +484,9 @@ def _parse_action_args(action: str, rest: Sequence[str],
     if action == "rotate":
         need(1, "TICK rotate NEW_STATE [offline=a,b]")
         args: dict[str, object] = {"state": _parse_number(rest[0], where)}
-        if args["state"] < 0:
-            raise ConfigInvalid(f"{where}: state index must be >= 0")
+        if not 0 <= args["state"] <= MAX_STATE_INDEX:
+            raise ConfigInvalid(f"{where}: state index must be in "
+                                f"[0, 2^64 - 1], got {args['state']}")
         if len(rest) > 1:
             options = _split_options(rest[1:], where)
             if set(options) - {"offline"}:

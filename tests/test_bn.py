@@ -1,0 +1,152 @@
+"""The libcrypto modular exponentiation agrees with builtin pow."""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chipchain import POWMOD_BACKEND, _bn, identity
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@st.composite
+def _operands(draw):
+    """A modulus of 16 to 4096 bits, odd or even, with a base that may
+    exceed it and an exponent of up to 600 bits."""
+    bits = draw(st.integers(16, 4096))
+    modulus = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    base = draw(st.integers(0, (1 << (bits + 64)) - 1))
+    exponent = draw(st.integers(0, (1 << min(bits, 600)) - 1))
+    return base, exponent, modulus
+
+
+@settings(max_examples=150)
+@given(_operands())
+def test_powmod_matches_builtin_pow(operands):
+    assert _bn.powmod(*operands) == pow(*operands)
+
+
+@pytest.mark.parametrize("bits", [512, 1024, 2048, 4096])
+def test_powmod_full_size_exponent(bits):
+    modulus = (1 << bits) - 159  # odd
+    base = 3 ** (bits // 2) % modulus
+    exponent = modulus - 2
+    assert _bn.powmod(base, exponent, modulus) == pow(base, exponent, modulus)
+    assert _bn.powmod(base, exponent, modulus + 1) == pow(base, exponent,
+                                                           modulus + 1)
+
+
+EDGE_CASES = [
+    # base at or above the modulus
+    (7, 5, 7), (8, 5, 7), (1 << 600, 3, (1 << 255) - 19),
+    ((1 << 255) - 19, 9, (1 << 255) - 19),
+    # base 0
+    (0, 0, 7), (0, 5, 7), (0, 0, 1 << 64), (0, 3, (1 << 521) - 1),
+    # exponents 0 and 1
+    (5, 0, 7), (5, 1, 7), (12345, 0, (1 << 127) - 1),
+    (1 << 300, 1, (1 << 127) - 1), (9, 1, 8),
+    # modulus 1
+    (0, 0, 1), (5, 0, 1), (5, 3, 1), (1 << 200, 1 << 200, 1),
+    # even moduli
+    (3, 10, 2), (3, 10, 8), (5, 117, 1 << 64), (7, (1 << 200) + 1, 10 ** 40),
+    (2, 1000, 1 << 512), ((1 << 512) + 3, 65537, (1 << 1024) - 2),
+    # arguments libcrypto is not asked for
+    (-3, 5, 7), (3, -1, 7), (3, 2, -7), (-(1 << 300), 5, (1 << 127) - 1),
+]
+
+
+@pytest.mark.parametrize("base,exponent,modulus", EDGE_CASES)
+def test_powmod_edge_cases(base, exponent, modulus):
+    assert _bn.powmod(base, exponent, modulus) == pow(base, exponent, modulus)
+
+
+def test_powmod_modulus_zero_raises_like_pow():
+    with pytest.raises(ValueError):
+        _bn.powmod(3, 2, 0)
+
+
+def test_powmod_from_many_threads():
+    """ctypes drops the GIL inside each call, so calls overlap; each
+    thread's operands differ in size, and every result must be its own.
+    Four threads on two cores, switching as often as the interpreter
+    allows."""
+    threads, rounds = 4, 60
+    cases = []
+    for index in range(threads):
+        bits = 256 * (index + 1)
+        modulus = (1 << bits) - 1 - 2 * index
+        operands = [((k + 2) ** 40 + index, modulus >> (k % 7 + 1), modulus)
+                    for k in range(rounds)]
+        cases.append([(ops, pow(*ops)) for ops in operands])
+    barrier = threading.Barrier(threads)
+    failures = []
+
+    def work(index):
+        barrier.wait(timeout=30)
+        for k, (operands, expected) in enumerate(cases[index]):
+            if _bn.powmod(*operands) != expected:
+                failures.append((index, k))
+
+    pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    assert failures == []
+
+
+@pytest.mark.parametrize("name", ["libchipchain-absent.so.0", "libc.so.6"])
+def test_load_falls_back_to_builtin_pow(name):
+    # the first cannot be opened; the second has no BN_* functions
+    assert _bn._load(name) == (pow, "builtin")
+
+
+def test_package_falls_back_when_libcrypto_cannot_load():
+    """With the library refused at import, keys come from builtin pow and
+    are the same bytes."""
+    code = (
+        "import ctypes\n"
+        "def refuse(name, *args, **kwargs):\n"
+        "    raise OSError(name)\n"
+        "ctypes.CDLL = refuse\n"
+        "import chipchain\n"
+        "from chipchain import identity\n"
+        "print(chipchain.POWMOD_BACKEND, identity._powmod is pow)\n"
+        "response = chipchain.Response('x', 0, bytes(range(64)))\n"
+        "pair = chipchain.derive_keypair(response, 512)\n"
+        "print(chipchain.key_fingerprint(pair.public_key))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    pair = identity.derive_keypair(identity.Response("x", 0, bytes(range(64))),
+                                   512)
+    assert out == ["builtin", "True",
+                   identity.key_fingerprint(pair.public_key)]
+
+
+def _hashlib_links_libcrypto3() -> bool:
+    """True iff importing _hashlib alone loads libcrypto.so.3."""
+    probe = ("import _hashlib, ctypes, os\n"
+             "ctypes.CDLL('libcrypto.so.3', mode=os.RTLD_NOLOAD)\n")
+    return subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True).returncode == 0
+
+
+def test_backend_is_libcrypto_where_hashlib_links_it():
+    """A silent fallback would keep every result and lose the speed."""
+    if not _hashlib_links_libcrypto3():
+        pytest.skip("_hashlib does not link libcrypto.so.3 here")
+    assert POWMOD_BACKEND == "libcrypto"
+    assert identity._powmod is _bn.powmod

@@ -71,7 +71,7 @@ def test_version():
     assert result.exit_code == 0
     assert result.stdout_payload.startswith("chipchain 0.1.0")
     assert "pow kernel:" in result.stdout_payload
-    assert re.search(r"powmod: (gmpy2|builtin)\)", result.stdout_payload)
+    assert re.search(r"powmod: (libcrypto|builtin)\)", result.stdout_payload)
 
 
 def test_unknown_command_usage_error():
@@ -89,6 +89,23 @@ def test_help_exits_zero():
 def test_missing_required_flag():
     result = dispatch(["id", "keygen"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--l", "18446744073709551616"), ("--l", "-1"), ("--l", "two"),
+    ("--from-l", "18446744073709551616"), ("--new-l", "18446744073709551616"),
+])
+def test_state_index_flags_are_bounded(topo_file, flag, value):
+    argv = {"--l": ["id", "keygen", "--chip", "absent.chip"],
+            "--from-l": ["ledger", "rotate", "--topology", topo_file,
+                         "--new-l", "1"],
+            "--new-l": ["ledger", "rotate", "--topology", topo_file]}[flag]
+    result = dispatch(argv + [flag, value])
+    assert result.exit_code == 2
+    assert result.stdout_payload == ""
+    assert "usage:" in result.diagnostics
+    assert f"argument {flag}:" in result.diagnostics
+    assert "state index" in result.diagnostics.splitlines()[-1]
 
 
 # ----------------------------------------------------------------- entropy

@@ -80,6 +80,13 @@ def test_challenge_validation():
         make_challenge(0, "janitor")
 
 
+def test_challenge_state_index_fits_eight_bytes():
+    assert make_challenge(2**64 - 1).state_index == 2**64 - 1
+    for bad in (2**64, 10**30, -1):
+        with pytest.raises(ValueError, match=r"\[0, 2\^64 - 1\]"):
+            make_challenge(bad)
+
+
 # ---------------------------------------------------------------- responses
 
 def test_response_shape_and_determinism():
@@ -298,6 +305,21 @@ def test_golden_key_pins(bits, label, fingerprint, primes_sha256):
     size = bits // 16
     primes = pair.prime_p.to_bytes(size, "big") + pair.prime_q.to_bytes(size, "big")
     assert key_fingerprint(pair.public_key) == fingerprint
+    assert hashlib.sha256(primes).hexdigest() == primes_sha256
+
+
+@pytest.mark.parametrize("bits,label,fingerprint,primes_sha256",
+                         GOLDEN_KEYS[:4])
+def test_golden_key_pins_with_builtin_pow(monkeypatch, bits, label,
+                                          fingerprint, primes_sha256):
+    """The keys do not depend on the powmod backend."""
+    monkeypatch.setattr(identity, "_powmod", pow)
+    public, secret = identity._derive_core.__wrapped__(
+        golden_response(label).data, bits)
+    size = bits // 16
+    primes = secret.prime_p.to_bytes(size, "big") + secret.prime_q.to_bytes(
+        size, "big")
+    assert key_fingerprint(public) == fingerprint
     assert hashlib.sha256(primes).hexdigest() == primes_sha256
 
 
@@ -594,6 +616,17 @@ def test_sign_verify_roundtrip():
     signature = sign(pair.secret_key, message)
     assert len(signature) == pair.public_key.byte_size
     assert verify(pair.public_key, message, signature)
+
+
+@pytest.mark.parametrize("bits", SUPPORTED_MODULUS_BITS)
+def test_sign_verify_same_bytes_with_builtin_pow(monkeypatch, bits):
+    pair = keypair_for_chip(make_small_chip(6), 0, modulus_bits=bits)
+    message = b"registry entry 7"
+    signature = sign(pair.secret_key, message)
+    monkeypatch.setattr(identity, "_powmod", pow)
+    assert sign(pair.secret_key, message) == signature
+    assert verify(pair.public_key, message, signature)
+    assert not verify(pair.public_key, b"registry entry 8", signature)
 
 
 def test_verify_rejects_wrong_message():

@@ -126,6 +126,15 @@ def test_parse_rejections(mutation, message_part):
         parse_scenario(MINI + "\n" + mutation)
 
 
+def test_parse_rejects_rotate_beyond_eight_byte_state():
+    bad = MINI + "\n[schedule]\n13 rotate 18446744073709551616\n"
+    line_no = bad.splitlines().index("13 rotate 18446744073709551616") + 1
+    with pytest.raises(ConfigInvalid, match=re.escape(
+            f"line {line_no}: state index must be in [0, 2^64 - 1]")):
+        parse_scenario(bad)
+    parse_scenario(MINI + "\n[schedule]\n13 rotate 18446744073709551615\n")
+
+
 def test_parse_reports_line_numbers():
     bad = MINI + "\n[schedule]\n9 dance\n"
     line_no = bad.splitlines().index("9 dance") + 1
