@@ -5,9 +5,10 @@ One executable, `chipchain`, with subcommands per module: chip fixtures
 (id keygen/audit), transfer-tree and chain operations (ledger ...),
 scripted network runs (scenario run), plus version and selftest.
 
-Every subcommand accepts --seed (default 0; nothing ever falls back to
-wall-clock randomness), --output text|records, and --modulus-bits.
-Exit codes: 0 success, 1 failed operation or failed check, 2 usage.
+Each subcommand takes only the flags its handler reads; --seed defaults
+to 0 wherever it is taken, and nothing ever falls back to wall-clock
+randomness.  Exit codes: 0 success, 1 failed operation or failed check,
+2 usage.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .errors import ChipChainError
 from .identity import (
     MAX_STATE_INDEX,
     POWMOD_BACKEND,
+    SUPPORTED_MODULUS_BITS,
     AuditVerdict,
     PublicKey,
     SecurityState,
@@ -98,14 +100,6 @@ def _load_ledger(path):
     return specs, chips, topology
 
 
-def _fixture_path(args) -> str:
-    if getattr(args, "fixture", None):
-        return args.fixture
-    if getattr(args, "id", None):
-        return os.path.join(args.dir, f"{args.id}.chip")
-    raise ValueError("give --fixture FILE or --id NAME (with --dir)")
-
-
 # -- handlers (each returns payload lines, exit code, diagnostic lines) ----
 
 
@@ -128,7 +122,7 @@ def _cmd_chip_new(args):
 
 
 def _cmd_chip_prn(args):
-    chip = load_chip_fixture(_fixture_path(args))
+    chip = load_chip_fixture(args.chip)
     prn = extract_prn(chip, args.column)
     rows = ",".join(str(r) for r in prn.rows)
     if args.output == "records":
@@ -219,8 +213,7 @@ def _cmd_id_audit(args):
     if args.nonce:
         nonce = bytes.fromhex(args.nonce)
     else:
-        nonce = hashlib.sha256(
-            b"chipchain/cli-audit-nonce" + args.seed.to_bytes(8, "big")).digest()
+        nonce = hashlib.sha256(b"chipchain/cli-audit-nonce" + bytes(8)).digest()
     verdict = crp_audit(chip, expected, state, nonce, args.column).verdict
     genuine = verdict is AuditVerdict.GENUINE
     if args.output == "records":
@@ -439,15 +432,18 @@ def _state_index(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="deterministic seed (default 0, never wall clock)")
-    common.add_argument("--output", choices=("text", "records"),
+    # one parent parser per shared flag; each subcommand takes those it reads
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0,
+                      help="deterministic seed (default 0, never wall clock)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", choices=("text", "records"),
                         default="text",
                         help="human text or one key=value record per line")
-    common.add_argument("--modulus-bits", type=int, default=1024,
-                        choices=(512, 1024, 2048),
-                        help="RSA modulus size for derived keys")
+    bits = argparse.ArgumentParser(add_help=False)
+    bits.add_argument("--modulus-bits", type=int, default=1024,
+                      choices=SUPPORTED_MODULUS_BITS,
+                      help="RSA modulus size for derived keys")
 
     parser = argparse.ArgumentParser(
         prog="chipchain",
@@ -457,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     chip = sub.add_parser("chip", help="manufacture and read chip fixtures")
     chip_sub = chip.add_subparsers(dest="subcommand", required=True)
-    chip_new = chip_sub.add_parser("new", parents=[common],
+    chip_new = chip_sub.add_parser("new", parents=[seed, output],
                                    help="manufacture a chip fixture")
     chip_new.add_argument("--y", type=int, default=2000,
                           help="regular-array rows")
@@ -472,15 +468,13 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="directory for the .chip fixture file")
     chip_new.set_defaults(handler=_cmd_chip_new)
 
-    chip_prn = chip_sub.add_parser("prn", parents=[common],
+    chip_prn = chip_sub.add_parser("prn", parents=[output],
                                    help="extract a fixture's fingerprint")
-    chip_prn.add_argument("--id", help="chip id; reads <dir>/<id>.chip")
-    chip_prn.add_argument("--dir", default=".")
-    chip_prn.add_argument("--fixture", help="explicit fixture path")
+    chip_prn.add_argument("--chip", required=True, help="chip fixture path")
     chip_prn.add_argument("--column", type=int, default=0)
     chip_prn.set_defaults(handler=_cmd_chip_prn)
 
-    entropy = sub.add_parser("entropy", parents=[common],
+    entropy = sub.add_parser("entropy", parents=[output],
                              help="exact fingerprint-space combinatorics")
     entropy.add_argument("mode", nargs="?", choices=("table", "collisions"),
                          help="omit for one configuration; 'table' for the "
@@ -497,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ident = sub.add_parser("id", help="chip-bound keys and audits")
     ident_sub = ident.add_subparsers(dest="subcommand", required=True)
-    keygen = ident_sub.add_parser("keygen", parents=[common],
+    keygen = ident_sub.add_parser("keygen", parents=[output, bits],
                                   help="derive the keypair of a chip fixture")
     keygen.add_argument("--chip", required=True, help="chip fixture path")
     keygen.add_argument("--l", type=_state_index, default=0,
@@ -506,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     keygen.add_argument("--show-secret", action="store_true")
     keygen.set_defaults(handler=_cmd_id_keygen)
 
-    audit = ident_sub.add_parser("audit", parents=[common],
+    audit = ident_sub.add_parser("audit", parents=[output],
                                  help="challenge a chip against a claimed key")
     audit.add_argument("--chip", required=True, help="chip fixture path")
     audit.add_argument("--pk", required=True,
@@ -514,13 +508,13 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--l", type=_state_index, default=0,
                        help="state index")
     audit.add_argument("--column", type=int, default=0)
-    audit.add_argument("--nonce", help="hex nonce; default derives from --seed")
+    audit.add_argument("--nonce", help="hex nonce; default: a fixed nonce")
     audit.set_defaults(handler=_cmd_id_audit)
 
     ledger = sub.add_parser("ledger", help="transfer trees and the mined chain")
     ledger_sub = ledger.add_subparsers(dest="subcommand", required=True)
 
-    build = ledger_sub.add_parser("build", parents=[common],
+    build = ledger_sub.add_parser("build", parents=[bits],
                                   help="execute a transfer topology")
     build.add_argument("--topology", required=True,
                        help="config file with [chips] and [topology]")
@@ -528,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="state index")
     build.set_defaults(handler=_cmd_ledger_build)
 
-    mine = ledger_sub.add_parser("mine", parents=[common],
+    mine = ledger_sub.add_parser("mine", parents=[bits],
                                  help="mine the tree's root stamp onto a chain")
     mine.add_argument("--topology", required=True)
     mine.add_argument("--l", type=_state_index, default=0)
@@ -539,14 +533,13 @@ def _build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--nonce-start", type=int, default=0)
     mine.set_defaults(handler=_cmd_ledger_mine)
 
-    verify_cmd = ledger_sub.add_parser("verify", parents=[common],
-                                       help="check a chain file")
+    verify_cmd = ledger_sub.add_parser("verify", help="check a chain file")
     verify_cmd.add_argument("--chain", required=True)
     verify_cmd.add_argument("--difficulty", type=int, required=True)
     verify_cmd.set_defaults(handler=_cmd_ledger_verify)
 
     replace = ledger_sub.add_parser(
-        "replace", parents=[common],
+        "replace", parents=[bits],
         help="swap one chip and repair only the dirtied path")
     replace.add_argument("--topology", required=True)
     replace.add_argument("--old", required=True, help="node id to replace")
@@ -555,7 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
     replace.add_argument("--l", type=_state_index, default=0)
     replace.set_defaults(handler=_cmd_ledger_replace)
 
-    rotate = ledger_sub.add_parser("rotate", parents=[common],
+    rotate = ledger_sub.add_parser("rotate", parents=[bits],
                                    help="reproduce the tree at a new state")
     rotate.add_argument("--topology", required=True)
     rotate.add_argument("--from-l", type=_state_index, default=0)
@@ -564,18 +557,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     scenario = sub.add_parser("scenario", help="scripted network runs")
     scenario_sub = scenario.add_subparsers(dest="subcommand", required=True)
-    run = scenario_sub.add_parser("run", parents=[common],
+    run = scenario_sub.add_parser("run", parents=[seed, output],
                                   help="run a scenario config or bundled name")
     run.add_argument("target",
                      help="path to a .cfg file, or a bundled scenario name "
                           "(e.g. fig10-coexistence)")
     run.set_defaults(handler=_cmd_scenario_run)
 
-    version = sub.add_parser("version", parents=[common],
-                             help="print version and active kernels")
+    version = sub.add_parser("version", help="print version and active kernels")
     version.set_defaults(handler=_cmd_version)
 
-    selftest = sub.add_parser("selftest", parents=[common],
+    selftest = sub.add_parser("selftest",
                               help="run the embedded end-to-end checks")
     selftest.set_defaults(handler=_cmd_selftest)
 

@@ -191,8 +191,6 @@ class ChipKeyPair:
     state_index: int
     public_key: PublicKey
     secret_key: SecretKey
-    prime_p: int
-    prime_q: int
     modulus_bits: int
 
 
@@ -446,18 +444,15 @@ def derive_keypair(response: Response, modulus_bits: int = 1024) -> ChipKeyPair:
         state_index=response.state_index,
         public_key=public,
         secret_key=secret,
-        prime_p=secret.prime_p,
-        prime_q=secret.prime_q,
         modulus_bits=modulus_bits,
     )
 
 
 def keypair_for_chip(chip: SimulatedChip, state_index: int,
-                     modulus_bits: int = 1024, column: int = 0,
-                     issuer: str = ISSUER_MANAGEMENT) -> ChipKeyPair:
+                     modulus_bits: int = 1024, column: int = 0) -> ChipKeyPair:
     """Extract, respond, derive: the full chip-to-keys pipeline."""
     prn = extract_prn(chip, column)
-    return derive_keypair(respond(prn, make_challenge(state_index, issuer)),
+    return derive_keypair(respond(prn, make_challenge(state_index)),
                           modulus_bits)
 
 

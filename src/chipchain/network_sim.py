@@ -85,6 +85,7 @@ from .identity import (
     verify,
 )
 from .ledger import (
+    MAX_MINING_DIFFICULTY,
     Block,
     ZERO_HASH,
     build_tree,
@@ -231,7 +232,8 @@ _SCENARIO_DEFAULTS = {"difficulty": 8, "modulus_bits": 512, "column": 0,
 # [params] keys whose values have a range: key -> (test, allowed values);
 # column indexes the columns of a chip as ChipSpec.manufacture builds it
 _PARAM_RANGES = {
-    "difficulty": (lambda v: 0 <= v <= 32, "in [0, 32]"),
+    "difficulty": (lambda v: 0 <= v <= MAX_MINING_DIFFICULTY,
+                   f"in [0, {MAX_MINING_DIFFICULTY}]"),
     "modulus_bits": (lambda v: v in SUPPORTED_MODULUS_BITS,
                      "512, 1024, or 2048"),
     "column": (lambda v: 0 <= v < ChipGeometry.cols,
@@ -477,8 +479,9 @@ def _parse_action_args(action: str, rest: Sequence[str],
     if action == "mine":
         if rest:
             difficulty = _parse_number(rest[0], where)
-            if not 0 <= difficulty <= 32:
-                raise ConfigInvalid(f"{where}: difficulty must be in [0, 32]")
+            if not 0 <= difficulty <= MAX_MINING_DIFFICULTY:
+                raise ConfigInvalid(f"{where}: difficulty must be in "
+                                    f"[0, {MAX_MINING_DIFFICULTY}]")
             return {"difficulty": difficulty}
         return {}
     if action == "rotate":
@@ -550,7 +553,6 @@ class Event:
 class _NetworkNode:
     spec: NodeSpec
     chip: SimulatedChip | None = None
-    address: PublicKey | None = None
 
 
 @dataclass(frozen=True)
@@ -652,8 +654,7 @@ class Simulation:
                 spec, self.chips[spec.chip] if spec.chip else None)
             for spec in config.nodes.values()
         }
-        self.members: set[str] = set()
-        self.registry: dict[str, PublicKey] = {}
+        self.registry: dict[str, PublicKey] = {}  # member -> its address
         self.transcripts: dict[str, tuple[bytes, bytes]] = {}
         self.admitted: list[str] = []
         self.denied: list[str] = []
@@ -681,7 +682,7 @@ class Simulation:
     def enroll(self, name: str) -> bool:
         """Entry request: blocklist gate, then the physical chip audit."""
         node = self.nodes[name]
-        if name in self.members:
+        if name in self.registry:
             raise ValueError(f"{name} is already a member")
         self._emit("EntryRequest", node=name, role=node.spec.role)
         if node.spec.blocked:
@@ -708,9 +709,7 @@ class Simulation:
         audit = crp_audit(node.chip, claimed_key, self.state, nonce,
                           self.config.column)
         if audit.verdict is AuditVerdict.GENUINE:
-            self.members.add(name)
             self.registry[name] = claimed_key
-            node.address = claimed_key
             self.transcripts[name] = (nonce, audit.signature)
             self.admitted.append(name)
             self._emit("Verdict", actor=self.config.management, node=name,
@@ -765,7 +764,7 @@ class Simulation:
     def sweep(self) -> tuple[str, ...]:
         """Re-audit every member against its registered address."""
         failed = []
-        for name in sorted(self.members):
+        for name in sorted(self.registry):
             node = self.nodes[name]
             nonce = self._fresh_nonce()
             self._emit("Challenge", actor=self.config.management, node=name,
@@ -781,8 +780,7 @@ class Simulation:
             else:
                 failed.append(name)
         for name in failed:
-            self.members.discard(name)
-            self.registry.pop(name, None)
+            del self.registry[name]
             self.evicted.append((self.clock, name))
             self._emit("Evict", actor=self.config.management, node=name)
         return tuple(failed)
@@ -800,12 +798,11 @@ class Simulation:
         self.state = SecurityState(new_state_index, True)
         self._emit("Rotate", actor=self.config.security,
                    state=new_state_index)
-        for name in sorted(self.members):
+        for name in sorted(self.registry):
             if name in offline:
                 continue
             pair = self._device_keypair(self.nodes[name])
             self.registry[name] = pair.public_key
-            self.nodes[name].address = pair.public_key
         if self.tree is not None:
             self.tree = rotate_state_reproduce(self.tree, new_state_index)
             for src, dst in self.tree.schedule:
@@ -819,7 +816,7 @@ class Simulation:
                                for n in edge})
         if not participants:
             raise ValueError("no transfer topology configured")
-        outsiders = [n for n in participants if n not in self.members]
+        outsiders = [n for n in participants if n not in self.registry]
         if outsiders:
             raise ValueError("transfer participants not admitted: "
                              + ", ".join(outsiders))
@@ -887,7 +884,7 @@ class Simulation:
             security=self.config.security,
             events=tuple(self.events),
             chain=tuple(self.chain),
-            members=tuple(sorted(self.members)),
+            members=tuple(sorted(self.registry)),
             admitted=tuple(self.admitted),
             denied=tuple(self.denied),
             evicted=tuple(self.evicted),

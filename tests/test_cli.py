@@ -1,3 +1,4 @@
+import argparse
 import re
 
 import pytest
@@ -14,7 +15,7 @@ from chipchain import (
     replace_chip,
     serialize_chain,
 )
-from chipchain.cli import dispatch, main
+from chipchain.cli import _build_parser, dispatch, main
 
 from oracles import binom_product
 
@@ -108,6 +109,163 @@ def test_state_index_flags_are_bounded(topo_file, flag, value):
     assert "state index" in result.diagnostics.splitlines()[-1]
 
 
+# ------------------------------------------------------ command-line surface
+
+# every leaf subcommand and its options, positionals included
+LEAF_OPTIONS = {
+    "chip new": {"--seed", "--output", "--y", "--lambda", "--redundancy",
+                 "--min-failures", "--chip-id", "--dir"},
+    "chip prn": {"--chip", "--column", "--output"},
+    "entropy": {"mode", "--y", "--l", "--m", "--n", "--generations",
+                "--output"},
+    "id keygen": {"--chip", "--l", "--column", "--show-secret", "--output",
+                  "--modulus-bits"},
+    "id audit": {"--chip", "--pk", "--l", "--column", "--nonce", "--output"},
+    "ledger build": {"--topology", "--l", "--modulus-bits"},
+    "ledger mine": {"--topology", "--l", "--difficulty", "--chain",
+                    "--nonce-start", "--modulus-bits"},
+    "ledger verify": {"--chain", "--difficulty"},
+    "ledger replace": {"--topology", "--old", "--new-seed", "--l",
+                       "--modulus-bits"},
+    "ledger rotate": {"--topology", "--from-l", "--new-l", "--modulus-bits"},
+    "scenario run": {"target", "--seed", "--output"},
+    "version": set(),
+    "selftest": set(),
+}
+
+
+def leaf_parsers(parser, path=()):
+    """(path, parser) for each subcommand that takes no further subcommand."""
+    subparsers = [action for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    if not subparsers:
+        yield " ".join(path), parser
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, path + (name,))
+
+
+def leaf_actions(parser):
+    return [action for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)]
+
+
+def test_each_subcommand_takes_only_its_options():
+    found = {path: {action.option_strings[0] if action.option_strings
+                    else action.dest for action in leaf_actions(leaf)}
+             for path, leaf in leaf_parsers(_build_parser())}
+    assert found == LEAF_OPTIONS
+    assert sum(len(options) for options in found.values()) == 53
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["chip", "new"], "--modulus-bits", "512"),
+    (["chip", "prn", "--chip", "c.chip"], "--seed", "1"),
+    (["chip", "prn", "--chip", "c.chip"], "--modulus-bits", "512"),
+    (["chip", "prn", "--chip", "c.chip"], "--id", "x"),
+    (["chip", "prn", "--chip", "c.chip"], "--dir", "."),
+    (["chip", "prn", "--chip", "c.chip"], "--fixture", "c.chip"),
+    (["entropy", "table"], "--seed", "1"),
+    (["entropy", "table"], "--modulus-bits", "512"),
+    (["id", "keygen", "--chip", "c.chip"], "--seed", "1"),
+    (["id", "audit", "--chip", "c.chip", "--pk", "00"], "--seed", "1"),
+    (["id", "audit", "--chip", "c.chip", "--pk", "00"], "--modulus-bits",
+     "512"),
+    (["ledger", "build", "--topology", "t.cfg"], "--seed", "1"),
+    (["ledger", "build", "--topology", "t.cfg"], "--output", "records"),
+    (["ledger", "mine", "--topology", "t.cfg", "--difficulty", "8",
+      "--chain", "c.bin"], "--seed", "1"),
+    (["ledger", "mine", "--topology", "t.cfg", "--difficulty", "8",
+      "--chain", "c.bin"], "--output", "records"),
+    (["ledger", "verify", "--chain", "c.bin", "--difficulty", "8"],
+     "--seed", "1"),
+    (["ledger", "verify", "--chain", "c.bin", "--difficulty", "8"],
+     "--output", "records"),
+    (["ledger", "verify", "--chain", "c.bin", "--difficulty", "8"],
+     "--modulus-bits", "512"),
+    (["ledger", "replace", "--topology", "t.cfg", "--old", "n3",
+      "--new-seed", "99"], "--seed", "1"),
+    (["ledger", "replace", "--topology", "t.cfg", "--old", "n3",
+      "--new-seed", "99"], "--output", "records"),
+    (["ledger", "rotate", "--topology", "t.cfg", "--new-l", "1"],
+     "--seed", "1"),
+    (["ledger", "rotate", "--topology", "t.cfg", "--new-l", "1"],
+     "--output", "records"),
+    (["scenario", "run", "fig10-coexistence"], "--modulus-bits", "512"),
+    (["version"], "--seed", "1"),
+    (["version"], "--output", "records"),
+    (["version"], "--modulus-bits", "512"),
+    (["selftest"], "--seed", "1"),
+    (["selftest"], "--output", "records"),
+    (["selftest"], "--modulus-bits", "512"),
+])
+def test_removed_flags_are_usage_errors(argv, flag, value):
+    result = dispatch(argv + [flag, value])
+    assert result.exit_code == 2
+    assert result.stdout_payload == ""
+    assert f"unrecognized arguments: {flag} {value}" in result.diagnostics
+
+
+class ReadRecorder(argparse.Namespace):
+    """Namespace that notes the name of each attribute read from it."""
+
+    def __init__(self):
+        super().__init__(_reads=set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            super().__getattribute__("_reads").add(name)
+        return super().__getattribute__(name)
+
+
+def test_each_option_is_read_by_its_handler(topo_file, tmp_path):
+    """The file's valid invocations, replayed on a namespace that records
+    reads: between them they read every option of every subcommand, and
+    nothing else."""
+    parser = _build_parser()
+    leaves = {leaf.get_default("handler"): (path, leaf)
+              for path, leaf in leaf_parsers(parser)}
+    reads = {path: set() for path in LEAF_OPTIONS}
+
+    def run(argv):
+        args = parser.parse_args(argv, namespace=ReadRecorder())
+        handler = args.handler
+        args._reads.clear()
+        lines, code, _ = handler(args)
+        reads[leaves[handler][0]] |= args._reads
+        return lines, code
+
+    chip = str(tmp_path / "gamma.chip")
+    chain = str(tmp_path / "chain.bin")
+    ledger = ["--topology", topo_file, "--modulus-bits", "512"]
+    run(["chip", "new", "--chip-id", "gamma", "--seed", "11", "--y", "2000",
+         "--lambda", "10", "--redundancy", "20", "--min-failures", "1",
+         "--dir", str(tmp_path), "--output", "records"])
+    run(["chip", "prn", "--chip", chip, "--column", "0",
+         "--output", "records"])
+    run(["entropy", "--y", "2000", "--l", "1", "--m", "10"])
+    run(["entropy", "table", "--generations", "4 Gb,8 Gb", "--output", "records"])
+    run(["entropy", "collisions", "--n", "1e14"])
+    lines, _ = run(["id", "keygen", "--chip", chip, "--modulus-bits", "512",
+                    "--show-secret", "--output", "records"])
+    pk_hex = field(lines[0], "pk")
+    run(["id", "audit", "--chip", chip, "--pk", pk_hex, "--l", "0",
+         "--column", "0", "--nonce", "00", "--output", "records"])
+    run(["ledger", "build", *ledger, "--l", "0"])
+    run(["ledger", "mine", *ledger, "--difficulty", "8", "--chain", chain,
+         "--nonce-start", "0"])
+    run(["ledger", "verify", "--chain", chain, "--difficulty", "8"])
+    run(["ledger", "replace", *ledger, "--old", "n3", "--new-seed", "99"])
+    run(["ledger", "rotate", *ledger, "--from-l", "0", "--new-l", "2"])
+    run(["scenario", "run", "fig10-coexistence", "--seed", "3",
+         "--output", "records"])
+    run(["version"])
+    run(["selftest"])
+
+    for path, leaf in leaves.values():
+        assert reads[path] == {action.dest for action in leaf_actions(leaf)}
+
+
 # ----------------------------------------------------------------- entropy
 
 def test_entropy_anchor_exact():
@@ -157,7 +315,7 @@ def test_chip_new_and_prn(tmp_path):
     assert made.exit_code == 0
     assert (tmp_path / "alpha.chip").exists()
 
-    prn = dispatch(["chip", "prn", "--id", "alpha", "--dir", str(tmp_path),
+    prn = dispatch(["chip", "prn", "--chip", str(tmp_path / "alpha.chip"),
                     "--output", "records"])
     assert prn.exit_code == 0
     line = lines_of(prn)[0]
@@ -195,13 +353,20 @@ def test_chip_new_rejects_geometry_beyond_bounds(tmp_path, argv, diagnostics):
 def test_chip_prn_fixture_flag(tmp_path):
     dispatch(["chip", "new", "--chip-id", "beta", "--seed", "9",
               "--dir", str(tmp_path)])
-    by_path = dispatch(["chip", "prn", "--fixture", str(tmp_path / "beta.chip")])
-    by_id = dispatch(["chip", "prn", "--id", "beta", "--dir", str(tmp_path)])
-    assert by_path.stdout_payload == by_id.stdout_payload
+    result = dispatch(["chip", "prn", "--chip", str(tmp_path / "beta.chip")])
+    assert result.exit_code == 0
+    assert lines_of(result) == [
+        "chip beta, column 0",
+        "  failure rows (14): "
+        "26,53,227,1199,1279,1327,1426,1439,1547,1717,1824,1825,1834,1848",
+        "  canonical bytes: 000007d00000000e0000001a00000035000000e3000004af"
+        "000004ff0000052f000005920000059f0000060b000006b500000720000007210000"
+        "072a00000738",
+    ]
 
 
 def test_chip_prn_missing_file(tmp_path):
-    result = dispatch(["chip", "prn", "--id", "ghost", "--dir", str(tmp_path)])
+    result = dispatch(["chip", "prn", "--chip", str(tmp_path / "ghost.chip")])
     assert result.exit_code == 1
     assert result.diagnostics
 
@@ -239,14 +404,13 @@ def test_id_audit_genuine_and_impostor(tmp_path):
                        "--modulus-bits", "512", "--output", "records"])
     pk_hex = field(lines_of(keygen)[0], "pk")
 
-    good = dispatch(["id", "audit", "--chip", fixture, "--pk", pk_hex,
-                     "--modulus-bits", "512"])
+    good = dispatch(["id", "audit", "--chip", fixture, "--pk", pk_hex])
     assert good.exit_code == 0
     assert "Genuine" in good.stdout_payload
 
     # same chip, stale state index
     stale = dispatch(["id", "audit", "--chip", fixture, "--pk", pk_hex,
-                      "--l", "3", "--modulus-bits", "512"])
+                      "--l", "3"])
     assert stale.exit_code == 1
     assert "Impostor" in stale.stdout_payload
 
@@ -260,8 +424,7 @@ def test_id_audit_tampered_key(tmp_path):
     pk_hex = field(lines_of(keygen)[0], "pk")
     flipped = ("0" if pk_hex[50] != "0" else "1")
     tampered = pk_hex[:50] + flipped + pk_hex[51:]
-    result = dispatch(["id", "audit", "--chip", fixture, "--pk", tampered,
-                       "--modulus-bits", "512"])
+    result = dispatch(["id", "audit", "--chip", fixture, "--pk", tampered])
     assert result.exit_code == 1
 
 
@@ -269,7 +432,7 @@ def test_id_audit_tampered_key(tmp_path):
 
 def test_ledger_build(topo_file):
     result = dispatch(["ledger", "build", "--topology", topo_file,
-                       "--modulus-bits", "512", "--output", "records"])
+                       "--modulus-bits", "512"])
     assert result.exit_code == 0
     lines = lines_of(result)
     node_lines = [l for l in lines if l.startswith("node=")]
@@ -287,7 +450,7 @@ def test_ledger_build_deterministic(topo_file):
 def test_ledger_mine_verify_cycle(topo_file, tmp_path):
     chain = str(tmp_path / "chain.bin")
     mine = ["ledger", "mine", "--topology", topo_file, "--modulus-bits", "512",
-            "--difficulty", "8", "--chain", chain, "--output", "records"]
+            "--difficulty", "8", "--chain", chain]
     first = dispatch(mine)
     assert first.exit_code == 0
     assert field(lines_of(first)[-1], "height") == "0"
@@ -330,7 +493,7 @@ def test_ledger_verify_truncated_chain_names_block_and_offset(tmp_path):
 def test_ledger_replace(topo_file):
     result = dispatch(["ledger", "replace", "--topology", topo_file,
                        "--old", "n3", "--new-seed", "99",
-                       "--modulus-bits", "512", "--output", "records"])
+                       "--modulus-bits", "512"])
     assert result.exit_code == 0
     assert field_anywhere(result, "recomputed") == "n3,n1,n0"
     assert field_anywhere(result, "rebuild_match") == "yes"
@@ -374,7 +537,7 @@ def test_ledger_replace_keeps_the_replaced_chips_parameters(tmp_path):
                                      "n3 seed=53 lambda=3 min_failures=2"))
     result = dispatch(["ledger", "replace", "--topology", str(path),
                        "--old", "n3", "--new-seed", "99",
-                       "--modulus-bits", "512", "--output", "records"])
+                       "--modulus-bits", "512"])
     assert result.exit_code == 0
     assert field_anywhere(result, "rebuild_match") == "yes"
 
@@ -393,8 +556,7 @@ def test_ledger_replace_keeps_the_replaced_chips_parameters(tmp_path):
 
 def test_ledger_rotate(topo_file):
     result = dispatch(["ledger", "rotate", "--topology", topo_file,
-                       "--new-l", "2", "--modulus-bits", "512",
-                       "--output", "records"])
+                       "--new-l", "2", "--modulus-bits", "512"])
     assert result.exit_code == 0
     assert field_anywhere(result, "keys_changed") == "4/4"
     assert field_anywhere(result, "verified") == "yes"
@@ -468,7 +630,7 @@ def test_main_prints_and_returns(capsys):
 
 
 def test_main_routes_diagnostics_to_stderr(capsys, tmp_path):
-    code = main(["chip", "prn", "--id", "ghost", "--dir", str(tmp_path)])
+    code = main(["chip", "prn", "--chip", str(tmp_path / "ghost.chip")])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.strip()

@@ -208,7 +208,7 @@ def test_derive_deterministic():
 
 def test_keypair_structure():
     pair = keypair_for_chip(make_small_chip(5), 0, modulus_bits=512)
-    p, q = pair.prime_p, pair.prime_q
+    p, q = pair.secret_key.prime_p, pair.secret_key.prime_q
     n = pair.public_key.modulus
     assert p * q == n
     assert p != q
@@ -303,7 +303,8 @@ def golden_response(label: int) -> Response:
 def test_golden_key_pins(bits, label, fingerprint, primes_sha256):
     pair = derive_keypair(golden_response(label), modulus_bits=bits)
     size = bits // 16
-    primes = pair.prime_p.to_bytes(size, "big") + pair.prime_q.to_bytes(size, "big")
+    secret = pair.secret_key
+    primes = secret.prime_p.to_bytes(size, "big") + secret.prime_q.to_bytes(size, "big")
     assert key_fingerprint(pair.public_key) == fingerprint
     assert hashlib.sha256(primes).hexdigest() == primes_sha256
 
@@ -418,7 +419,8 @@ def test_primality_rejects_squares_without_hanging():
     1093 and 3511 are the Wieferich primes: their squares pass the
     strong base-2 test.  The Lucas test is also called alone, on the
     odd squares coprime to the small primes that it accepts as input."""
-    key_prime = derive_keypair(golden_response(0), modulus_bits=512).prime_p
+    key_prime = derive_keypair(golden_response(0),
+                               modulus_bits=512).secret_key.prime_p
     roots = [p for p in range(2, 200) if is_prime_mr40(p)] + [1093, 3511, key_prime]
 
     def expire(signum, frame):
@@ -690,8 +692,7 @@ def test_signature_is_deterministic():
 def test_crt_fields_match_keypair(bits):
     pair = keypair_for_chip(make_small_chip(6), 0, modulus_bits=bits)
     key = pair.secret_key
-    p, q, d = pair.prime_p, pair.prime_q, key.exponent
-    assert (key.prime_p, key.prime_q) == (p, q)
+    p, q, d = key.prime_p, key.prime_q, key.exponent
     assert key.modulus == p * q == pair.public_key.modulus
     assert key.exponent_p == d % (p - 1)
     assert key.exponent_q == d % (q - 1)
