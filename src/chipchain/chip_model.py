@@ -107,13 +107,11 @@ class ChipGeometry:
 
     rows is the regular-array row count of a column block, cols the
     number of independent columns, and redundancy_rows the size of the
-    spare array that absorbs failure rows.  block_count is the number
-    of column blocks; the simulator models a single block.
+    spare array that absorbs failure rows.
     """
 
     rows: int
     cols: int = 8
-    block_count: int = 1
     redundancy_rows: int = 20
 
     def __post_init__(self):
@@ -123,10 +121,6 @@ class ChipGeometry:
             raise GeometryInvalid(f"rows must be at most {MAX_ROWS}, got {self.rows}")
         if self.cols < 1:
             raise GeometryInvalid(f"cols must be positive, got {self.cols}")
-        if self.block_count != 1:
-            raise GeometryInvalid(
-                "only single-block chips are simulated, "
-                f"got block_count={self.block_count}")
         if self.redundancy_rows < 0:
             raise GeometryInvalid("redundancy_rows must be >= 0")
         if self.redundancy_rows > self.rows:

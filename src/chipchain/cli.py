@@ -185,7 +185,7 @@ def _cmd_entropy(args):
 
 def _cmd_id_keygen(args):
     chip = load_chip_fixture(args.chip)
-    pair = keypair_for_chip(chip, args.l, args.modulus_bits, args.column)
+    pair = keypair_for_chip(chip, args.l, args.modulus_bits)
     pk_hex = pair.public_key.to_bytes().hex()
     fingerprint = key_fingerprint(pair.public_key)
     if args.output == "records":
@@ -214,7 +214,7 @@ def _cmd_id_audit(args):
         nonce = bytes.fromhex(args.nonce)
     else:
         nonce = hashlib.sha256(b"chipchain/cli-audit-nonce" + bytes(8)).digest()
-    verdict = crp_audit(chip, expected, state, nonce, args.column).verdict
+    verdict = crp_audit(chip, expected, state, nonce).verdict
     genuine = verdict is AuditVerdict.GENUINE
     if args.output == "records":
         lines = [f"chip_id={chip.chip_id} l={args.l} "
@@ -496,7 +496,6 @@ def _build_parser() -> argparse.ArgumentParser:
     keygen.add_argument("--chip", required=True, help="chip fixture path")
     keygen.add_argument("--l", type=_state_index, default=0,
                         help="state index")
-    keygen.add_argument("--column", type=int, default=0)
     keygen.add_argument("--show-secret", action="store_true")
     keygen.set_defaults(handler=_cmd_id_keygen)
 
@@ -507,7 +506,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="claimed public key, hex as printed by keygen")
     audit.add_argument("--l", type=_state_index, default=0,
                        help="state index")
-    audit.add_argument("--column", type=int, default=0)
     audit.add_argument("--nonce", help="hex nonce; default: a fixed nonce")
     audit.set_defaults(handler=_cmd_id_audit)
 

@@ -449,9 +449,9 @@ def derive_keypair(response: Response, modulus_bits: int = 1024) -> ChipKeyPair:
 
 
 def keypair_for_chip(chip: SimulatedChip, state_index: int,
-                     modulus_bits: int = 1024, column: int = 0) -> ChipKeyPair:
+                     modulus_bits: int = 1024) -> ChipKeyPair:
     """Extract, respond, derive: the full chip-to-keys pipeline."""
-    prn = extract_prn(chip, column)
+    prn = extract_prn(chip)
     return derive_keypair(respond(prn, make_challenge(state_index)),
                           modulus_bits)
 
@@ -530,8 +530,7 @@ class Audit:
 
 
 def crp_audit(chip: SimulatedChip, expected_key: PublicKey,
-              state: SecurityState, nonce: bytes,
-              column: int = 0) -> Audit:
+              state: SecurityState, nonce: bytes) -> Audit:
     """Challenge the physical chip and test it against a claimed key.
 
     The chip regenerates its keypair at the active state index and
@@ -549,7 +548,7 @@ def crp_audit(chip: SimulatedChip, expected_key: PublicKey,
     bits = expected_key.modulus.bit_length()
     if bits not in SUPPORTED_MODULUS_BITS:
         return Audit(AuditVerdict.IMPOSTOR, None)
-    pair = keypair_for_chip(chip, state.index, bits, column)
+    pair = keypair_for_chip(chip, state.index, bits)
     signature = sign(pair.secret_key, nonce)
     try:
         signature_ok = verify(expected_key, nonce, signature)

@@ -131,9 +131,9 @@ class ChipNode:
 
 
 def enroll_chip(node_id: str, chip: SimulatedChip, state_index: int,
-                modulus_bits: int = 1024, column: int = 0) -> ChipNode:
+                modulus_bits: int = 1024) -> ChipNode:
     """Derive a chip's keys at the state index and seat it at genesis."""
-    keypair = keypair_for_chip(chip, state_index, modulus_bits, column)
+    keypair = keypair_for_chip(chip, state_index, modulus_bits)
     genesis = genesis_record(keypair.public_key)
     return ChipNode(node_id, chip, keypair, genesis, [],
                     genesis.hash_value, GENESIS_SIGNATURE)
@@ -250,7 +250,6 @@ class ChipMerkleTree:
     root_id: str
     state_index: int
     modulus_bits: int
-    column: int
 
     @property
     def root_hash(self) -> bytes:
@@ -273,7 +272,7 @@ def _normalized_edges(topology: Iterable[tuple[str, str]]):
 
 def build_tree(topology: Iterable[tuple[str, str]],
                chips: Mapping[str, SimulatedChip], state_index: int,
-               modulus_bits: int = 1024, column: int = 0) -> ChipMerkleTree:
+               modulus_bits: int = 1024) -> ChipMerkleTree:
     """Enroll every chip and run all transfers in deterministic order."""
     edges = _normalized_edges(topology)
     for src, dst in edges:
@@ -283,13 +282,13 @@ def build_tree(topology: Iterable[tuple[str, str]],
     schedule, root_id = _topological_schedule(chips.keys(), edges)
     nodes = {
         node_id: enroll_chip(node_id, chips[node_id], state_index,
-                             modulus_bits, column)
+                             modulus_bits)
         for node_id in sorted(chips)
     }
     for src, dst in schedule:
         transfer(nodes[src], nodes[dst], state_index)
     return ChipMerkleTree(nodes, edges, schedule, root_id, state_index,
-                          modulus_bits, column)
+                          modulus_bits)
 
 
 def verify_tree(tree: ChipMerkleTree) -> bool:
@@ -345,30 +344,20 @@ def replace_chip(tree: ChipMerkleTree, node_id: str, new_chip: SimulatedChip,
         nid: dataclasses.replace(node, incoming=list(node.incoming))
         for nid, node in tree.nodes.items()
     }
-    key_owner = {node.public_key: node for node in nodes.values()}
-
     target = nodes[node_id]
     target.chip = new_chip
-    target.keypair = keypair_for_chip(new_chip, state_index,
-                                      tree.modulus_bits, tree.column)
+    target.keypair = keypair_for_chip(new_chip, state_index, tree.modulus_bits)
     target.genesis = genesis_record(target.public_key)
-
-    # senders into the replaced node must re-address their records
-    reissued = []
-    for record in target.incoming:
-        sender = key_owner[record.sender_key]
-        signature = sign(sender.keypair.secret_key,
-                         signed_payload(target.public_key, record.hash_value))
-        reissued.append(dataclasses.replace(
-            record, receiver_key=target.public_key, signature=signature))
-    target.incoming = reissued
     _refold(target)
 
+    # A node sends only after all its incoming edges fired, so its fold is
+    # final by then: every record into the replaced node or out of a dirty
+    # sender is just the sender's next signed record at its position.
     arrival = _arrival_index(tree.schedule)
     dirty = {node_id}
     recomputed = [node_id]
     for src, dst in tree.schedule:
-        if src not in dirty:
+        if src not in dirty and dst != node_id:
             continue
         receiver = nodes[dst]
         position = arrival[(src, dst)]
@@ -380,7 +369,7 @@ def replace_chip(tree: ChipMerkleTree, node_id: str, new_chip: SimulatedChip,
             recomputed.append(dst)
 
     new_tree = ChipMerkleTree(nodes, tree.edges, tree.schedule, tree.root_id,
-                              tree.state_index, tree.modulus_bits, tree.column)
+                              tree.state_index, tree.modulus_bits)
     return new_tree, recomputed
 
 
@@ -395,7 +384,7 @@ def rotate_state_reproduce(tree: ChipMerkleTree,
     if new_state_index == tree.state_index:
         raise ValueError("new state index equals the tree's current index")
     return build_tree(tree.edges, tree.chips(), new_state_index,
-                      tree.modulus_bits, tree.column)
+                      tree.modulus_bits)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,8 @@ Scenario config format (sections in any order, # comments allowed):
 Schedule actions: enroll NODE, spoof ATTACKER VICTIM, build_tree,
 mine [DIFFICULTY], rotate NEW_STATE [offline=a,b], sweep, and
 tamper NODE seed=N (silent physical chip swap, caught by the next
-sweep).
+sweep).  A mine DIFFICULTY may not fall below [params] difficulty,
+the difficulty the run verifies its whole chain at.
 
 Ledger files, read by the `chipchain ledger` commands, are the
 [params]/[chips]/[topology] part of this grammar: [params] holds only
@@ -80,7 +81,6 @@ from .identity import (
     crp_audit,
     key_fingerprint,
     keypair_for_chip,
-    make_challenge,
     sign,
     verify,
 )
@@ -151,7 +151,6 @@ class ScenarioConfig:
     name: str
     difficulty: int
     modulus_bits: int
-    column: int
     chips: Mapping[str, ChipSpec]
     nodes: Mapping[str, NodeSpec]
     topology: tuple[tuple[str, str], ...]
@@ -227,17 +226,13 @@ _CHIP_FIELDS = {"seed": "seed", "y": "rows", "lambda": "mean_failures",
                 "redundancy": "redundancy_rows", "min_failures": "min_failures"}
 _CHIP_DEFAULTS = {"y": 2000, "lambda": 10.0, "redundancy": 20,
                   "min_failures": 1}
-_SCENARIO_DEFAULTS = {"difficulty": 8, "modulus_bits": 512, "column": 0,
-                      **_CHIP_DEFAULTS}
-# [params] keys whose values have a range: key -> (test, allowed values);
-# column indexes the columns of a chip as ChipSpec.manufacture builds it
+_SCENARIO_DEFAULTS = {"difficulty": 8, "modulus_bits": 512, **_CHIP_DEFAULTS}
+# [params] keys whose values have a range: key -> (test, allowed values)
 _PARAM_RANGES = {
     "difficulty": (lambda v: 0 <= v <= MAX_MINING_DIFFICULTY,
                    f"in [0, {MAX_MINING_DIFFICULTY}]"),
     "modulus_bits": (lambda v: v in SUPPORTED_MODULUS_BITS,
                      "512, 1024, or 2048"),
-    "column": (lambda v: 0 <= v < ChipGeometry.cols,
-               f"in [0, {ChipGeometry.cols - 1}]"),
 }
 
 
@@ -438,7 +433,8 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
         action, rest = parts[1], parts[2:]
         if action not in _ACTIONS:
             raise ConfigInvalid(f"{where}: unknown action {action!r}")
-        args = _parse_action_args(action, rest, nodes, where)
+        args = _parse_action_args(action, rest, nodes, params["difficulty"],
+                                  where)
         if action == "rotate":
             if args["state"] == state:
                 raise ConfigInvalid(f"{where}: rotate to state {state} "
@@ -448,7 +444,7 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
 
     return ScenarioConfig(
         name=name, difficulty=params["difficulty"],
-        modulus_bits=params["modulus_bits"], column=params["column"],
+        modulus_bits=params["modulus_bits"],
         chips=chips, nodes=nodes, topology=topology,
         schedule=tuple(schedule),
         management=managers[0].name, security=securities[0].name,
@@ -456,7 +452,8 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
 
 
 def _parse_action_args(action: str, rest: Sequence[str],
-                       nodes: Mapping[str, NodeSpec], where: str):
+                       nodes: Mapping[str, NodeSpec], min_difficulty: int,
+                       where: str):
     def need(count: int, usage: str):
         if len(rest) < count:
             raise ConfigInvalid(f"{where}: usage: {usage}")
@@ -478,10 +475,12 @@ def _parse_action_args(action: str, rest: Sequence[str],
                 "victim": node_of_role(rest[1], ROLE_DEVICE)}
     if action == "mine":
         if rest:
+            # the run verifies its chain at the scenario difficulty
             difficulty = _parse_number(rest[0], where)
-            if not 0 <= difficulty <= MAX_MINING_DIFFICULTY:
-                raise ConfigInvalid(f"{where}: difficulty must be in "
-                                    f"[0, {MAX_MINING_DIFFICULTY}]")
+            if not min_difficulty <= difficulty <= MAX_MINING_DIFFICULTY:
+                raise ConfigInvalid(
+                    f"{where}: difficulty must be in [{min_difficulty}, "
+                    f"{MAX_MINING_DIFFICULTY}], got {difficulty}")
             return {"difficulty": difficulty}
         return {}
     if action == "rotate":
@@ -647,11 +646,10 @@ class Simulation:
         self.clock = 0
         self.events: list[Event] = []
         self.state = SecurityState(0, True)
-        self.chips = {spec.name: spec.manufacture()
-                      for spec in config.chips.values()}
         self.nodes = {
             spec.name: _NetworkNode(
-                spec, self.chips[spec.chip] if spec.chip else None)
+                spec,
+                config.chips[spec.chip].manufacture() if spec.chip else None)
             for spec in config.nodes.values()
         }
         self.registry: dict[str, PublicKey] = {}  # member -> its address
@@ -675,7 +673,7 @@ class Simulation:
 
     def _device_keypair(self, node: _NetworkNode):
         return keypair_for_chip(node.chip, self.state.index,
-                                self.config.modulus_bits, self.config.column)
+                                self.config.modulus_bits)
 
     # -- schedule actions -------------------------------------------------
 
@@ -706,8 +704,7 @@ class Simulation:
             return False
         claimed_key = self._device_keypair(node).public_key
         self._emit("Response", node=name, key=key_fingerprint(claimed_key))
-        audit = crp_audit(node.chip, claimed_key, self.state, nonce,
-                          self.config.column)
+        audit = crp_audit(node.chip, claimed_key, self.state, nonce)
         if audit.verdict is AuditVerdict.GENUINE:
             self.registry[name] = claimed_key
             self.transcripts[name] = (nonce, audit.signature)
@@ -771,7 +768,7 @@ class Simulation:
                        issuer=ISSUER_MANAGEMENT, state=self.state.index,
                        nonce=nonce.hex()[:16])
             audit = crp_audit(node.chip, self.registry[name], self.state,
-                              nonce, self.config.column)
+                              nonce)
             retained = audit.verdict is AuditVerdict.GENUINE
             self._emit("Verdict", actor=self.config.management, node=name,
                        verdict="Retained" if retained else "AuditFailed")
@@ -822,7 +819,7 @@ class Simulation:
                              + ", ".join(outsiders))
         chips = {name: self.nodes[name].chip for name in participants}
         self.tree = build_tree(self.config.topology, chips, self.state.index,
-                               self.config.modulus_bits, self.config.column)
+                               self.config.modulus_bits)
         for src, dst in self.tree.schedule:
             self._emit("Transfer", src=src, dst=dst, state=self.state.index)
 

@@ -3,11 +3,14 @@
 perfbench traces a fixed list of public functions, labels each span by
 the function's defining module, and fails a run whose workload expects
 a label it never sees.  These checks catch a renamed, moved or deleted
-function here, without running the benchmark.
+function here, without running the benchmark, and two ops of each
+workload catch a changed signature of a function the workloads call.
 """
 
 import sys
 from pathlib import Path
+
+import pytest
 
 import chipchain
 
@@ -62,3 +65,14 @@ def test_fig10_trace_sees_every_expected_label():
     missing = [label for label in workloads.Fig10Sweep.expected
                if not calls.get(label)]
     assert not missing, missing
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_runs_two_ops(name):
+    """Each workload's set-up, prepare, op and check run on the package as
+    it is, so a changed signature the benchmark calls fails here."""
+    workload = workloads.WORKLOADS[name](1)
+    for i in range(2):
+        args = workload.prepare(i)
+        digest = workload.check(i, args, workload.op(args))
+        assert isinstance(digest, bytes) and len(digest) == 32

@@ -28,10 +28,12 @@ from chipchain import (
     extract_prn,
     generation_geometry,
     load_chip_fixture,
+    make_challenge,
     new_chip,
     parse_chip_fixture,
     prn_canonical_bytes,
     read_column_normal,
+    respond,
     save_chip_fixture,
     write_column,
 )
@@ -45,7 +47,6 @@ from oracles import DenseChipOracle
 def test_geometry_defaults():
     g = ChipGeometry(rows=2000)
     assert g.cols == 8
-    assert g.block_count == 1
     assert g.redundancy_rows == 20
 
 
@@ -55,7 +56,6 @@ def test_geometry_defaults():
         dict(rows=0),
         dict(rows=-5),
         dict(rows=100, cols=0),
-        dict(rows=100, block_count=2),
         dict(rows=100, redundancy_rows=-1),
         dict(rows=10, redundancy_rows=11),
         dict(rows=MAX_ROWS + 1, redundancy_rows=0),
@@ -385,6 +385,15 @@ def test_extract_prn_column_choice(desk_chip):
     assert extract_prn(desk_chip, column=5).rows == desk_chip.failure_rows
     with pytest.raises(ColumnOutOfRange):
         extract_prn(desk_chip, column=8)
+
+
+def test_extract_prn_column_independence(desk_chip):
+    """Every column reads out the same rows, so the PRN and its response
+    are the same whichever column is read."""
+    challenge = make_challenge(0)
+    prns = [extract_prn(desk_chip, column) for column in range(8)]
+    assert len({prn.canonical_bytes for prn in prns}) == 1
+    assert len({respond(prn, challenge).data for prn in prns}) == 1
 
 
 def test_extract_prn_empty_rows():

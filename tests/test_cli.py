@@ -118,9 +118,9 @@ LEAF_OPTIONS = {
     "chip prn": {"--chip", "--column", "--output"},
     "entropy": {"mode", "--y", "--l", "--m", "--n", "--generations",
                 "--output"},
-    "id keygen": {"--chip", "--l", "--column", "--show-secret", "--output",
+    "id keygen": {"--chip", "--l", "--show-secret", "--output",
                   "--modulus-bits"},
-    "id audit": {"--chip", "--pk", "--l", "--column", "--nonce", "--output"},
+    "id audit": {"--chip", "--pk", "--l", "--nonce", "--output"},
     "ledger build": {"--topology", "--l", "--modulus-bits"},
     "ledger mine": {"--topology", "--l", "--difficulty", "--chain",
                     "--nonce-start", "--modulus-bits"},
@@ -155,7 +155,7 @@ def test_each_subcommand_takes_only_its_options():
                     else action.dest for action in leaf_actions(leaf)}
              for path, leaf in leaf_parsers(_build_parser())}
     assert found == LEAF_OPTIONS
-    assert sum(len(options) for options in found.values()) == 53
+    assert sum(len(options) for options in found.values()) == 51
 
 
 @pytest.mark.parametrize("argv, flag, value", [
@@ -198,6 +198,8 @@ def test_each_subcommand_takes_only_its_options():
     (["selftest"], "--seed", "1"),
     (["selftest"], "--output", "records"),
     (["selftest"], "--modulus-bits", "512"),
+    (["id", "keygen", "--chip", "c.chip"], "--column", "0"),
+    (["id", "audit", "--chip", "c.chip", "--pk", "00"], "--column", "0"),
 ])
 def test_removed_flags_are_usage_errors(argv, flag, value):
     result = dispatch(argv + [flag, value])
@@ -250,7 +252,7 @@ def test_each_option_is_read_by_its_handler(topo_file, tmp_path):
                     "--show-secret", "--output", "records"])
     pk_hex = field(lines[0], "pk")
     run(["id", "audit", "--chip", chip, "--pk", pk_hex, "--l", "0",
-         "--column", "0", "--nonce", "00", "--output", "records"])
+         "--nonce", "00", "--output", "records"])
     run(["ledger", "build", *ledger, "--l", "0"])
     run(["ledger", "mine", *ledger, "--difficulty", "8", "--chain", chain,
          "--nonce-start", "0"])

@@ -763,14 +763,6 @@ def test_audit_unsupported_claimed_key():
     assert crp_audit(chip, bogus, SecurityState(0), b"n").verdict is AuditVerdict.IMPOSTOR
 
 
-def test_audit_column_sensitivity():
-    # same chip, same state: the fingerprint is column-independent
-    chip = make_small_chip(22)
-    pair = keypair_for_chip(chip, 0, modulus_bits=512, column=0)
-    assert crp_audit(chip, pair.public_key, SecurityState(0), b"n", column=3).verdict is AuditVerdict.GENUINE
-
-
-
 def test_audit_genuine_returns_a_signature_under_the_expected_key():
     chip = make_small_chip(20)
     pair = keypair_for_chip(chip, 0, modulus_bits=512)

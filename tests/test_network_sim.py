@@ -93,7 +93,6 @@ def test_parse_defaults():
     assert spec.mean_failures == 10.0
     assert spec.redundancy_rows == 20
     assert spec.min_failures == 1
-    assert config.column == 0
 
 
 @pytest.mark.parametrize(
@@ -116,8 +115,8 @@ def test_parse_defaults():
         ("[schedule]\n9 spoof a b", "attacker"),
         ("[schedule]\n9 rotate 1 offline=zz", "unknown"),
         ("[schedule]\n9 mine 40", "difficulty"),
+        ("[schedule]\n9 mine 2", "difficulty must be in [4, 32], got 2"),
         ("[schedule]\n9 tamper a seed=-1", "seed must be >= 0"),
-        ("[params]\ncolumn = 9", "params.column must be in [0, 7], got 9"),
         ("[bogus]\nx = 1", "section"),
     ],
 )
@@ -191,7 +190,7 @@ def test_parse_reports_params_line_numbers():
     ("difficulty = 4", "difficulty = 33", "params.difficulty must be in [0, 32]"),
     ("modulus_bits = 512", "modulus_bits = 768",
      "params.modulus_bits must be 512, 1024, or 2048"),
-    ("y = 256", "column = 8", "params.column must be in [0, 7], got 8"),
+    ("y = 256", "column = 0", "unknown parameter 'column'"),
 ])
 def test_parse_reports_params_range_line_numbers(before, after, message):
     bad = MINI.replace(before, after)
@@ -469,7 +468,7 @@ def assert_transcript_is_the_audit_signature(sim, name):
     assert challenges[-1]["nonce"] == nonce.hex()[:16]
     node = sim.nodes[name]
     pair = keypair_for_chip(node.chip, sim.state.index,
-                            sim.config.modulus_bits, sim.config.column)
+                            sim.config.modulus_bits)
     assert signature == sign(pair.secret_key, nonce)
     assert verify(sim.registry[name], nonce, signature)
 
