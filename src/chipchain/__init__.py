@@ -64,14 +64,11 @@ from .identity import (
     AuditVerdict,
     Challenge,
     ChipKeyPair,
-    ISSUER_MANAGEMENT,
-    ISSUER_SECURITY,
     MAX_STATE_INDEX,
     POWMOD_BACKEND,
     PublicKey,
     Response,
     SecretKey,
-    SecurityState,
     SUPPORTED_MODULUS_BITS,
     crp_audit,
     derive_keypair,

@@ -144,14 +144,11 @@ class FailureModel:
     """Manufacturing defect model.
 
     The failure-row count of a part is Poisson(mean_failures) clipped
-    to [min_failures, redundancy_rows].  redundancy_failure_rate is the
-    chance that an individual spare row is itself unusable, in which
-    case the swap map routes around it.
+    to [min_failures, redundancy_rows].  Every spare row is usable.
     """
 
     mean_failures: float = 10.0
     min_failures: int = 1
-    redundancy_failure_rate: float = 0.0
 
     def __post_init__(self):
         if not math.isfinite(self.mean_failures):
@@ -164,8 +161,6 @@ class FailureModel:
                              f"{MAX_MEAN_FAILURES:.6g}, got {self.mean_failures}")
         if self.min_failures < 0:
             raise ValueError("min_failures must be >= 0")
-        if not 0.0 <= self.redundancy_failure_rate < 1.0:
-            raise ValueError("redundancy_failure_rate must be in [0, 1)")
 
 
 def prn_canonical_bytes(rows: Sequence[int], total_rows: int) -> bytes:
@@ -323,29 +318,18 @@ def new_chip(geometry: ChipGeometry, failure_model: FailureModel | None = None,
     """Manufacture one part deterministically from a seed.
 
     Draws the failure-row count from the clipped Poisson of the model,
-    places the rows uniformly without replacement, then assigns each to
-    a usable spare row.  The same (geometry, model, seed) triple always
-    yields the identical part.
+    places the rows uniformly without replacement, then swaps them in
+    order to the first spare rows.  The same (geometry, model, seed)
+    triple always yields the identical part.
     """
     model = failure_model or FailureModel()
     rng = np.random.default_rng(seed)
 
     count = int(rng.poisson(model.mean_failures))
     count = max(model.min_failures, min(count, geometry.redundancy_rows))
-    rows = np.sort(rng.choice(geometry.rows, size=count, replace=False))
-
-    if model.redundancy_failure_rate > 0.0:
-        broken = rng.random(geometry.redundancy_rows) < model.redundancy_failure_rate
-        usable = [i for i in range(geometry.redundancy_rows) if not broken[i]]
-    else:
-        usable = range(geometry.redundancy_rows)
-    if count > len(usable):
-        raise CapacityExceeded(
-            f"{count} failure rows but only {len(usable)} usable spare rows")
-    swap_map = {int(r): usable[i] for i, r in enumerate(rows)}
-
+    rows = rng.choice(geometry.rows, size=count, replace=False)
     return SimulatedChip(chip_id or f"chip-{seed}", geometry,
-                         (int(r) for r in rows), swap_map, seed=seed)
+                         rows.tolist(), seed=seed)
 
 
 def write_column(chip: SimulatedChip, mode: str, column: int,

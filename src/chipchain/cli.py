@@ -32,6 +32,7 @@ from .chip_model import (
     load_chip_fixture,
     new_chip,
     read_column_normal,
+    save_chip_fixture,
     write_column,
 )
 from .entropy_analysis import (
@@ -48,7 +49,6 @@ from .identity import (
     SUPPORTED_MODULUS_BITS,
     AuditVerdict,
     PublicKey,
-    SecurityState,
     crp_audit,
     key_fingerprint,
     keypair_for_chip,
@@ -56,6 +56,7 @@ from .identity import (
     verify,
 )
 from .ledger import (
+    MAX_MINING_DIFFICULTY,
     ZERO_HASH,
     build_tree,
     load_chain,
@@ -108,17 +109,16 @@ def _cmd_chip_new(args):
     model = FailureModel(mean_failures=args.mean_failures,
                          min_failures=args.min_failures)
     chip = new_chip(geometry, model, seed=args.seed, chip_id=args.chip_id)
-    record = format_chip_fixture(chip)
     os.makedirs(args.dir, exist_ok=True)
     path = os.path.join(args.dir, f"{chip.chip_id}.chip")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(record)
+    save_chip_fixture(chip, path)
     if args.output == "records":
         rows = ",".join(str(r) for r in chip.failure_rows)
         return ([f"chip_id={chip.chip_id} rows={geometry.rows} "
                  f"failures={len(chip.failure_rows)} failure_rows={rows} "
                  f"path={path}"], 0, [])
-    return record.rstrip("\n").splitlines() + [f"# saved to {path}"], 0, []
+    return (format_chip_fixture(chip).rstrip("\n").splitlines()
+            + [f"# saved to {path}"], 0, [])
 
 
 def _cmd_chip_prn(args):
@@ -209,12 +209,11 @@ def _cmd_id_keygen(args):
 def _cmd_id_audit(args):
     chip = load_chip_fixture(args.chip)
     expected = PublicKey.from_bytes(bytes.fromhex(args.pk))
-    state = SecurityState(args.l, True)
     if args.nonce:
         nonce = bytes.fromhex(args.nonce)
     else:
         nonce = hashlib.sha256(b"chipchain/cli-audit-nonce" + bytes(8)).digest()
-    verdict = crp_audit(chip, expected, state, nonce).verdict
+    verdict = crp_audit(chip, expected, args.l, nonce).verdict
     genuine = verdict is AuditVerdict.GENUINE
     if args.output == "records":
         lines = [f"chip_id={chip.chip_id} l={args.l} "
@@ -418,23 +417,32 @@ def _cmd_selftest(args):
 # -- parser ----------------------------------------------------------------
 
 
-def _state_index(text: str) -> int:
-    """argparse type for a state index: an integer in [0, 2^64 - 1]."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid state index {text!r}") from None
-    if not 0 <= value <= MAX_STATE_INDEX:
-        raise argparse.ArgumentTypeError(
-            f"state index must be in [0, 2^64 - 1], got {value}")
-    return value
+def _int_in(what: str, low: int, high: int | None = None):
+    """argparse type for an integer `what` in [low, high], no cap if None."""
+    bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {what} {text!r}") from None
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(
+                f"{what} must be {bounds}, got {value}")
+        return value
+
+    return parse
+
+
+_state_index = _int_in("state index", 0, MAX_STATE_INDEX)
+_seed = _int_in("seed", 0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     # one parent parser per shared flag; each subcommand takes those it reads
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0,
+    seed.add_argument("--seed", type=_seed, default=0,
                       help="deterministic seed (default 0, never wall clock)")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", choices=("text", "records"),
@@ -524,16 +532,19 @@ def _build_parser() -> argparse.ArgumentParser:
                                  help="mine the tree's root stamp onto a chain")
     mine.add_argument("--topology", required=True)
     mine.add_argument("--l", type=_state_index, default=0)
-    mine.add_argument("--difficulty", type=int, required=True,
+    mine.add_argument("--difficulty", required=True,
+                      type=_int_in("difficulty", 0, MAX_MINING_DIFFICULTY),
                       help="leading zero bits")
     mine.add_argument("--chain", required=True,
                       help="chain file; created if missing, else appended")
-    mine.add_argument("--nonce-start", type=int, default=0)
+    mine.add_argument("--nonce-start", default=0,
+                      type=_int_in("nonce start", 0, (1 << 64) - 1))
     mine.set_defaults(handler=_cmd_ledger_mine)
 
     verify_cmd = ledger_sub.add_parser("verify", help="check a chain file")
     verify_cmd.add_argument("--chain", required=True)
-    verify_cmd.add_argument("--difficulty", type=int, required=True)
+    verify_cmd.add_argument("--difficulty", type=_int_in("difficulty", 0, 256),
+                            required=True)
     verify_cmd.set_defaults(handler=_cmd_ledger_verify)
 
     replace = ledger_sub.add_parser(
@@ -541,7 +552,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="swap one chip and repair only the dirtied path")
     replace.add_argument("--topology", required=True)
     replace.add_argument("--old", required=True, help="node id to replace")
-    replace.add_argument("--new-seed", type=int, required=True,
+    replace.add_argument("--new-seed", type=_seed, required=True,
                          help="manufacture seed of the replacement chip")
     replace.add_argument("--l", type=_state_index, default=0)
     replace.set_defaults(handler=_cmd_ledger_replace)

@@ -1,11 +1,11 @@
 """Chip-bound identity: challenges, responses, and deterministic keys.
 
-A challenge is a pure function of the security-state index and the
-issuing authority.  A chip answers with a keyed digest of the challenge
-under its fingerprint, and the response seeds a deterministic RSA
-keypair, so the same chip at the same state index always reproduces the
-same keys.  Nothing is ever stored on the device side; possession of
-the physical chip is what regenerates the secret key.
+A challenge is a pure function of the security-state index.  A chip
+answers with a keyed digest of the challenge under its fingerprint,
+and the response seeds a deterministic RSA keypair, so the same chip
+at the same state index always reproduces the same keys.  Nothing is
+ever stored on the device side; possession of the physical chip is
+what regenerates the secret key.
 
 The keyed digest is HMAC-SHA256 with the PRN's canonical bytes as the
 key.  Each Prn keeps the inner and outer SHA-256 states of its key,
@@ -48,14 +48,11 @@ from ._bn import BACKEND as POWMOD_BACKEND, powmod as _powmod
 from .chip_model import Prn, SimulatedChip, extract_prn
 from .errors import PrimeSearchExhausted, SignatureMalformed
 
-ISSUER_MANAGEMENT = "management"
-ISSUER_SECURITY = "security"
-
 SUPPORTED_MODULUS_BITS = (512, 1024, 2048)
 
 _CHALLENGE_TAG = b"chipchain/challenge/v1"
+_MANAGEMENT_TAG = b"MGT\x00"  # management issues every challenge
 _KDF_TAG = b"chipchain/keyseed/v1"
-_ISSUER_TAGS = {ISSUER_MANAGEMENT: b"MGT\x00", ISSUER_SECURITY: b"SEC\x00"}
 
 MAX_STATE_INDEX = (1 << 64) - 1  # a challenge packs the index in 8 bytes
 
@@ -64,23 +61,20 @@ _RESPONSE_BLOCKS = 2  # 2 x SHA-256 = 64 response bytes
 
 @dataclass(frozen=True)
 class Challenge:
-    """Attestation challenge, reproducible from (state_index, issuer)."""
+    """Attestation challenge, reproducible from its state_index."""
 
     state_index: int
-    issuer: str
     data: bytes
 
 
-def make_challenge(state_index: int, issuer: str = ISSUER_MANAGEMENT) -> Challenge:
+def make_challenge(state_index: int) -> Challenge:
     if not 0 <= state_index <= MAX_STATE_INDEX:
         raise ValueError(
             f"state_index must be in [0, 2^64 - 1], got {state_index}")
-    if issuer not in _ISSUER_TAGS:
-        raise ValueError(f"issuer must be one of {sorted(_ISSUER_TAGS)}")
     data = hashlib.sha256(
-        _CHALLENGE_TAG + _ISSUER_TAGS[issuer] + state_index.to_bytes(8, "big")
+        _CHALLENGE_TAG + _MANAGEMENT_TAG + state_index.to_bytes(8, "big")
     ).digest()
-    return Challenge(state_index, issuer, data)
+    return Challenge(state_index, data)
 
 
 @dataclass(frozen=True)
@@ -503,14 +497,6 @@ def verify(public_key: PublicKey, message: bytes, signature: bytes) -> bool:
     return recovered == _padded_digest_int(bytes(message), size)
 
 
-@dataclass
-class SecurityState:
-    """Indexed rotation state owned by the security authority."""
-
-    index: int
-    active: bool = True
-
-
 class AuditVerdict(Enum):
     GENUINE = "Genuine"
     IMPOSTOR = "Impostor"
@@ -530,25 +516,23 @@ class Audit:
 
 
 def crp_audit(chip: SimulatedChip, expected_key: PublicKey,
-              state: SecurityState, nonce: bytes) -> Audit:
+              state_index: int, nonce: bytes) -> Audit:
     """Challenge the physical chip and test it against a claimed key.
 
-    The chip regenerates its keypair at the active state index and
-    signs the fresh nonce.  Genuine requires both the regenerated
-    public key to equal the claimed one and the nonce signature to
-    verify under the claimed key; an Impostor verdict is a result, not
-    an error.  Either way the chip's signature comes back with the
-    verdict, so a caller keeping the transcript never signs again.
+    The chip regenerates its keypair at state_index and signs the
+    fresh nonce.  Genuine requires both the regenerated public key to
+    equal the claimed one and the nonce signature to verify under the
+    claimed key; an Impostor verdict is a result, not an error.  Either
+    way the chip's signature comes back with the verdict, so a caller
+    keeping the transcript never signs again.
     """
-    if not state.active:
-        raise ValueError("cannot audit against an inactive security state")
     nonce = bytes(nonce)
     if not nonce:
         raise ValueError("nonce must be non-empty")
     bits = expected_key.modulus.bit_length()
     if bits not in SUPPORTED_MODULUS_BITS:
         return Audit(AuditVerdict.IMPOSTOR, None)
-    pair = keypair_for_chip(chip, state.index, bits)
+    pair = keypair_for_chip(chip, state_index, bits)
     signature = sign(pair.secret_key, nonce)
     try:
         signature_ok = verify(expected_key, nonce, signature)

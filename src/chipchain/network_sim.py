@@ -73,11 +73,9 @@ from .chip_model import (
 from .errors import ConfigInvalid, SignatureMalformed
 from .identity import (
     AuditVerdict,
-    ISSUER_MANAGEMENT,
     MAX_STATE_INDEX,
     SUPPORTED_MODULUS_BITS,
     PublicKey,
-    SecurityState,
     crp_audit,
     key_fingerprint,
     keypair_for_chip,
@@ -102,6 +100,7 @@ _ROLES = (ROLE_MANAGEMENT, ROLE_SECURITY, ROLE_DEVICE, ROLE_ATTACKER)
 
 _STRATEGIES = ("own_chip", "replay")
 
+# Simulation.run calls the method of each name, the parsed args as keywords
 _ACTIONS = ("enroll", "spoof", "build_tree", "mine", "rotate", "sweep",
             "tamper")
 
@@ -645,7 +644,7 @@ class Simulation:
         self.rng = np.random.default_rng(seed)
         self.clock = 0
         self.events: list[Event] = []
-        self.state = SecurityState(0, True)
+        self.state_index = 0
         self.nodes = {
             spec.name: _NetworkNode(
                 spec,
@@ -661,7 +660,7 @@ class Simulation:
         self.tree = None
         self.chain: list[Block] = []
         self._emit("Genesis", scenario=config.name, seed=seed,
-                   state=self.state.index)
+                   state=self.state_index)
 
     def _emit(self, kind: str, **fields):
         self.events.append(Event(
@@ -672,81 +671,81 @@ class Simulation:
         return self.rng.bytes(32)
 
     def _device_keypair(self, node: _NetworkNode):
-        return keypair_for_chip(node.chip, self.state.index,
+        return keypair_for_chip(node.chip, self.state_index,
                                 self.config.modulus_bits)
 
     # -- schedule actions -------------------------------------------------
 
-    def enroll(self, name: str) -> bool:
+    def enroll(self, node: str) -> bool:
         """Entry request: blocklist gate, then the physical chip audit."""
-        node = self.nodes[name]
-        if name in self.registry:
-            raise ValueError(f"{name} is already a member")
-        self._emit("EntryRequest", node=name, role=node.spec.role)
-        if node.spec.blocked:
-            self._emit("Verdict", actor=self.config.management, node=name,
+        entrant = self.nodes[node]
+        if node in self.registry:
+            raise ValueError(f"{node} is already a member")
+        self._emit("EntryRequest", node=node, role=entrant.spec.role)
+        if entrant.spec.blocked:
+            self._emit("Verdict", actor=self.config.management, node=node,
                        verdict="Denied", reason="blocklist")
-            self.denied.append(name)
+            self.denied.append(node)
             return False
         nonce = self._fresh_nonce()
-        self._emit("Challenge", actor=self.config.management, node=name,
-                   issuer=ISSUER_MANAGEMENT, state=self.state.index,
+        self._emit("Challenge", actor=self.config.management, node=node,
+                   issuer=ROLE_MANAGEMENT, state=self.state_index,
                    nonce=nonce.hex()[:16])
-        if node.chip is None:
-            claimed = (self.registry.get(node.spec.claims)
-                       if node.spec.claims else None)
-            self._emit("Response", node=name,
+        if entrant.chip is None:
+            claimed = (self.registry.get(entrant.spec.claims)
+                       if entrant.spec.claims else None)
+            self._emit("Response", node=node,
                        key="none" if claimed is None else key_fingerprint(claimed))
             reason = "no_chip" if claimed is None else "audit_failed"
-            self._emit("Verdict", actor=self.config.management, node=name,
+            self._emit("Verdict", actor=self.config.management, node=node,
                        verdict="Denied", reason=reason)
-            self.denied.append(name)
+            self.denied.append(node)
             return False
-        claimed_key = self._device_keypair(node).public_key
-        self._emit("Response", node=name, key=key_fingerprint(claimed_key))
-        audit = crp_audit(node.chip, claimed_key, self.state, nonce)
+        claimed_key = self._device_keypair(entrant).public_key
+        self._emit("Response", node=node, key=key_fingerprint(claimed_key))
+        audit = crp_audit(entrant.chip, claimed_key, self.state_index, nonce)
         if audit.verdict is AuditVerdict.GENUINE:
-            self.registry[name] = claimed_key
-            self.transcripts[name] = (nonce, audit.signature)
-            self.admitted.append(name)
-            self._emit("Verdict", actor=self.config.management, node=name,
+            self.registry[node] = claimed_key
+            self.transcripts[node] = (nonce, audit.signature)
+            self.admitted.append(node)
+            self._emit("Verdict", actor=self.config.management, node=node,
                        verdict="Admitted")
             return True
-        self.denied.append(name)
-        self._emit("Verdict", actor=self.config.management, node=name,
+        self.denied.append(node)
+        self._emit("Verdict", actor=self.config.management, node=node,
                    verdict="Denied", reason="audit_failed")
         return False
 
-    def spoof(self, attacker_name: str, victim_name: str) -> bool:
+    def spoof(self, attacker: str, victim: str) -> bool:
         """Impersonation attempt against a registered address.
 
         Returns True when the attempt was (correctly) rejected.
         """
-        attacker = self.nodes[attacker_name]
-        victim_key = self.registry.get(victim_name)
+        attacker_node = self.nodes[attacker]
+        victim_key = self.registry.get(victim)
         if victim_key is None:
-            raise ValueError(f"{victim_name} holds no registered address")
-        self._emit("EntryRequest", node=attacker_name, claims=victim_name)
+            raise ValueError(f"{victim} holds no registered address")
+        self._emit("EntryRequest", node=attacker, claims=victim)
         nonce = self._fresh_nonce()
         self._emit("Challenge", actor=self.config.management,
-                   node=attacker_name, issuer=ISSUER_MANAGEMENT,
-                   state=self.state.index, nonce=nonce.hex()[:16])
-        if attacker.spec.strategy == "replay":
-            transcript = self.transcripts.get(victim_name)
+                   node=attacker, issuer=ROLE_MANAGEMENT,
+                   state=self.state_index, nonce=nonce.hex()[:16])
+        if attacker_node.spec.strategy == "replay":
+            transcript = self.transcripts.get(victim)
             if transcript is None:
                 signature = bytes(victim_key.byte_size)
                 method = "replay_blind"
             else:
                 signature = transcript[1]
                 method = "replay"
-        elif attacker.chip is not None:
-            pair = self._device_keypair(attacker)
+        elif attacker_node.chip is not None:
+            pair = self._device_keypair(attacker_node)
             signature = sign(pair.secret_key, nonce)
             method = "own_chip"
         else:
             signature = bytes(victim_key.byte_size)
             method = "noise"
-        self._emit("Response", node=attacker_name, method=method)
+        self._emit("Response", node=attacker, method=method)
         try:
             accepted = verify(victim_key, nonce, signature)
         except SignatureMalformed:
@@ -755,7 +754,7 @@ class Simulation:
         if not accepted:
             self.rejections += 1
         self._emit("Verdict", actor=self.config.management,
-                   node=attacker_name, verdict=verdict, target=victim_name)
+                   node=attacker, verdict=verdict, target=victim)
         return not accepted
 
     def sweep(self) -> tuple[str, ...]:
@@ -765,10 +764,10 @@ class Simulation:
             node = self.nodes[name]
             nonce = self._fresh_nonce()
             self._emit("Challenge", actor=self.config.management, node=name,
-                       issuer=ISSUER_MANAGEMENT, state=self.state.index,
+                       issuer=ROLE_MANAGEMENT, state=self.state_index,
                        nonce=nonce.hex()[:16])
-            audit = crp_audit(node.chip, self.registry[name], self.state,
-                              nonce)
+            audit = crp_audit(node.chip, self.registry[name],
+                              self.state_index, nonce)
             retained = audit.verdict is AuditVerdict.GENUINE
             self._emit("Verdict", actor=self.config.management, node=name,
                        verdict="Retained" if retained else "AuditFailed")
@@ -782,30 +781,28 @@ class Simulation:
             self._emit("Evict", actor=self.config.management, node=name)
         return tuple(failed)
 
-    def rotate(self, new_state_index: int, offline: Iterable[str] = ()):
+    def rotate(self, state: int, offline: Iterable[str] = ()):
         """Security node advances the state; members re-bind their keys.
 
         Members listed offline miss the re-binding, so their registry
         entries go stale and the next sweep removes them.
         """
-        if new_state_index == self.state.index:
+        if state == self.state_index:
             raise ValueError("rotation must change the state index")
         offline = set(offline)
-        self.state.active = False
-        self.state = SecurityState(new_state_index, True)
-        self._emit("Rotate", actor=self.config.security,
-                   state=new_state_index)
+        self.state_index = state
+        self._emit("Rotate", actor=self.config.security, state=state)
         for name in sorted(self.registry):
             if name in offline:
                 continue
             pair = self._device_keypair(self.nodes[name])
             self.registry[name] = pair.public_key
         if self.tree is not None:
-            self.tree = rotate_state_reproduce(self.tree, new_state_index)
+            self.tree = rotate_state_reproduce(self.tree, state)
             for src, dst in self.tree.schedule:
-                self._emit("Transfer", src=src, dst=dst, state=new_state_index)
+                self._emit("Transfer", src=src, dst=dst, state=state)
 
-    def build_transfer_tree(self):
+    def build_tree(self):
         """Execute the configured topology among admitted members."""
         if self.tree is not None:
             raise ValueError("transfer tree already built; rotate reproduces it")
@@ -818,10 +815,10 @@ class Simulation:
             raise ValueError("transfer participants not admitted: "
                              + ", ".join(outsiders))
         chips = {name: self.nodes[name].chip for name in participants}
-        self.tree = build_tree(self.config.topology, chips, self.state.index,
+        self.tree = build_tree(self.config.topology, chips, self.state_index,
                                self.config.modulus_bits)
         for src, dst in self.tree.schedule:
-            self._emit("Transfer", src=src, dst=dst, state=self.state.index)
+            self._emit("Transfer", src=src, dst=dst, state=self.state_index)
 
     def mine(self, difficulty: int | None = None):
         """Seal the current root stamp into the next block."""
@@ -839,40 +836,21 @@ class Simulation:
                    root=stamp.root_hash.hex()[:16])
         return block
 
-    def tamper(self, name: str, new_seed: int):
+    def tamper(self, node: str, seed: int):
         """Silently swap a device's physical chip (a scripted fault).
 
         No event fires; the network only notices at the next audit.
         """
-        node = self.nodes[name]
-        spec = self.config.chips[node.spec.chip]
-        node.chip = spec.manufacture(new_seed, f"{spec.name}-swapped")
+        device = self.nodes[node]
+        spec = self.config.chips[device.spec.chip]
+        device.chip = spec.manufacture(seed, f"{spec.name}-swapped")
 
     # ----------------------------------------------------------------------
-
-    def _dispatch(self, item: ScheduleItem):
-        args = item.args
-        if item.action == "enroll":
-            self.enroll(args["node"])
-        elif item.action == "spoof":
-            self.spoof(args["attacker"], args["victim"])
-        elif item.action == "build_tree":
-            self.build_transfer_tree()
-        elif item.action == "mine":
-            self.mine(args.get("difficulty"))
-        elif item.action == "rotate":
-            self.rotate(args["state"], args.get("offline", ()))
-        elif item.action == "sweep":
-            self.sweep()
-        elif item.action == "tamper":
-            self.tamper(args["node"], args["seed"])
-        else:  # unreachable after config validation
-            raise ConfigInvalid(f"unknown action {item.action!r}")
 
     def run(self) -> EventLog:
         for item in self.config.schedule:
             self.clock = item.tick
-            self._dispatch(item)
+            getattr(self, item.action)(**item.args)
         return EventLog(
             scenario=self.config.name,
             seed=self.seed,
@@ -886,7 +864,7 @@ class Simulation:
             denied=tuple(self.denied),
             evicted=tuple(self.evicted),
             rejections=self.rejections,
-            state_index=self.state.index,
+            state_index=self.state_index,
             root_hash=self.tree.root_hash if self.tree else None,
         )
 

@@ -109,6 +109,53 @@ def test_state_index_flags_are_bounded(topo_file, flag, value):
     assert "state index" in result.diagnostics.splitlines()[-1]
 
 
+MINE = ["ledger", "mine", "--topology", "{topo}", "--chain", "c.bin"]
+VERIFY = ["ledger", "verify", "--chain", "c.bin"]
+
+
+@pytest.mark.parametrize("argv, flag, value, message", [
+    (["chip", "new"], "--seed", "-1", "seed must be >= 0, got -1"),
+    (["scenario", "run", "fig10-coexistence"], "--seed", "-1",
+     "seed must be >= 0, got -1"),
+    (["ledger", "replace", "--topology", "{topo}", "--old", "n3"],
+     "--new-seed", "-1", "seed must be >= 0, got -1"),
+    (["chip", "new"], "--seed", "x", "invalid seed 'x'"),
+    (VERIFY, "--difficulty", "-5", "difficulty must be in [0, 256], got -5"),
+    (VERIFY, "--difficulty", "257", "difficulty must be in [0, 256], got 257"),
+    (MINE, "--difficulty", "40", "difficulty must be in [0, 32], got 40"),
+    (MINE, "--difficulty", "-1", "difficulty must be in [0, 32], got -1"),
+    (MINE + ["--difficulty", "4"], "--nonce-start", "-1",
+     "nonce start must be in [0, 18446744073709551615], got -1"),
+    (MINE + ["--difficulty", "4"], "--nonce-start", str(2**64),
+     "nonce start must be in [0, 18446744073709551615], got "
+     "18446744073709551616"),
+])
+def test_numeric_flags_are_bounded(topo_file, tmp_path, monkeypatch, argv,
+                                   flag, value, message):
+    workdir = tmp_path / "run"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    argv = [topo_file if part == "{topo}" else part for part in argv]
+    result = dispatch(argv + [flag, value])
+    assert result.exit_code == 2
+    assert result.stdout_payload == ""
+    assert "usage:" in result.diagnostics
+    assert result.diagnostics.splitlines()[-1].endswith(
+        f"argument {flag}: {message}")
+    assert list(workdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, dest, value", [
+    (["chip", "new", "--seed", "0"], "seed", 0),
+    (VERIFY + ["--difficulty", "256"], "difficulty", 256),
+    (MINE + ["--difficulty", "32"], "difficulty", 32),
+    (MINE + ["--difficulty", "0", "--nonce-start", str(2**64 - 1)],
+     "nonce_start", 2**64 - 1),
+])
+def test_numeric_flags_accept_their_bounds(argv, dest, value):
+    assert getattr(_build_parser().parse_args(argv), dest) == value
+
+
 # ------------------------------------------------------ command-line surface
 
 # every leaf subcommand and its options, positionals included

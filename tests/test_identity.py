@@ -12,13 +12,10 @@ from chipchain import (
     AuditVerdict,
     Challenge,
     ChipGeometry,
-    ISSUER_MANAGEMENT,
-    ISSUER_SECURITY,
     PrimeSearchExhausted,
     Prn,
     PublicKey,
     Response,
-    SecurityState,
     SignatureMalformed,
     crp_audit,
     derive_keypair,
@@ -61,7 +58,8 @@ def test_challenge_deterministic():
     assert a == b
     assert len(a.data) == 32
     assert a.state_index == 3
-    assert a.issuer == ISSUER_MANAGEMENT
+    assert a.data == hashlib.sha256(
+        b"chipchain/challenge/v1MGT\x00" + (3).to_bytes(8, "big")).digest()
 
 
 def test_challenge_varies_with_state_index():
@@ -69,15 +67,9 @@ def test_challenge_varies_with_state_index():
     assert len(data) == 100
 
 
-def test_challenge_issuer_domain_separation():
-    assert make_challenge(0, ISSUER_MANAGEMENT).data != make_challenge(0, ISSUER_SECURITY).data
-
-
 def test_challenge_validation():
     with pytest.raises(ValueError):
         make_challenge(-1)
-    with pytest.raises(ValueError):
-        make_challenge(0, "janitor")
 
 
 def test_challenge_state_index_fits_eight_bytes():
@@ -120,9 +112,8 @@ def _prns(draw):
 
 
 _CHALLENGES = st.one_of(
-    st.builds(make_challenge, st.integers(0, 2**32),
-              st.sampled_from([ISSUER_MANAGEMENT, ISSUER_SECURITY])),
-    st.builds(lambda data: Challenge(0, ISSUER_MANAGEMENT, data),
+    st.builds(make_challenge, st.integers(0, 2**32)),
+    st.builds(lambda data: Challenge(0, data),
               st.binary(min_size=32, max_size=32)),
 )
 
@@ -146,7 +137,7 @@ def test_response_key_block_boundary(failures, key_len, hashed):
     prn = Prn("edge", 0, tuple(range(0, 3 * failures, 3)), 1000)
     key = prn.canonical_bytes
     assert len(key) == key_len
-    for challenge in (make_challenge(0), make_challenge(1, ISSUER_SECURITY)):
+    for challenge in (make_challenge(0), make_challenge(1)):
         got = respond(prn, challenge).data
         assert got == response_oracle(prn.rows, prn.total_rows, challenge.data)
         assert got == response_oracle(prn.rows, prn.total_rows, challenge.data,
@@ -188,7 +179,7 @@ def test_response_avalanche():
     for bit in range(0, 256, 7):
         data = bytearray(base.data)
         data[bit // 8] ^= 1 << (bit % 8)
-        mutated = Challenge(0, ISSUER_MANAGEMENT, bytes(data))
+        mutated = Challenge(0, bytes(data))
         other = respond(prn, mutated).data
         assert other != base_resp
         # responses should differ in many positions, not just one
@@ -711,62 +702,52 @@ def test_sign_matches_plain_rsa_oracle(bits):
 
 # -------------------------------------------------------------------- audit
 
-def audited(chip, pair, state, nonce=b"fresh-nonce"):
-    return crp_audit(chip, pair.public_key, state, nonce)
+def audited(chip, pair, state_index, nonce=b"fresh-nonce"):
+    return crp_audit(chip, pair.public_key, state_index, nonce)
 
 
 def test_audit_genuine():
     chip = make_small_chip(20)
-    state = SecurityState(0)
     pair = keypair_for_chip(chip, 0, modulus_bits=512)
-    assert audited(chip, pair, state).verdict is AuditVerdict.GENUINE
+    assert audited(chip, pair, 0).verdict is AuditVerdict.GENUINE
 
 
 def test_audit_impostor_chip():
     """A different physical chip cannot answer for the registered key."""
-    state = SecurityState(0)
     pair = keypair_for_chip(make_small_chip(20), 0, modulus_bits=512)
     impostor = make_small_chip(21)
-    assert audited(impostor, pair, state).verdict is AuditVerdict.IMPOSTOR
+    assert audited(impostor, pair, 0).verdict is AuditVerdict.IMPOSTOR
 
 
 def test_audit_stale_state():
     chip = make_small_chip(20)
     pair_old = keypair_for_chip(chip, 0, modulus_bits=512)
-    assert audited(chip, pair_old, SecurityState(1)).verdict is AuditVerdict.IMPOSTOR
+    assert audited(chip, pair_old, 1).verdict is AuditVerdict.IMPOSTOR
 
 
 def test_audit_rotated_key_recovers():
     chip = make_small_chip(20)
     pair_new = keypair_for_chip(chip, 1, modulus_bits=512)
-    assert audited(chip, pair_new, SecurityState(1)).verdict is AuditVerdict.GENUINE
-
-
-def test_audit_inactive_state_refused():
-    chip = make_small_chip(20)
-    pair = keypair_for_chip(chip, 0, modulus_bits=512)
-    state = SecurityState(0, active=False)
-    with pytest.raises(ValueError):
-        audited(chip, pair, state)
+    assert audited(chip, pair_new, 1).verdict is AuditVerdict.GENUINE
 
 
 def test_audit_requires_nonce():
     chip = make_small_chip(20)
     pair = keypair_for_chip(chip, 0, modulus_bits=512)
     with pytest.raises(ValueError):
-        crp_audit(chip, pair.public_key, SecurityState(0), b"")
+        crp_audit(chip, pair.public_key, 0, b"")
 
 
 def test_audit_unsupported_claimed_key():
     chip = make_small_chip(20)
     bogus = PublicKey(modulus=(1 << 767) + 11, exponent=65537)
-    assert crp_audit(chip, bogus, SecurityState(0), b"n").verdict is AuditVerdict.IMPOSTOR
+    assert crp_audit(chip, bogus, 0, b"n").verdict is AuditVerdict.IMPOSTOR
 
 
 def test_audit_genuine_returns_a_signature_under_the_expected_key():
     chip = make_small_chip(20)
     pair = keypair_for_chip(chip, 0, modulus_bits=512)
-    audit = audited(chip, pair, SecurityState(0), nonce=b"genuine-nonce")
+    audit = audited(chip, pair, 0, nonce=b"genuine-nonce")
     assert isinstance(audit, Audit)
     assert audit.verdict is AuditVerdict.GENUINE
     assert audit.signature == sign(pair.secret_key, b"genuine-nonce")
@@ -779,7 +760,7 @@ def test_audit_impostor_returns_its_own_signature():
     claimed = keypair_for_chip(make_small_chip(20), 0, modulus_bits=512)
     impostor = make_small_chip(21)
     own = keypair_for_chip(impostor, 0, modulus_bits=512)
-    audit = audited(impostor, claimed, SecurityState(0), nonce=b"n")
+    audit = audited(impostor, claimed, 0, nonce=b"n")
     assert audit.verdict is AuditVerdict.IMPOSTOR
     assert audit.signature == sign(own.secret_key, b"n")
     assert verify(own.public_key, b"n", audit.signature)
@@ -789,15 +770,16 @@ def test_audit_impostor_returns_its_own_signature():
 def test_audit_unsupported_claimed_key_makes_no_signature():
     chip = make_small_chip(20)
     bogus = PublicKey(modulus=(1 << 767) + 11, exponent=65537)
-    audit = crp_audit(chip, bogus, SecurityState(0), b"n")
+    audit = crp_audit(chip, bogus, 0, b"n")
     assert audit == Audit(AuditVerdict.IMPOSTOR, None)
 
 
-@pytest.mark.parametrize("state, nonce, message", [
-    (SecurityState(0, active=False), b"n", "inactive"),
-    (SecurityState(0), b"", "non-empty"),
-])
-def test_audit_refusals_still_raise(monkeypatch, state, nonce, message):
+@pytest.mark.parametrize("state_index, nonce, message", [
+    (0, b"", "non-empty"),
+    (-1, b"n", r"\[0, 2\^64 - 1\]"),
+    (2**64, b"n", r"\[0, 2\^64 - 1\]"),
+], ids=["empty-nonce", "index-below-0", "index-2^64"])
+def test_audit_refusals_still_raise(monkeypatch, state_index, nonce, message):
     """A refused audit raises before the chip signs anything."""
     chip = make_small_chip(20)
     pair = keypair_for_chip(chip, 0, modulus_bits=512)
@@ -807,7 +789,7 @@ def test_audit_refusals_still_raise(monkeypatch, state, nonce, message):
 
     monkeypatch.setattr(identity, "sign", no_signing)
     with pytest.raises(ValueError, match=message):
-        crp_audit(chip, pair.public_key, state, nonce)
+        crp_audit(chip, pair.public_key, state_index, nonce)
 
 def test_fingerprint_distinctness_sweep():
     """No fingerprint, response, or key collides across a small chip batch."""

@@ -467,7 +467,7 @@ def assert_transcript_is_the_audit_signature(sim, name):
                   if e.kind == "Challenge" and dict(e.fields)["node"] == name]
     assert challenges[-1]["nonce"] == nonce.hex()[:16]
     node = sim.nodes[name]
-    pair = keypair_for_chip(node.chip, sim.state.index,
+    pair = keypair_for_chip(node.chip, sim.state_index,
                             sim.config.modulus_bits)
     assert signature == sign(pair.secret_key, nonce)
     assert verify(sim.registry[name], nonce, signature)
@@ -580,6 +580,25 @@ def test_members_survive_rotation():
     assert log.chain[1].stamp.state_index == 1
 
 
+def test_every_schedule_action_is_the_simulation_method_of_its_name():
+    assert all(callable(getattr(Simulation, action, None))
+               for action in network_sim._ACTIONS)
+    text = MINI.replace("c role=device chip=cc\n",
+                        "c role=device chip=cc\neve role=attacker\n")
+    config = parse_scenario(text + "6 spoof eve a\n7 mine 5\n"
+                            "8 rotate 1 offline=c\n9 tamper b seed=777\n"
+                            "10 sweep\n", name="every-action")
+    assert ({item.action for item in config.schedule}
+            == set(network_sim._ACTIONS))
+    log = run_scenario(config, seed=0)
+    assert log.rejections == 1
+    assert [block.stamp.state_index for block in log.chain] == [0, 0]
+    assert log.evicted == ((10, "b"), (10, "c"))
+    assert log.members == ("a",)
+    assert log.state_index == 1
+    assert check_invariants(log) == []
+
+
 # ------------------------------------------------------------------- errors
 
 def test_build_tree_requires_admitted_participants():
@@ -587,14 +606,14 @@ def test_build_tree_requires_admitted_participants():
     sim = Simulation(config, seed=0)
     sim.enroll("a")
     with pytest.raises(ValueError, match="not admitted"):
-        sim.build_transfer_tree()
+        sim.build_tree()
 
 
 def test_build_tree_only_once():
     sim = Simulation(mini_config(), seed=0)
     sim.run()
     with pytest.raises(ValueError, match="rotate"):
-        sim.build_transfer_tree()
+        sim.build_tree()
 
 
 def test_mine_requires_tree():
