@@ -152,15 +152,22 @@ class FailureModel:
 
     def __post_init__(self):
         if not math.isfinite(self.mean_failures):
-            raise ValueError(
+            raise GeometryInvalid(
                 f"mean_failures must be finite, got {self.mean_failures}")
         if self.mean_failures <= 0:
-            raise ValueError("mean_failures must be positive")
+            raise GeometryInvalid("mean_failures must be positive")
         if self.mean_failures > MAX_MEAN_FAILURES:
-            raise ValueError(f"mean_failures must be at most "
-                             f"{MAX_MEAN_FAILURES:.6g}, got {self.mean_failures}")
+            raise GeometryInvalid(f"mean_failures must be at most "
+                                  f"{MAX_MEAN_FAILURES:.6g}, got {self.mean_failures}")
         if self.min_failures < 0:
-            raise ValueError("min_failures must be >= 0")
+            raise GeometryInvalid("min_failures must be >= 0")
+
+    def check_fits(self, geometry: ChipGeometry) -> None:
+        """Refuse a geometry whose spare rows cannot hold min_failures."""
+        if self.min_failures > geometry.redundancy_rows:
+            raise GeometryInvalid(
+                f"min_failures={self.min_failures} exceeds "
+                f"redundancy_rows={geometry.redundancy_rows}")
 
 
 def prn_canonical_bytes(rows: Sequence[int], total_rows: int) -> bytes:
@@ -262,11 +269,11 @@ def _checked_swap_map(swap_map: Mapping[int, int] | None,
 class SimulatedChip:
     """One manufactured part: geometry, hidden failure map, cell state.
 
-    A written column is (regular fill, spare fill, routed spares): every
-    regular cell holds the last normal-mode value, every spare cell the
-    last special-mode value except the spares failure rows were routed
-    to since then.  Regular cells at failure rows are never read, so a
-    chip costs O(failure rows), not O(rows).  The failure rows and the
+    A column is (regular fill, spare fill, failure-row fill), each None
+    until a write in a mode that sets it: normal mode sets the regular
+    fill, special mode the spare fill, and both the spares the failure
+    rows are swapped to.  Regular cells at failure rows are never read,
+    so a chip costs O(failure rows), not O(rows).  The failure rows and the
     swap map are fixed at construction, the way a real part fixes them
     at production test.
     """
@@ -281,12 +288,9 @@ class SimulatedChip:
         self.chip_id = chip_id
         self.geometry = geometry
         self.seed = seed
-        self.access_mode = ACCESS_NORMAL
         self._failure_rows = rows
         self._swap_map = swap_map
-        self._columns: dict[int, tuple[int, int, dict[int, int]]] = {}
-        self._normal_written: set[int] = set()
-        self._special_written: set[int] = set()
+        self._columns: dict[int, tuple[int | None, int | None, int]] = {}
 
     @property
     def failure_rows(self) -> tuple[int, ...]:
@@ -300,12 +304,6 @@ class SimulatedChip:
         if not 0 <= column < self.geometry.cols:
             raise ColumnOutOfRange(
                 f"column {column} outside 0..{self.geometry.cols - 1}")
-
-    def _failure_bits(self, column: int) -> list[tuple[int, int]]:
-        """(row, bit) each failure row reads through the decoder."""
-        _, spare_fill, routed = self._columns[column]
-        return [(row, routed.get(self._swap_map[row], spare_fill))
-                for row in self._failure_rows]
 
     def __repr__(self):
         return (f"SimulatedChip(chip_id={self.chip_id!r}, "
@@ -323,6 +321,7 @@ def new_chip(geometry: ChipGeometry, failure_model: FailureModel | None = None,
     triple always yields the identical part.
     """
     model = failure_model or FailureModel()
+    model.check_fits(geometry)
     rng = np.random.default_rng(seed)
 
     count = int(rng.poisson(model.mean_failures))
@@ -346,15 +345,11 @@ def write_column(chip: SimulatedChip, mode: str, column: int,
     if value not in (0, 1):
         raise ValueError("cell value must be 0 or 1")
     chip._check_column(column)
-    chip.access_mode = mode
-    regular_fill, spare_fill, routed = chip._columns.get(column, (0, 0, {}))
+    regular_fill, spare_fill, _ = chip._columns.get(column, (None, None, None))
     if mode == ACCESS_NORMAL:
-        routed.update(dict.fromkeys(chip._swap_map.values(), value))
-        chip._columns[column] = (value, spare_fill, routed)
-        chip._normal_written.add(column)
+        chip._columns[column] = (value, spare_fill, value)
     else:
-        chip._columns[column] = (regular_fill, value, {})
-        chip._special_written.add(column)
+        chip._columns[column] = (regular_fill, value, value)
     return chip
 
 
@@ -365,14 +360,14 @@ def read_column_normal(chip: SimulatedChip, column: int) -> np.ndarray:
     order decides what comes back, it is not checked here.
     """
     chip._check_column(column)
-    if column not in chip._normal_written or column not in chip._special_written:
+    regular_fill, spare_fill, failure_fill = chip._columns.get(
+        column, (None, None, None))
+    if regular_fill is None or spare_fill is None:
         raise PreprocessMissing(
             f"column {column} needs a normal-mode and a special-mode write "
             "before it can be read")
-    chip.access_mode = ACCESS_NORMAL
-    out = np.full(chip.geometry.rows, chip._columns[column][0], dtype=np.uint8)
-    for row, bit in chip._failure_bits(column):
-        out[row] = bit
+    out = np.full(chip.geometry.rows, regular_fill, dtype=np.uint8)
+    out[list(chip._failure_rows)] = failure_fill
     return out
 
 
@@ -384,9 +379,8 @@ def extract_prn(chip: SimulatedChip, column: int = 0) -> Prn:
     """
     write_column(chip, ACCESS_NORMAL, column, 0)
     write_column(chip, ACCESS_SPECIAL, column, 1)
-    chip.access_mode = ACCESS_NORMAL
     # the regular fill is now 0: only failure rows can read 1
-    rows = tuple(row for row, bit in chip._failure_bits(column) if bit)
+    rows = chip._failure_rows if chip._columns[column][2] else ()
     return Prn(chip.chip_id, column, rows, chip.geometry.rows)
 
 

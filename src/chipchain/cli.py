@@ -154,33 +154,34 @@ def _entropy_lines(report, output):
 
 
 def _cmd_entropy(args):
-    if args.mode == "table":
-        names = (None if not args.generations
-                 else [g.strip() for g in args.generations.split(",")])
-        reports = generation_table(args.m, names, args.l)
-        lines = []
-        for report in reports:
-            lines.extend(_entropy_lines(report, args.output))
-        return lines, 0, []
-    if args.mode == "collisions":
-        population = _parse_population(args.n)
-        report = collision_report(args.y, args.l, args.m, population)
-        if args.output == "records":
-            return ([f"y={report.rows} l={report.block_side} "
-                     f"m={report.failure_count} population={report.population} "
-                     f"per_pair={format_scientific(report.per_pair)} "
-                     f"per_chip={format_scientific(report.per_chip)} "
-                     f"expected_pairs={format_scientific(report.expected_pairs)}"],
-                    0, [])
-        return ([f"population: {report.population}",
-                 f"  same-fingerprint chance, one given pair:  "
-                 f"{format_scientific(report.per_pair)}",
-                 f"  chance a given chip collides with any:    "
-                 f"{format_scientific(report.per_chip)}",
-                 f"  expected colliding pairs populationwide:  "
-                 f"{format_scientific(report.expected_pairs)}"], 0, [])
     return _entropy_lines(entropy_report(args.y, args.l, args.m),
                           args.output), 0, []
+
+
+def _cmd_entropy_table(args):
+    names = (None if not args.generations
+             else [g.strip() for g in args.generations.split(",")])
+    return [line for report in generation_table(args.m, names, args.l)
+            for line in _entropy_lines(report, args.output)], 0, []
+
+
+def _cmd_entropy_collisions(args):
+    population = _parse_population(args.n)
+    report = collision_report(args.y, args.l, args.m, population)
+    if args.output == "records":
+        return ([f"y={report.rows} l={report.block_side} "
+                 f"m={report.failure_count} population={report.population} "
+                 f"per_pair={format_scientific(report.per_pair)} "
+                 f"per_chip={format_scientific(report.per_chip)} "
+                 f"expected_pairs={format_scientific(report.expected_pairs)}"],
+                0, [])
+    return ([f"population: {report.population}",
+             f"  same-fingerprint chance, one given pair:  "
+             f"{format_scientific(report.per_pair)}",
+             f"  chance a given chip collides with any:    "
+             f"{format_scientific(report.per_chip)}",
+             f"  expected colliding pairs populationwide:  "
+             f"{format_scientific(report.expected_pairs)}"], 0, [])
 
 
 def _cmd_id_keygen(args):
@@ -439,6 +440,16 @@ _state_index = _int_in("state index", 0, MAX_STATE_INDEX)
 _seed = _int_in("seed", 0)
 
 
+# flags of the bare `entropy` command; its modes take the subsets they read
+_ENTROPY_FLAGS = {
+    "--output": dict(choices=("text", "records"), default="text",
+                     help="human text or one key=value record per line"),
+    "--y": dict(type=int, default=2000, help="rows"),
+    "--l": dict(type=int, default=1, help="block side"),
+    "--m": dict(type=int, default=10, help="failure count"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # one parent parser per shared flag; each subcommand takes those it reads
     seed = argparse.ArgumentParser(add_help=False)
@@ -482,20 +493,26 @@ def _build_parser() -> argparse.ArgumentParser:
     chip_prn.add_argument("--column", type=int, default=0)
     chip_prn.set_defaults(handler=_cmd_chip_prn)
 
-    entropy = sub.add_parser("entropy", parents=[output],
+    entropy = sub.add_parser("entropy",
                              help="exact fingerprint-space combinatorics")
-    entropy.add_argument("mode", nargs="?", choices=("table", "collisions"),
-                         help="omit for one configuration; 'table' for the "
-                              "generation ladder; 'collisions' for "
-                              "population odds")
-    entropy.add_argument("--y", type=int, default=2000, help="rows")
-    entropy.add_argument("--l", type=int, default=1, help="block side")
-    entropy.add_argument("--m", type=int, default=10, help="failure count")
-    entropy.add_argument("--n", default="1e14",
-                         help="population size (collisions mode)")
-    entropy.add_argument("--generations",
-                         help="comma-separated subset for table mode")
+    for flag, spec in _ENTROPY_FLAGS.items():
+        entropy.add_argument(flag, **spec)
     entropy.set_defaults(handler=_cmd_entropy)
+    modes = entropy.add_subparsers(metavar="mode",
+                                   help="omit for one configuration")
+    table = modes.add_parser("table", help="the generation ladder")
+    table.add_argument("--generations", help="comma-separated subset")
+    table.set_defaults(handler=_cmd_entropy_table)
+    collisions = modes.add_parser("collisions", help="population odds")
+    collisions.add_argument("--n", default="1e14", help="population size")
+    collisions.set_defaults(handler=_cmd_entropy_collisions)
+    # a mode's copy of a flag stays unset unless given, so a flag given
+    # before the mode word keeps its value in the mode
+    for mode, flags in ((table, ("--output", "--l", "--m")),
+                        (collisions, ("--output", "--y", "--l", "--m"))):
+        for flag in flags:
+            mode.add_argument(flag, **{**_ENTROPY_FLAGS[flag],
+                                       "default": argparse.SUPPRESS})
 
     ident = sub.add_parser("id", help="chip-bound keys and audits")
     ident_sub = ident.add_subparsers(dest="subcommand", required=True)

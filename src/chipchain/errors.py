@@ -5,7 +5,7 @@ class ChipChainError(Exception):
     """Base class for every error raised by this package."""
 
 
-class GeometryInvalid(ChipChainError):
+class GeometryInvalid(ChipChainError, ValueError):
     """Chip geometry parameters are out of range or inconsistent."""
 
 

@@ -529,10 +529,12 @@ def crp_audit(chip: SimulatedChip, expected_key: PublicKey,
     nonce = bytes(nonce)
     if not nonce:
         raise ValueError("nonce must be non-empty")
+    # built first, so an out-of-range index raises whatever the key size
+    challenge = make_challenge(state_index)
     bits = expected_key.modulus.bit_length()
     if bits not in SUPPORTED_MODULUS_BITS:
         return Audit(AuditVerdict.IMPOSTOR, None)
-    pair = keypair_for_chip(chip, state_index, bits)
+    pair = derive_keypair(respond(extract_prn(chip), challenge), bits)
     signature = sign(pair.secret_key, nonce)
     try:
         signature_ok = verify(expected_key, nonce, signature)

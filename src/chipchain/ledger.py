@@ -194,12 +194,12 @@ def _topological_schedule(node_ids: Iterable[str],
         indegree[dst] += 1
 
     sinks = [n for n in node_ids if not outgoing[n]]
-    if not sinks:
+    if node_ids and not sinks:
         raise CycleDetected("every node sends onward; the topology loops")
-    if len(sinks) > 1:
+    if len(sinks) != 1:
         raise MultipleSinks(
             f"transfer topology must funnel into one chip, found sinks: "
-            f"{', '.join(sinks)}")
+            f"{', '.join(sinks) or 'none'}")
 
     schedule: list[tuple[str, str]] = []
     ready = [n for n in node_ids if indegree[n] == 0]

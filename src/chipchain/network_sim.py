@@ -42,8 +42,9 @@ Scenario config format (sections in any order, # comments allowed):
 Schedule actions: enroll NODE, spoof ATTACKER VICTIM, build_tree,
 mine [DIFFICULTY], rotate NEW_STATE [offline=a,b], sweep, and
 tamper NODE seed=N (silent physical chip swap, caught by the next
-sweep).  A mine DIFFICULTY may not fall below [params] difficulty,
-the difficulty the run verifies its whole chain at.
+sweep).  build_tree needs a [topology] and runs once, before any mine.
+A mine DIFFICULTY may not fall below [params] difficulty, the
+difficulty the run verifies its whole chain at.
 
 Ledger files, read by the `chipchain ledger` commands, are the
 [params]/[chips]/[topology] part of this grammar: [params] holds only
@@ -55,22 +56,13 @@ as parse_scenario.
 from __future__ import annotations
 
 import importlib.resources
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .chip_model import (
-    MAX_MEAN_FAILURES,
-    MAX_REDUNDANCY_ROWS,
-    MAX_ROWS,
-    ChipGeometry,
-    FailureModel,
-    SimulatedChip,
-    new_chip,
-)
-from .errors import ConfigInvalid, SignatureMalformed
+from .chip_model import ChipGeometry, FailureModel, SimulatedChip, new_chip
+from .errors import ConfigInvalid, GeometryInvalid, SignatureMalformed
 from .identity import (
     AuditVerdict,
     MAX_STATE_INDEX,
@@ -107,24 +99,24 @@ _ACTIONS = ("enroll", "spoof", "build_tree", "mine", "rotate", "sweep",
 
 @dataclass(frozen=True)
 class ChipSpec:
-    """Manufacturing order for one chip."""
+    """Manufacturing order for one chip, checked before any is made."""
 
     name: str
     seed: int
-    rows: int
-    mean_failures: float
-    redundancy_rows: int
-    min_failures: int = 1
+    geometry: ChipGeometry
+    failure_model: FailureModel
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise GeometryInvalid(f"seed must be >= 0, got {self.seed}")
+        self.failure_model.check_fits(self.geometry)
 
     def manufacture(self, seed: int | None = None,
                     chip_id: str | None = None) -> SimulatedChip:
         """The ordered part; another seed makes another part of this design."""
-        return new_chip(
-            ChipGeometry(rows=self.rows, redundancy_rows=self.redundancy_rows),
-            FailureModel(mean_failures=self.mean_failures,
-                         min_failures=self.min_failures),
-            seed=self.seed if seed is None else seed,
-            chip_id=chip_id or self.name)
+        return new_chip(self.geometry, self.failure_model,
+                        seed=self.seed if seed is None else seed,
+                        chip_id=chip_id or self.name)
 
 
 @dataclass(frozen=True)
@@ -175,34 +167,6 @@ def _parse_number(raw: str, where: str, kind: type = int):
         raise ConfigInvalid(f"{where}: expected {expected}, got {raw!r}") from None
 
 
-def _check_chip_spec(spec: ChipSpec, where: str) -> ChipSpec:
-    """Reject chip parameters that new_chip would only refuse mid-run."""
-    problem = None
-    if not (math.isfinite(spec.mean_failures) and spec.mean_failures > 0):
-        problem = f"lambda must be finite and positive, got {spec.mean_failures}"
-    elif spec.mean_failures > MAX_MEAN_FAILURES:
-        problem = (f"lambda must be at most {MAX_MEAN_FAILURES:.6g}, "
-                   f"got {spec.mean_failures}")
-    elif spec.rows < 1:
-        problem = f"y must be positive, got {spec.rows}"
-    elif spec.rows > MAX_ROWS:
-        problem = f"y must be at most {MAX_ROWS}, got {spec.rows}"
-    elif not 0 <= spec.redundancy_rows <= spec.rows:
-        problem = (f"redundancy must be in [0, y={spec.rows}], "
-                   f"got {spec.redundancy_rows}")
-    elif spec.redundancy_rows > MAX_REDUNDANCY_ROWS:
-        problem = (f"redundancy must be at most {MAX_REDUNDANCY_ROWS}, "
-                   f"got {spec.redundancy_rows}")
-    elif not 0 <= spec.min_failures <= spec.redundancy_rows:
-        problem = (f"min_failures must be in [0, redundancy="
-                   f"{spec.redundancy_rows}], got {spec.min_failures}")
-    elif spec.seed < 0:
-        problem = f"seed must be >= 0, got {spec.seed}"
-    if problem:
-        raise ConfigInvalid(f"{where}: chip {spec.name!r}: {problem}")
-    return spec
-
-
 def _split_options(parts: Sequence[str], where: str) -> dict[str, str]:
     options = {}
     for part in parts:
@@ -220,9 +184,7 @@ def _split_options(parts: Sequence[str], where: str) -> dict[str, str]:
 _Lines = list[tuple[int, str]]
 _Edges = tuple[tuple[str, str], ...]
 
-# chip option -> ChipSpec field; the [params] chip defaults share the keys
-_CHIP_FIELDS = {"seed": "seed", "y": "rows", "lambda": "mean_failures",
-                "redundancy": "redundancy_rows", "min_failures": "min_failures"}
+# chip options other than seed; [params] sets their defaults by the same keys
 _CHIP_DEFAULTS = {"y": 2000, "lambda": 10.0, "redundancy": 20,
                   "min_failures": 1}
 _SCENARIO_DEFAULTS = {"difficulty": 8, "modulus_bits": 512, **_CHIP_DEFAULTS}
@@ -291,17 +253,23 @@ def _parse_chips(lines: _Lines,
         if chip_name in chips:
             raise ConfigInvalid(f"{where}: duplicate chip {chip_name!r}")
         options = _split_options(parts, where)
-        unknown = set(options) - set(_CHIP_FIELDS)
+        unknown = set(options) - {"seed", *_CHIP_DEFAULTS}
         if unknown:
             raise ConfigInvalid(f"{where}: unknown chip options {sorted(unknown)}")
         if "seed" not in options:
             raise ConfigInvalid(f"{where}: chip {chip_name!r} needs seed=")
-        fields = {_CHIP_FIELDS[key]: params[key] for key in _CHIP_DEFAULTS}
+        values = {key: params[key] for key in _CHIP_DEFAULTS}
         for key, raw in options.items():
-            fields[_CHIP_FIELDS[key]] = _parse_number(
-                raw, where, float if key == "lambda" else int)
-        chips[chip_name] = _check_chip_spec(ChipSpec(name=chip_name, **fields),
-                                            where)
+            values[key] = _parse_number(raw, where,
+                                        float if key == "lambda" else int)
+        try:
+            geometry = ChipGeometry(values["y"],
+                                    redundancy_rows=values["redundancy"])
+            model = FailureModel(values["lambda"], values["min_failures"])
+            chips[chip_name] = ChipSpec(chip_name, values["seed"], geometry,
+                                        model)
+        except GeometryInvalid as exc:
+            raise ConfigInvalid(f"{where}: chip {chip_name!r}: {exc}") from None
     return chips
 
 
@@ -418,6 +386,7 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
     schedule: list[ScheduleItem] = []
     last_tick = 0
     state = 0
+    tree_built = False
     for line_no, line in sections["schedule"]:
         where = f"line {line_no}"
         parts = line.split()
@@ -439,6 +408,16 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
                 raise ConfigInvalid(f"{where}: rotate to state {state} "
                                     f"does not change the state index")
             state = args["state"]
+        elif action == "build_tree":
+            if tree_built:
+                raise ConfigInvalid(f"{where}: transfer tree already built; "
+                                    "rotate reproduces it")
+            if not topology:
+                raise ConfigInvalid(f"{where}: build_tree needs a [topology]")
+            tree_built = True
+        elif action == "mine" and not tree_built:
+            raise ConfigInvalid(f"{where}: no transfer tree to stamp; "
+                                "mine needs an earlier build_tree")
         schedule.append(ScheduleItem(tick, action, args, line_no))
 
     return ScenarioConfig(

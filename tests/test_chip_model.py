@@ -68,9 +68,9 @@ def test_geometry_rejects_bad_shapes(kwargs):
 
 
 def test_failure_model_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(GeometryInvalid):
         FailureModel(mean_failures=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(GeometryInvalid):
         FailureModel(min_failures=-1)
 
 
@@ -183,6 +183,15 @@ def test_min_failures_clip():
         assert len(chip.failure_rows) >= 3
 
 
+@pytest.mark.parametrize("rows", [10, 64])
+def test_min_failures_must_fit_the_spare_rows(rows):
+    # refused before any row is drawn, even where rows < min_failures
+    model = FailureModel(min_failures=11)
+    with pytest.raises(GeometryInvalid,
+                       match="min_failures=11 exceeds redundancy_rows=5"):
+        new_chip(ChipGeometry(rows=rows, redundancy_rows=5), model)
+
+
 def test_capacity_exceeded():
     with pytest.raises(CapacityExceeded):
         SimulatedChip("x", ChipGeometry(rows=100, redundancy_rows=5), range(6))
@@ -271,15 +280,6 @@ def test_column_bounds():
         write_column(chip, "sideways", 0, 0)
     with pytest.raises(ValueError):
         write_column(chip, ACCESS_NORMAL, 0, 2)
-
-
-def test_access_mode_latch():
-    chip = fresh()
-    assert chip.access_mode == ACCESS_NORMAL
-    write_column(chip, ACCESS_SPECIAL, 0, 1)
-    assert chip.access_mode == ACCESS_SPECIAL
-    write_column(chip, ACCESS_NORMAL, 0, 0)
-    assert chip.access_mode == ACCESS_NORMAL
 
 
 def test_columns_independent():

@@ -3,7 +3,9 @@ import re
 
 import pytest
 
+import chipchain
 from chipchain import (
+    ChipChainError,
     ChipGeometry,
     FailureModel,
     PublicKey,
@@ -158,13 +160,14 @@ def test_numeric_flags_accept_their_bounds(argv, dest, value):
 
 # ------------------------------------------------------ command-line surface
 
-# every leaf subcommand and its options, positionals included
+# every command line that runs a handler and its options, positionals included
 LEAF_OPTIONS = {
     "chip new": {"--seed", "--output", "--y", "--lambda", "--redundancy",
                  "--min-failures", "--chip-id", "--dir"},
     "chip prn": {"--chip", "--column", "--output"},
-    "entropy": {"mode", "--y", "--l", "--m", "--n", "--generations",
-                "--output"},
+    "entropy": {"--y", "--l", "--m", "--output"},
+    "entropy table": {"--generations", "--l", "--m", "--output"},
+    "entropy collisions": {"--n", "--y", "--l", "--m", "--output"},
     "id keygen": {"--chip", "--l", "--show-secret", "--output",
                   "--modulus-bits"},
     "id audit": {"--chip", "--pk", "--l", "--nonce", "--output"},
@@ -182,19 +185,19 @@ LEAF_OPTIONS = {
 
 
 def leaf_parsers(parser, path=()):
-    """(path, parser) for each subcommand that takes no further subcommand."""
-    subparsers = [action for action in parser._actions
-                  if isinstance(action, argparse._SubParsersAction)]
-    if not subparsers:
+    """(path, parser) for each command line that runs a handler."""
+    if parser.get_default("handler") is not None:
         yield " ".join(path), parser
-    for action in subparsers:
-        for name, child in action.choices.items():
-            yield from leaf_parsers(child, path + (name,))
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from leaf_parsers(child, path + (name,))
 
 
 def leaf_actions(parser):
     return [action for action in parser._actions
-            if not isinstance(action, argparse._HelpAction)]
+            if not isinstance(action, (argparse._HelpAction,
+                                       argparse._SubParsersAction))]
 
 
 def test_each_subcommand_takes_only_its_options():
@@ -202,7 +205,7 @@ def test_each_subcommand_takes_only_its_options():
                     else action.dest for action in leaf_actions(leaf)}
              for path, leaf in leaf_parsers(_build_parser())}
     assert found == LEAF_OPTIONS
-    assert sum(len(options) for options in found.values()) == 51
+    assert sum(len(options) for options in found.values()) == 57
 
 
 @pytest.mark.parametrize("argv, flag, value", [
@@ -350,6 +353,27 @@ def test_entropy_collisions_exact_fields():
     assert field(line, "expected_pairs") == "1.81225879007e+1"
 
 
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--n", "7"],
+    ["entropy", "--generations", "4 Gb"],
+    ["entropy", "table", "--y", "5"],
+    ["entropy", "table", "--n", "7"],
+    ["entropy", "collisions", "--generations", "4 Gb"],
+])
+def test_entropy_modes_refuse_flags_they_do_not_read(argv):
+    result = dispatch(argv)
+    assert result.exit_code == 2
+    assert result.stdout_payload == ""
+    assert "usage:" in result.diagnostics
+
+
+def test_entropy_reads_flags_given_before_the_mode():
+    before = dispatch(["entropy", "--output", "records", "--l", "2", "table"])
+    assert before.exit_code == 0
+    assert before == dispatch(["entropy", "table", "--output", "records",
+                               "--l", "2"])
+
+
 def test_entropy_rejects_bad_population():
     result = dispatch(["entropy", "collisions", "--n", "zebras"])
     assert result.exit_code == 1
@@ -375,14 +399,42 @@ def test_chip_new_and_prn(tmp_path):
     )
 
 
-@pytest.mark.parametrize("value, diagnostics", [
-    ("nan", "ValueError: mean_failures must be finite, got nan"),
-    ("1e19", "ValueError: mean_failures must be at most 9.22337e+18, got 1e+19"),
+@pytest.mark.parametrize("key, value, message", [
+    ("y", "0", "rows must be positive, got 0"),
+    ("y", "4294967296", "rows must be at most 4294967295, got 4294967296"),
+    ("lambda", "nan", "mean_failures must be finite, got nan"),
+    ("lambda", "0", "mean_failures must be positive"),
+    ("lambda", "1e19", "mean_failures must be at most 9.22337e+18, got 1e+19"),
+    ("redundancy", "-1", "redundancy_rows must be >= 0"),
+    ("redundancy", "2001", "redundancy_rows=2001 exceeds rows=2000"),
+    ("min_failures", "-1", "min_failures must be >= 0"),
+    ("min_failures", "21", "min_failures=21 exceeds redundancy_rows=20"),
 ])
-def test_chip_new_rejects_bad_lambda(tmp_path, value, diagnostics):
-    result = dispatch(["chip", "new", "--lambda", value, "--dir", str(tmp_path)])
-    assert result.exit_code == 1
-    assert result.diagnostics == diagnostics
+def test_a_bad_chip_parameter_reads_the_same_at_every_boundary(
+        tmp_path, key, value, message):
+    """chip new, a scenario config and a ledger file refuse it with one text."""
+    chips = f"[chips]\nc seed=1 {key}={value}\n"
+    ledger = tmp_path / "net.cfg"
+    ledger.write_text(chips)
+    scenario = tmp_path / "run.cfg"
+    scenario.write_text(chips + "[nodes]\nmgmt role=management\n"
+                                "sec role=security\n")
+    results = [
+        dispatch(["chip", "new", f"--{key.replace('_', '-')}", value,
+                  "--dir", str(tmp_path / "chips")]),
+        dispatch(["scenario", "run", str(scenario)]),
+        dispatch(["ledger", "build", "--topology", str(ledger)]),
+    ]
+    assert [result.diagnostics for result in results] == [
+        f"GeometryInvalid: {message}",
+        f"ConfigInvalid: line 2: chip 'c': {message}",
+        f"ConfigInvalid: line 2: chip 'c': {message}",
+    ]
+    for result in results:
+        assert result.exit_code == 1
+        name = result.diagnostics.partition(":")[0]
+        assert issubclass(getattr(chipchain, name), ChipChainError)
+    assert not (tmp_path / "chips").exists()
 
 
 @pytest.mark.parametrize("argv, diagnostics", [
@@ -559,7 +611,7 @@ def test_ledger_replace_unknown_node(topo_file):
 @pytest.mark.parametrize(
     "old, new, message_part",
     [
-        ("n0 seed=50", "n0 seed=50 lambda=nan", "lambda must be finite"),
+        ("n0 seed=50", "n0 seed=50 lambda=nan", "mean_failures must be finite"),
         ("n0 seed=50", "n0 seed=50 seed=51", "duplicate option 'seed'"),
         ("y = 256", "y = abc", "params.y: expected integer"),
         (None, "n2 -> n0", "duplicate edge"),
@@ -578,6 +630,14 @@ def test_ledger_build_rejects_bad_topology(tmp_path, old, new, message_part):
     assert result.exit_code == 1
     assert result.diagnostics.startswith(f"ConfigInvalid: line {line_no}: ")
     assert message_part in result.diagnostics
+
+
+def test_ledger_build_without_chips_has_no_final_receiver(tmp_path):
+    path = tmp_path / "empty.cfg"
+    path.write_text("[params]\ny = 256\n")
+    result = dispatch(["ledger", "build", "--topology", str(path)])
+    assert result.exit_code == 1
+    assert result.diagnostics.startswith("MultipleSinks: ")
 
 
 def test_ledger_replace_keeps_the_replaced_chips_parameters(tmp_path):

@@ -774,22 +774,29 @@ def test_audit_unsupported_claimed_key_makes_no_signature():
     assert audit == Audit(AuditVerdict.IMPOSTOR, None)
 
 
-@pytest.mark.parametrize("state_index, nonce, message", [
-    (0, b"", "non-empty"),
-    (-1, b"n", r"\[0, 2\^64 - 1\]"),
-    (2**64, b"n", r"\[0, 2\^64 - 1\]"),
-], ids=["empty-nonce", "index-below-0", "index-2^64"])
-def test_audit_refusals_still_raise(monkeypatch, state_index, nonce, message):
-    """A refused audit raises before the chip signs anything."""
+@pytest.mark.parametrize("state_index, nonce, message, claimed_bits", [
+    (0, b"", "non-empty", 512),
+    (-1, b"n", r"\[0, 2\^64 - 1\]", 512),
+    (2**64, b"n", r"\[0, 2\^64 - 1\]", 512),
+    (-1, b"n", r"\[0, 2\^64 - 1\]", 768),
+    (2**64, b"n", r"\[0, 2\^64 - 1\]", 768),
+], ids=["empty-nonce", "index-below-0", "index-2^64",
+        "index-below-0-unsupported-key", "index-2^64-unsupported-key"])
+def test_audit_refusals_still_raise(monkeypatch, state_index, nonce, message,
+                                    claimed_bits):
+    """A refused audit raises before the chip signs anything, whatever
+    the size of the claimed key."""
     chip = make_small_chip(20)
-    pair = keypair_for_chip(chip, 0, modulus_bits=512)
+    claimed = (keypair_for_chip(chip, 0, modulus_bits=512).public_key
+               if claimed_bits == 512
+               else PublicKey(modulus=(1 << 767) + 11, exponent=65537))
 
     def no_signing(*args):
         raise AssertionError("a refused audit must not sign")
 
     monkeypatch.setattr(identity, "sign", no_signing)
     with pytest.raises(ValueError, match=message):
-        crp_audit(chip, pair.public_key, state_index, nonce)
+        crp_audit(chip, claimed, state_index, nonce)
 
 def test_fingerprint_distinctness_sweep():
     """No fingerprint, response, or key collides across a small chip batch."""

@@ -198,6 +198,8 @@ def test_tree_topology_errors(small_chips):
         build_tree([("n0", "n1"), ("n1", "n0")], chips2, 0, modulus_bits=512)
     with pytest.raises(MultipleSinks):
         build_tree([], chips2, 0, modulus_bits=512)
+    with pytest.raises(MultipleSinks, match="found sinks: none"):
+        build_tree([], {}, 0, modulus_bits=512)
     with pytest.raises(UnknownChip):
         build_tree([("n0", "zz")], chips2, 0, modulus_bits=512)
     with pytest.raises(ValueError):

@@ -80,7 +80,7 @@ def test_parse_mini_config():
     assert config.management == "mgmt"
     assert config.security == "sec"
     assert set(config.chips) == {"ca", "cb", "cc"}
-    assert config.chips["ca"].rows == 256
+    assert config.chips["ca"].geometry.rows == 256
     assert config.topology == (("b", "a"), ("c", "a"))
     assert [item.action for item in config.schedule] == [
         "enroll", "enroll", "enroll", "build_tree", "mine"
@@ -90,9 +90,9 @@ def test_parse_mini_config():
 def test_parse_defaults():
     config = parse_scenario(MINI)
     spec = config.chips["ca"]
-    assert spec.mean_failures == 10.0
-    assert spec.redundancy_rows == 20
-    assert spec.min_failures == 1
+    assert spec.failure_model == FailureModel(mean_failures=10.0,
+                                              min_failures=1)
+    assert spec.geometry == ChipGeometry(rows=256, redundancy_rows=20)
 
 
 @pytest.mark.parametrize(
@@ -134,6 +134,21 @@ def test_parse_rejects_rotate_beyond_eight_byte_state():
     parse_scenario(MINI + "\n[schedule]\n13 rotate 18446744073709551615\n")
 
 
+@pytest.mark.parametrize("before, after, bad_line, message", [
+    ("4 build_tree\n5 mine", "4 build_tree\n5 mine\n6 build_tree",
+     "6 build_tree", "transfer tree already built"),
+    ("4 build_tree\n5 mine", "5 mine", "5 mine", "no transfer tree to stamp"),
+    ("b -> a\nc -> a", "", "4 build_tree", "build_tree needs a [topology]"),
+])
+def test_parse_rejects_schedule_order_with_its_line(before, after, bad_line,
+                                                     message):
+    bad = MINI.replace(before, after)
+    line_no = bad.splitlines().index(bad_line) + 1
+    with pytest.raises(ConfigInvalid,
+                       match=re.escape(f"line {line_no}: {message}")):
+        parse_scenario(bad)
+
+
 def test_parse_reports_line_numbers():
     bad = MINI + "\n[schedule]\n9 dance\n"
     line_no = bad.splitlines().index("9 dance") + 1
@@ -141,19 +156,33 @@ def test_parse_reports_line_numbers():
         parse_scenario(bad)
 
 
+# (chip options, the rule they break in config terms, the parser's text,
+# which names the ChipGeometry or FailureModel field)
+BAD_CHIP_OPTIONS = [
+    ("lambda=nan", "lambda must be finite and positive",
+     "mean_failures must be finite, got nan"),
+    ("lambda=inf", "lambda must be finite and positive",
+     "mean_failures must be finite, got inf"),
+    ("lambda=-1", "lambda must be finite and positive",
+     "mean_failures must be positive"),
+    ("y=0", "y must be positive", "rows must be positive, got 0"),
+    ("y=10 redundancy=11", "redundancy must be in [0, y=10]",
+     "redundancy_rows=11 exceeds rows=10"),
+    ("redundancy=3 min_failures=4", "min_failures must be in [0, redundancy=3]",
+     "min_failures=4 exceeds redundancy_rows=3"),
+    ("lambda=1e19", "lambda must be at most 9.22337e+18",
+     "mean_failures must be at most 9.22337e+18"),
+    ("y=4294967296", "y must be at most 4294967295",
+     "rows must be at most 4294967295"),
+    ("y=4294967295 redundancy=65537", "redundancy must be at most 65536",
+     "redundancy_rows must be at most 65536"),
+]
+
+
 @pytest.mark.parametrize(
     "options, message_part",
-    [
-        ("lambda=nan", "lambda must be finite and positive"),
-        ("lambda=inf", "lambda must be finite and positive"),
-        ("lambda=-1", "lambda must be finite and positive"),
-        ("y=0", "y must be positive"),
-        ("y=10 redundancy=11", "redundancy must be in [0, y=10]"),
-        ("redundancy=3 min_failures=4", "min_failures must be in [0, redundancy=3]"),
-        ("lambda=1e19", "lambda must be at most 9.22337e+18"),
-        ("y=4294967296", "y must be at most 4294967295"),
-        ("y=4294967295 redundancy=65537", "redundancy must be at most 65536"),
-    ],
+    [(options, message) for options, _, message in BAD_CHIP_OPTIONS],
+    ids=[f"{options}-{rule}" for options, rule, _ in BAD_CHIP_OPTIONS],
 )
 def test_parse_rejects_bad_chip_parameters(options, message_part):
     bad = MINI + f"\n[chips]\ncd seed=4 {options}\n"
@@ -166,7 +195,8 @@ def test_parse_rejects_bad_chip_parameters(options, message_part):
 def test_parse_checks_chip_parameters_from_params_defaults():
     bad = MINI.replace("y = 256", "y = 256\nlambda = nan")
     line_no = bad.splitlines().index("ca seed=1") + 1
-    with pytest.raises(ConfigInvalid, match=f"line {line_no}: chip 'ca': lambda"):
+    with pytest.raises(ConfigInvalid,
+                       match=f"line {line_no}: chip 'ca': mean_failures"):
         parse_scenario(bad)
 
 
@@ -264,9 +294,12 @@ n2 -> n0
 def test_parse_topology_specs_and_edges():
     chips, edges = parse_topology(LEDGER)
     assert list(chips) == ["n0", "n1", "n2"]
-    assert chips["n0"] == ChipSpec("n0", 50, 256, 8.0, 20, 1)
-    assert chips["n1"] == ChipSpec("n1", 51, 256, 3.0, 20, 2)
-    assert chips["n2"] == ChipSpec("n2", 52, 300, 8.0, 25, 1)
+    assert chips["n0"] == ChipSpec("n0", 50, ChipGeometry(256, 8, 20),
+                                   FailureModel(8.0, 1))
+    assert chips["n1"] == ChipSpec("n1", 51, ChipGeometry(256, 8, 20),
+                                   FailureModel(3.0, 2))
+    assert chips["n2"] == ChipSpec("n2", 52, ChipGeometry(300, 8, 25),
+                                   FailureModel(8.0, 1))
     assert edges == (("n1", "n0"), ("n2", "n0"))
 
 
@@ -294,7 +327,8 @@ def test_parse_topology_rejections(extra, message_part):
 
 def test_parse_topology_checks_chip_parameters_from_params_defaults():
     bad = LEDGER.replace("lambda = 8", "lambda = nan")
-    with pytest.raises(ConfigInvalid, match="line 7: chip 'n0': lambda must be"):
+    with pytest.raises(ConfigInvalid,
+                       match="line 7: chip 'n0': mean_failures must be"):
         parse_topology(bad)
 
 
