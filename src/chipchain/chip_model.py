@@ -28,17 +28,21 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import re
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._lines import _numbered_lines, _parse_number, _read_fields
 from .errors import (
     CapacityExceeded,
     ColumnOutOfRange,
+    ConfigInvalid,
     FixtureInvalid,
     GeometryInvalid,
     PreprocessMissing,
@@ -174,10 +178,7 @@ def prn_canonical_bytes(rows: Sequence[int], total_rows: int) -> bytes:
     """Canonical packed form: total row count, then the sorted failure
     row indices, each as a 4-byte big-endian word."""
     ordered = sorted(int(r) for r in rows)
-    out = bytearray(struct.pack(">II", total_rows, len(ordered)))
-    for r in ordered:
-        out += struct.pack(">I", r)
-    return bytes(out)
+    return struct.pack(f">II{len(ordered)}I", total_rows, len(ordered), *ordered)
 
 
 @dataclass(frozen=True)
@@ -384,11 +385,21 @@ def extract_prn(chip: SimulatedChip, column: int = 0) -> Prn:
     return Prn(chip.chip_id, column, rows, chip.geometry.rows)
 
 
+# a chip id names its fixture file: one path component, no comment mark
+_CHIP_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+
+
+def _check_chip_id(chip_id: str, where: str = "chip_id") -> str:
+    if not _CHIP_ID.fullmatch(chip_id):
+        raise FixtureInvalid(f"{where} must match {_CHIP_ID.pattern}, got {chip_id!r}")
+    return chip_id
+
+
 def format_chip_fixture(chip: SimulatedChip) -> str:
     """Plain-text record of a part's identity-relevant state."""
     targets = ", ".join(str(chip._swap_map[r]) for r in chip.failure_rows)
     lines = [
-        f"chip_id = {chip.chip_id}",
+        f"chip_id = {_check_chip_id(chip.chip_id)}",
         f"rows = {chip.geometry.rows}",
         f"cols = {chip.geometry.cols}",
         f"redundancy_rows = {chip.geometry.redundancy_rows}",
@@ -408,82 +419,65 @@ def parse_chip_fixture(text: str) -> SimulatedChip:
     """Rebuild a part from its fixture record.
 
     The recorded failure rows are authoritative; nothing is re-sampled.
-    A malformed record raises FixtureInvalid naming the offending line.
+    The lines are read as a config's are, the geometry is ChipGeometry's
+    to check, and a malformed record raises FixtureInvalid naming a line.
     """
-    fields: dict[str, tuple[int, str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FixtureInvalid(f"fixture line {lineno}: expected key = value")
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key not in _FIXTURE_FIELDS:
-            raise FixtureInvalid(f"fixture line {lineno}: unknown field {key!r}")
-        if key in fields:
-            raise FixtureInvalid(f"fixture line {lineno}: duplicate field "
-                                 f"{key!r} (first on line {fields[key][0]})")
-        fields[key] = (lineno, value)
+    try:
+        fields = _read_fields(_numbered_lines(text), _FIXTURE_FIELDS)
+    except ConfigInvalid as exc:
+        raise FixtureInvalid(f"fixture {exc}") from None
     for key in _FIXTURE_REQUIRED:
         if key not in fields:
             raise FixtureInvalid(f"fixture missing field {key!r}")
 
     def invalid(key: str, problem) -> FixtureInvalid:
-        return FixtureInvalid(f"fixture line {fields[key][0]}: {key}: {problem}")
+        return FixtureInvalid(f"fixture line {fields[key][0]}: {problem}")
+
+    def integer(key: str) -> int:
+        try:
+            return _parse_number(fields[key][1], key)
+        except ConfigInvalid as exc:
+            raise invalid(key, exc) from None
 
     def integers(key: str) -> list[int]:
         raw = fields[key][1] if key in fields else ""
         try:
             return [int(part) for part in raw.split(",") if part.strip()]
         except ValueError:
-            raise invalid(key, f"expected integers, got {raw!r}") from None
+            raise invalid(key, f"{key}: expected integers, got {raw!r}") from None
 
-    def integer(key: str, low: int, high: int | None = None) -> int:
-        value = fields[key][1]
-        try:
-            number = int(value)
-        except ValueError:
-            raise invalid(key, f"expected integer, got {value!r}") from None
-        if number < low or (high is not None and number > high):
-            bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-            raise invalid(key, f"must be {bounds}, got {number}")
-        return number
-
-    rows = integer("rows", 1, MAX_ROWS)
-    redundancy_rows = integer("redundancy_rows", 0, rows)
-    if redundancy_rows > MAX_REDUNDANCY_ROWS:
-        raise invalid("redundancy_rows", f"must be at most "
-                      f"{MAX_REDUNDANCY_ROWS}, got {redundancy_rows}")
-    geometry = ChipGeometry(
-        rows=rows,
-        cols=integer("cols", 1) if "cols" in fields else 8,
-        redundancy_rows=redundancy_rows,
-    )
-    seed = integer("seed", 0) if fields.get("seed", (0, ""))[1] else None
-    failure_rows = integers("failure_rows")
+    line_no, chip_id = fields["chip_id"]
+    _check_chip_id(chip_id, f"fixture line {line_no}: chip_id")
     try:
-        failure_rows = _checked_failure_rows(failure_rows, geometry)
+        geometry = ChipGeometry(**{key: integer(key) for key in
+                                   ("rows", "cols", "redundancy_rows")
+                                   if key in fields})
+    except GeometryInvalid as exc:
+        # each ChipGeometry text opens with the field it refuses
+        raise invalid(re.match(r"\w+", str(exc))[0], exc) from None
+    seed = integer("seed") if fields.get("seed", (0, ""))[1] else None
+    if seed is not None and seed < 0:
+        raise invalid("seed", f"seed: must be >= 0, got {seed}")
+    try:
+        failure_rows = _checked_failure_rows(integers("failure_rows"), geometry)
     except (ValueError, CapacityExceeded) as exc:
-        raise invalid("failure_rows", exc) from None
-    swap_map = None
+        raise invalid("failure_rows", f"failure_rows: {exc}") from None
     targets = integers("swap_targets")
-    if targets:
-        if len(targets) != len(failure_rows):
-            raise invalid("swap_targets", "length must match failure_rows")
-        try:
-            swap_map = _checked_swap_map(dict(zip(failure_rows, targets)),
-                                         failure_rows, geometry)
-        except ValueError as exc:
-            raise invalid("swap_targets", exc) from None
-    return SimulatedChip(fields["chip_id"][1], geometry, failure_rows,
-                         swap_map, seed=seed)
+    if targets and len(targets) != len(failure_rows):
+        raise invalid("swap_targets",
+                      "swap_targets: length must match failure_rows")
+    # the chip checks the swap map; its failure rows passed above
+    try:
+        return SimulatedChip(chip_id, geometry, failure_rows,
+                             dict(zip(failure_rows, targets)) if targets else None,
+                             seed=seed)
+    except ValueError as exc:
+        raise invalid("swap_targets", f"swap_targets: {exc}") from None
 
 
 def save_chip_fixture(chip: SimulatedChip, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_chip_fixture(chip))
+    Path(path).write_text(format_chip_fixture(chip), encoding="utf-8")
 
 
 def load_chip_fixture(path) -> SimulatedChip:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_chip_fixture(fh.read())
+    return parse_chip_fixture(Path(path).read_text(encoding="utf-8"))

@@ -3,7 +3,7 @@
 One executable, `chipchain`, with subcommands per module: chip fixtures
 (chip new/prn), exact randomness tables (entropy), key operations
 (id keygen/audit), transfer-tree and chain operations (ledger ...),
-scripted network runs (scenario run), plus version and selftest.
+scripted network runs (scenario run), and the version.
 
 Each subcommand takes only the flags its handler reads; --seed defaults
 to 0 wherever it is taken, and nothing ever falls back to wall-clock
@@ -31,18 +31,14 @@ from .chip_model import (
     format_chip_fixture,
     load_chip_fixture,
     new_chip,
-    read_column_normal,
-    save_chip_fixture,
-    write_column,
 )
 from .entropy_analysis import (
     collision_report,
-    combinations,
     entropy_report,
     format_scientific,
     generation_table,
 )
-from .errors import ChipChainError
+from .errors import ChipChainError, UnknownChip
 from .identity import (
     MAX_STATE_INDEX,
     POWMOD_BACKEND,
@@ -52,8 +48,6 @@ from .identity import (
     crp_audit,
     key_fingerprint,
     keypair_for_chip,
-    sign,
-    verify,
 )
 from .ledger import (
     MAX_MINING_DIFFICULTY,
@@ -109,16 +103,17 @@ def _cmd_chip_new(args):
     model = FailureModel(mean_failures=args.mean_failures,
                          min_failures=args.min_failures)
     chip = new_chip(geometry, model, seed=args.seed, chip_id=args.chip_id)
+    record = format_chip_fixture(chip)  # refuses a bad chip id before any write
     os.makedirs(args.dir, exist_ok=True)
     path = os.path.join(args.dir, f"{chip.chip_id}.chip")
-    save_chip_fixture(chip, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(record)
     if args.output == "records":
         rows = ",".join(str(r) for r in chip.failure_rows)
         return ([f"chip_id={chip.chip_id} rows={geometry.rows} "
                  f"failures={len(chip.failure_rows)} failure_rows={rows} "
                  f"path={path}"], 0, [])
-    return (format_chip_fixture(chip).rstrip("\n").splitlines()
-            + [f"# saved to {path}"], 0, [])
+    return record.rstrip("\n").splitlines() + [f"# saved to {path}"], 0, []
 
 
 def _cmd_chip_prn(args):
@@ -268,7 +263,7 @@ def _cmd_ledger_verify(args):
 def _cmd_ledger_replace(args):
     specs, chips, topology = _load_ledger(args.topology)
     if args.old not in specs:
-        raise ValueError(f"no chip {args.old!r} in {args.topology}")
+        raise UnknownChip(f"no chip {args.old!r} in {args.topology}")
     tree = build_tree(topology, chips, args.l, args.modulus_bits)
     replacement = specs[args.old].manufacture(
         args.new_seed, f"{args.old}-replacement")
@@ -330,91 +325,6 @@ def _cmd_version(args):
             f"powmod: {POWMOD_BACKEND})"], 0, []
 
 
-# frozen oracle anchors used by the embedded selftest
-_COMBINATIONS_2000_10 = 275898785946005613288829800
-
-
-def _selftest_checks():
-    def chip_extraction():
-        chip = new_chip(ChipGeometry(rows=512), FailureModel(), seed=7)
-        prn = extract_prn(chip)
-        assert prn.rows == chip.failure_rows, "extraction missed failure rows"
-        for _ in range(50):
-            assert extract_prn(chip).rows == prn.rows, "extraction unstable"
-        write_column(chip, "special", 1, 1)
-        write_column(chip, "normal", 1, 0)  # wrong order wipes the marks
-        assert not read_column_normal(chip, 1).any(), \
-            "wrong preprocess order should read all zero"
-
-    def entropy_anchor():
-        count = combinations(2000, 10)
-        assert count == _COMBINATIONS_2000_10, "combination count drifted"
-        assert count > 10 ** 25, "anchor bound violated"
-
-    def collision_bound():
-        from fractions import Fraction
-        report = collision_report(2000, 1, 10, 10 ** 14)
-        assert report.per_chip < Fraction(1, 10 ** 11), "collision bound violated"
-
-    def sign_verify():
-        chip = new_chip(ChipGeometry(rows=2000), FailureModel(), seed=11)
-        pair = keypair_for_chip(chip, 0, 512)
-        message = b"selftest message"
-        signature = sign(pair.secret_key, message)
-        assert verify(pair.public_key, message, signature), "roundtrip failed"
-        assert not verify(pair.public_key, b"other message", signature), \
-            "verify accepted the wrong message"
-        other = keypair_for_chip(chip, 1, 512)
-        assert not verify(other.public_key, message, signature), \
-            "verify accepted a foreign key"
-
-    def mine_verify():
-        chips = {f"n{i}": new_chip(ChipGeometry(rows=256), FailureModel(),
-                                   seed=20 + i, chip_id=f"n{i}")
-                 for i in range(3)}
-        tree = build_tree((("n1", "n0"), ("n2", "n0")), chips, 0, 512)
-        first = mine_block(tree.root_stamp(), ZERO_HASH, 8, height=0)
-        second = mine_block(tree.root_stamp(), first.block_hash, 8, height=1)
-        chain = [first, second]
-        assert verify_chain(chain, 8), "fresh chain failed verification"
-        forged = second.block_hash[:-1] + bytes([second.block_hash[-1] ^ 1])
-        import dataclasses
-        assert not verify_chain([first, dataclasses.replace(
-            second, block_hash=forged)], 8), "tampered chain verified"
-
-    def scenario_run():
-        log = run_scenario(bundled_scenario("fig10-coexistence"), 0)
-        assert not check_invariants(log), "invariant violations"
-        assert log.rejections >= 1, "attacker was never rejected"
-        assert len(log.chain) == 3, "expected a three-block chain"
-        assert not log.evicted, "rotation should not shed members"
-
-    return [
-        ("chip-extraction", chip_extraction),
-        ("entropy-anchor", entropy_anchor),
-        ("collision-bound", collision_bound),
-        ("sign-verify", sign_verify),
-        ("mine-verify", mine_verify),
-        ("scenario-run", scenario_run),
-    ]
-
-
-def _cmd_selftest(args):
-    lines = []
-    passed = 0
-    checks = _selftest_checks()
-    for name, check in checks:
-        try:
-            check()
-        except Exception as exc:
-            lines.append(f"FAIL {name}: {exc}")
-        else:
-            passed += 1
-            lines.append(f"ok {name}")
-    lines.append(f"selftest: {passed}/{len(checks)} passed")
-    return lines, 0 if passed == len(checks) else 1, []
-
-
 # -- parser ----------------------------------------------------------------
 
 
@@ -448,6 +358,18 @@ _ENTROPY_FLAGS = {
     "--l": dict(type=int, default=1, help="block side"),
     "--m": dict(type=int, default=10, help="failure count"),
 }
+# the flags each mode reads; given before the mode word, another is refused
+_ENTROPY_MODE_FLAGS = {"table": ("--output", "--l", "--m"),
+                       "collisions": ("--output", "--y", "--l", "--m")}
+
+
+class _NoteEntropyFlag(argparse.Action):
+    """Store a bare `entropy` flag and note that it was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.entropy_flags = (*getattr(namespace, "entropy_flags", ()),
+                                   self.option_strings[0])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -496,9 +418,9 @@ def _build_parser() -> argparse.ArgumentParser:
     entropy = sub.add_parser("entropy",
                              help="exact fingerprint-space combinatorics")
     for flag, spec in _ENTROPY_FLAGS.items():
-        entropy.add_argument(flag, **spec)
+        entropy.add_argument(flag, action=_NoteEntropyFlag, **spec)
     entropy.set_defaults(handler=_cmd_entropy)
-    modes = entropy.add_subparsers(metavar="mode",
+    modes = entropy.add_subparsers(dest="mode", metavar="mode",
                                    help="omit for one configuration")
     table = modes.add_parser("table", help="the generation ladder")
     table.add_argument("--generations", help="comma-separated subset")
@@ -508,11 +430,10 @@ def _build_parser() -> argparse.ArgumentParser:
     collisions.set_defaults(handler=_cmd_entropy_collisions)
     # a mode's copy of a flag stays unset unless given, so a flag given
     # before the mode word keeps its value in the mode
-    for mode, flags in ((table, ("--output", "--l", "--m")),
-                        (collisions, ("--output", "--y", "--l", "--m"))):
+    for mode, flags in _ENTROPY_MODE_FLAGS.items():
         for flag in flags:
-            mode.add_argument(flag, **{**_ENTROPY_FLAGS[flag],
-                                       "default": argparse.SUPPRESS})
+            modes.choices[mode].add_argument(
+                flag, **{**_ENTROPY_FLAGS[flag], "default": argparse.SUPPRESS})
 
     ident = sub.add_parser("id", help="chip-bound keys and audits")
     ident_sub = ident.add_subparsers(dest="subcommand", required=True)
@@ -593,10 +514,6 @@ def _build_parser() -> argparse.ArgumentParser:
     version = sub.add_parser("version", help="print version and active kernels")
     version.set_defaults(handler=_cmd_version)
 
-    selftest = sub.add_parser("selftest",
-                              help="run the embedded end-to-end checks")
-    selftest.set_defaults(handler=_cmd_selftest)
-
     return parser
 
 
@@ -607,6 +524,11 @@ def dispatch(argv) -> CommandResult:
     try:
         with redirect_stdout(out), redirect_stderr(err):
             args = parser.parse_args(list(argv))
+            unread = [flag for flag in getattr(args, "entropy_flags", ())
+                      if flag not in _ENTROPY_MODE_FLAGS.get(args.mode,
+                                                             _ENTROPY_FLAGS)]
+            if unread:
+                parser.error(f"entropy {args.mode} does not read {unread[0]}")
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return CommandResult(code, out.getvalue().rstrip("\n"),

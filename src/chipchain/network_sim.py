@@ -9,7 +9,7 @@ config and an integer tick schedule, and a run is fully deterministic
 for a given (config, seed): replaying yields byte-identical event
 records except that audit nonces follow the seed.
 
-Scenario config format (sections in any order, # comments allowed):
+Scenario config format (sections in any order):
 
     [params]
     difficulty = 8          # mining difficulty in leading zero bits
@@ -50,17 +50,20 @@ Ledger files, read by the `chipchain ledger` commands, are the
 [params]/[chips]/[topology] part of this grammar: [params] holds only
 the chip defaults (y, lambda, redundancy, min_failures) and edges run
 between declared chips.  parse_topology reads them with the same steps
-as parse_scenario.
+as parse_scenario.  Both formats and the chip fixture share one line
+reader: `#` starts a comment anywhere on a line; errors name `line N`.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._lines import _parse_number, _read_fields, _read_sections, _split_options
 from .chip_model import ChipGeometry, FailureModel, SimulatedChip, new_chip
 from .errors import ConfigInvalid, GeometryInvalid, SignatureMalformed
 from .identity import (
@@ -134,7 +137,6 @@ class ScheduleItem:
     tick: int
     action: str
     args: Mapping[str, object]
-    line_no: int
 
 
 @dataclass(frozen=True)
@@ -159,28 +161,6 @@ def _parse_bool(raw: str, where: str) -> bool:
     raise ConfigInvalid(f"{where}: expected yes/no, got {raw!r}")
 
 
-def _parse_number(raw: str, where: str, kind: type = int):
-    try:
-        return kind(raw)
-    except ValueError:
-        expected = "integer" if kind is int else "number"
-        raise ConfigInvalid(f"{where}: expected {expected}, got {raw!r}") from None
-
-
-def _split_options(parts: Sequence[str], where: str) -> dict[str, str]:
-    options = {}
-    for part in parts:
-        if "=" not in part:
-            raise ConfigInvalid(f"{where}: expected key=value, got {part!r}")
-        key, _, value = part.partition("=")
-        if not key or not value:
-            raise ConfigInvalid(f"{where}: malformed option {part!r}")
-        if key in options:
-            raise ConfigInvalid(f"{where}: duplicate option {key!r}")
-        options[key] = value
-    return options
-
-
 _Lines = list[tuple[int, str]]
 _Edges = tuple[tuple[str, str], ...]
 
@@ -188,57 +168,24 @@ _Edges = tuple[tuple[str, str], ...]
 _CHIP_DEFAULTS = {"y": 2000, "lambda": 10.0, "redundancy": 20,
                   "min_failures": 1}
 _SCENARIO_DEFAULTS = {"difficulty": 8, "modulus_bits": 512, **_CHIP_DEFAULTS}
-# [params] keys whose values have a range: key -> (test, allowed values)
+# [params] keys whose values have a range: key -> (allowed values, as text)
 _PARAM_RANGES = {
-    "difficulty": (lambda v: 0 <= v <= MAX_MINING_DIFFICULTY,
+    "difficulty": (range(MAX_MINING_DIFFICULTY + 1),
                    f"in [0, {MAX_MINING_DIFFICULTY}]"),
-    "modulus_bits": (lambda v: v in SUPPORTED_MODULUS_BITS,
-                     "512, 1024, or 2048"),
+    "modulus_bits": (SUPPORTED_MODULUS_BITS, "512, 1024, or 2048"),
 }
-
-
-def _read_sections(text: str, names: Sequence[str]) -> dict[str, _Lines]:
-    """Group the numbered, comment-stripped lines of a config by section."""
-    sections: dict[str, _Lines] = {name: [] for name in names}
-    section = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
-            if section not in sections:
-                raise ConfigInvalid(
-                    f"line {line_no}: unknown section [{section}]")
-            continue
-        if section is None:
-            raise ConfigInvalid(
-                f"line {line_no}: content before any [section] header")
-        sections[section].append((line_no, line))
-    return sections
 
 
 def _parse_params(lines: _Lines, defaults: Mapping[str, object]) -> dict:
     """`key = value` lines over defaults; each value takes its default's type."""
     params = dict(defaults)
-    seen = set()
-    for line_no, line in lines:
-        where = f"line {line_no}"
-        key, sep, value = (part.strip() for part in line.partition("="))
-        if not sep:
-            raise ConfigInvalid(f"{where}: params need key = value")
-        if key not in defaults:
-            raise ConfigInvalid(f"{where}: unknown parameter {key!r}")
-        if key in seen:
-            raise ConfigInvalid(f"{where}: duplicate parameter {key!r}")
-        seen.add(key)
-        number = _parse_number(value, f"{where}: params.{key}",
+    for key, (line_no, value) in _read_fields(lines, defaults).items():
+        number = _parse_number(value, f"line {line_no}: params.{key}",
                                type(defaults[key]))
-        if key in _PARAM_RANGES:
-            in_range, allowed = _PARAM_RANGES[key]
-            if not in_range(number):
-                raise ConfigInvalid(
-                    f"{where}: params.{key} must be {allowed}, got {number}")
+        allowed, text = _PARAM_RANGES.get(key, (None, ""))
+        if allowed is not None and number not in allowed:
+            raise ConfigInvalid(f"line {line_no}: params.{key} must be "
+                                f"{text}, got {number}")
         params[key] = number
     return params
 
@@ -252,16 +199,12 @@ def _parse_chips(lines: _Lines,
         chip_name, *parts = line.split()
         if chip_name in chips:
             raise ConfigInvalid(f"{where}: duplicate chip {chip_name!r}")
-        options = _split_options(parts, where)
-        unknown = set(options) - {"seed", *_CHIP_DEFAULTS}
-        if unknown:
-            raise ConfigInvalid(f"{where}: unknown chip options {sorted(unknown)}")
+        options = _split_options(parts, where, ("seed", *_CHIP_DEFAULTS))
         if "seed" not in options:
             raise ConfigInvalid(f"{where}: chip {chip_name!r} needs seed=")
         values = {key: params[key] for key in _CHIP_DEFAULTS}
         for key, raw in options.items():
-            values[key] = _parse_number(raw, where,
-                                        float if key == "lambda" else int)
+            values[key] = _parse_number(raw, where, type(values.get(key, 0)))
         try:
             geometry = ChipGeometry(values["y"],
                                     redundancy_rows=values["redundancy"])
@@ -306,8 +249,7 @@ def parse_topology(text: str) -> tuple[dict[str, ChipSpec], _Edges]:
 
 
 def load_topology(path) -> tuple[dict[str, ChipSpec], _Edges]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_topology(fh.read())
+    return parse_topology(Path(path).read_text(encoding="utf-8"))
 
 
 def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
@@ -325,19 +267,16 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
         node_name = parts[0]
         if node_name in nodes:
             raise ConfigInvalid(f"{where}: duplicate node {node_name!r}")
-        options = _split_options(parts[1:], where)
-        unknown = set(options) - {"role", "chip", "claims", "strategy",
-                                  "blocked"}
-        if unknown:
-            raise ConfigInvalid(f"{where}: unknown node options {sorted(unknown)}")
+        options = _split_options(parts[1:], where, ("role", "chip", "claims",
+                                                    "strategy", "blocked"))
         role = options.get("role")
         if role not in _ROLES:
             raise ConfigInvalid(f"{where}: node {node_name!r} needs "
                                 f"role= one of {', '.join(_ROLES)}")
         chip_ref = options.get("chip")
-        if chip_ref is not None and chip_ref not in chips:
-            raise ConfigInvalid(f"{where}: unknown chip {chip_ref!r}")
         if chip_ref is not None:
+            if chip_ref not in chips:
+                raise ConfigInvalid(f"{where}: unknown chip {chip_ref!r}")
             if chip_ref in chip_owner:
                 raise ConfigInvalid(
                     f"{where}: chip {chip_ref!r} already held by "
@@ -360,14 +299,13 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
             blocked=_parse_bool(options.get("blocked", "no"), where),
         )
 
-    managers = [n for n in nodes.values() if n.role == ROLE_MANAGEMENT]
-    securities = [n for n in nodes.values() if n.role == ROLE_SECURITY]
-    if len(managers) != 1:
-        raise ConfigInvalid("config needs exactly one management node, "
-                            f"found {len(managers)}")
-    if len(securities) != 1:
-        raise ConfigInvalid("config needs exactly one security node, "
-                            f"found {len(securities)}")
+    only: dict[str, str] = {}
+    for role in (ROLE_MANAGEMENT, ROLE_SECURITY):
+        holders = [n.name for n in nodes.values() if n.role == role]
+        if len(holders) != 1:
+            raise ConfigInvalid(f"config needs exactly one {role} node, "
+                                f"found {len(holders)}")
+        only[role] = holders[0]
     for spec in nodes.values():
         if spec.claims is not None and spec.claims not in nodes:
             raise ConfigInvalid(f"node {spec.name!r} claims unknown node "
@@ -418,14 +356,14 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
         elif action == "mine" and not tree_built:
             raise ConfigInvalid(f"{where}: no transfer tree to stamp; "
                                 "mine needs an earlier build_tree")
-        schedule.append(ScheduleItem(tick, action, args, line_no))
+        schedule.append(ScheduleItem(tick, action, args))
 
     return ScenarioConfig(
         name=name, difficulty=params["difficulty"],
         modulus_bits=params["modulus_bits"],
         chips=chips, nodes=nodes, topology=topology,
         schedule=tuple(schedule),
-        management=managers[0].name, security=securities[0].name,
+        management=only[ROLE_MANAGEMENT], security=only[ROLE_SECURITY],
     )
 
 
@@ -468,9 +406,7 @@ def _parse_action_args(action: str, rest: Sequence[str],
             raise ConfigInvalid(f"{where}: state index must be in "
                                 f"[0, 2^64 - 1], got {args['state']}")
         if len(rest) > 1:
-            options = _split_options(rest[1:], where)
-            if set(options) - {"offline"}:
-                raise ConfigInvalid(f"{where}: rotate accepts only offline=")
+            options = _split_options(rest[1:], where, ("offline",))
             offline = tuple(
                 node_of_role(n.strip(), ROLE_DEVICE, ROLE_ATTACKER)
                 for n in options["offline"].split(",") if n.strip())
@@ -478,9 +414,7 @@ def _parse_action_args(action: str, rest: Sequence[str],
         return args
     if action == "tamper":
         need(2, "TICK tamper NODE seed=N")
-        options = _split_options(rest[1:], where)
-        if set(options) != {"seed"}:
-            raise ConfigInvalid(f"{where}: tamper needs exactly seed=N")
+        options = _split_options(rest[1:], where, ("seed",))
         seed = _parse_number(options["seed"], where)
         if seed < 0:
             raise ConfigInvalid(f"{where}: seed must be >= 0")
@@ -492,9 +426,7 @@ def _parse_action_args(action: str, rest: Sequence[str],
 
 
 def load_scenario(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_scenario(text, name=str(path))
+    return parse_scenario(Path(path).read_text(encoding="utf-8"), name=str(path))
 
 
 _BUNDLED = importlib.resources.files("chipchain") / "scenarios"
@@ -646,8 +578,19 @@ class Simulation:
             self.clock, kind,
             tuple((key, str(value)) for key, value in fields.items())))
 
-    def _fresh_nonce(self) -> bytes:
-        return self.rng.bytes(32)
+    def _challenge(self, node: str) -> bytes:
+        """A fresh audit nonce for node, recorded as its Challenge."""
+        nonce = self.rng.bytes(32)
+        self._emit("Challenge", actor=self.config.management, node=node,
+                   issuer=ROLE_MANAGEMENT, state=self.state_index,
+                   nonce=nonce.hex()[:16])
+        return nonce
+
+    def _deny(self, node: str, reason: str) -> bool:
+        self._emit("Verdict", actor=self.config.management, node=node,
+                   verdict="Denied", reason=reason)
+        self.denied.append(node)
+        return False
 
     def _device_keypair(self, node: _NetworkNode):
         return keypair_for_chip(node.chip, self.state_index,
@@ -662,24 +605,15 @@ class Simulation:
             raise ValueError(f"{node} is already a member")
         self._emit("EntryRequest", node=node, role=entrant.spec.role)
         if entrant.spec.blocked:
-            self._emit("Verdict", actor=self.config.management, node=node,
-                       verdict="Denied", reason="blocklist")
-            self.denied.append(node)
-            return False
-        nonce = self._fresh_nonce()
-        self._emit("Challenge", actor=self.config.management, node=node,
-                   issuer=ROLE_MANAGEMENT, state=self.state_index,
-                   nonce=nonce.hex()[:16])
+            return self._deny(node, "blocklist")
+        nonce = self._challenge(node)
         if entrant.chip is None:
             claimed = (self.registry.get(entrant.spec.claims)
                        if entrant.spec.claims else None)
             self._emit("Response", node=node,
                        key="none" if claimed is None else key_fingerprint(claimed))
-            reason = "no_chip" if claimed is None else "audit_failed"
-            self._emit("Verdict", actor=self.config.management, node=node,
-                       verdict="Denied", reason=reason)
-            self.denied.append(node)
-            return False
+            return self._deny(node, "no_chip" if claimed is None
+                              else "audit_failed")
         claimed_key = self._device_keypair(entrant).public_key
         self._emit("Response", node=node, key=key_fingerprint(claimed_key))
         audit = crp_audit(entrant.chip, claimed_key, self.state_index, nonce)
@@ -690,10 +624,7 @@ class Simulation:
             self._emit("Verdict", actor=self.config.management, node=node,
                        verdict="Admitted")
             return True
-        self.denied.append(node)
-        self._emit("Verdict", actor=self.config.management, node=node,
-                   verdict="Denied", reason="audit_failed")
-        return False
+        return self._deny(node, "audit_failed")
 
     def spoof(self, attacker: str, victim: str) -> bool:
         """Impersonation attempt against a registered address.
@@ -705,10 +636,7 @@ class Simulation:
         if victim_key is None:
             raise ValueError(f"{victim} holds no registered address")
         self._emit("EntryRequest", node=attacker, claims=victim)
-        nonce = self._fresh_nonce()
-        self._emit("Challenge", actor=self.config.management,
-                   node=attacker, issuer=ROLE_MANAGEMENT,
-                   state=self.state_index, nonce=nonce.hex()[:16])
+        nonce = self._challenge(attacker)
         if attacker_node.spec.strategy == "replay":
             transcript = self.transcripts.get(victim)
             if transcript is None:
@@ -741,10 +669,7 @@ class Simulation:
         failed = []
         for name in sorted(self.registry):
             node = self.nodes[name]
-            nonce = self._fresh_nonce()
-            self._emit("Challenge", actor=self.config.management, node=name,
-                       issuer=ROLE_MANAGEMENT, state=self.state_index,
-                       nonce=nonce.hex()[:16])
+            nonce = self._challenge(name)
             audit = crp_audit(node.chip, self.registry[name],
                               self.state_index, nonce)
             retained = audit.verdict is AuditVerdict.GENUINE

@@ -26,6 +26,7 @@ from chipchain import (
     SimulatedChip,
     UnknownGeneration,
     extract_prn,
+    format_chip_fixture,
     generation_geometry,
     load_chip_fixture,
     make_challenge,
@@ -490,7 +491,7 @@ def test_fixture_roundtrip(tmp_path, desk_chip):
 def test_fixture_comments_and_blanks(tmp_path, desk_chip):
     path = tmp_path / "chip.chip"
     save_chip_fixture(desk_chip, path)
-    text = "# banner\n\n" + path.read_text()
+    text = "# banner\n\n" + path.read_text().replace("\n", "  # note\n", 1)
     assert parse_chip_fixture(text).chip_id == desk_chip.chip_id
 
 
@@ -516,10 +517,11 @@ FIXTURE = ("chip_id = x\nrows = 16\ncols = 8\nredundancy_rows = 4\nseed = 7\n"
     "before, after, message",
     [
         ("rows = 16", "rows = abc", "rows: expected integer, got 'abc'"),
-        ("rows = 16", "rows = 0", "rows: must be in [1, 4294967295], got 0"),
-        ("cols = 8", "cols = 0", "cols: must be >= 1, got 0"),
+        ("rows = 16", "rows = 0", "rows must be positive, got 0"),
+        ("rows = 16", "rows = 0  # no rows", "rows must be positive, got 0"),
+        ("cols = 8", "cols = 0", "cols must be positive, got 0"),
         ("redundancy_rows = 4", "redundancy_rows = 17",
-         "redundancy_rows: must be in [0, 16], got 17"),
+         "redundancy_rows=17 exceeds rows=16"),
         ("seed = 7", "seed = -1", "seed: must be >= 0, got -1"),
         ("failure_rows = 3, 9", "failure_rows = 3, x",
          "failure_rows: expected integers, got '3, x'"),
@@ -533,11 +535,11 @@ FIXTURE = ("chip_id = x\nrows = 16\ncols = 8\nredundancy_rows = 4\nseed = 7\n"
         ("swap_targets = 1, 0", "swap_targets = 1, 4",
          "swap_targets: swap map target outside the redundancy array"),
         ("seed = 7", "seed = 7\nrows = 32",
-         "duplicate field 'rows' (first on line 2)"),
-        ("cols = 8", "col = 2", "unknown field 'col'"),
+         "duplicate key 'rows' (first on line 2)"),
+        ("cols = 8", "col = 2", "unknown key 'col'"),
         ("rows = 16\ncols = 8\nredundancy_rows = 4",
          "rows = 4294967295\ncols = 8\nredundancy_rows = 65537",
-         "redundancy_rows: must be at most 65536, got 65537"),
+         "redundancy_rows must be at most 65536, got 65537"),
     ],
 )
 def test_fixture_errors_name_their_line(before, after, message):
@@ -547,6 +549,21 @@ def test_fixture_errors_name_their_line(before, after, message):
         parse_chip_fixture(text)
     assert str(caught.value).startswith(f"fixture line {line_no}: ")
     assert isinstance(caught.value, ValueError)
+
+
+@pytest.mark.parametrize("chip_id", ["../up", "x/y", "a b", "-x", ".x", "",
+                                     " pad ", "a#b"])
+def test_fixture_chip_id_is_one_plain_name(chip_id):
+    """The writer refuses every id its parser would refuse, or change."""
+    message = f"chip_id must match [A-Za-z0-9][A-Za-z0-9._-]*, got {chip_id!r}"
+    chip = SimulatedChip(chip_id, ChipGeometry(rows=16, redundancy_rows=4), [3])
+    with pytest.raises(FixtureInvalid, match=re.escape(message)):
+        format_chip_fixture(chip)
+    if chip_id == chip_id.strip() and "#" not in chip_id:
+        with pytest.raises(FixtureInvalid,
+                           match=re.escape(f"fixture line 1: {message}")):
+            parse_chip_fixture(FIXTURE.replace("chip_id = x",
+                                               f"chip_id = {chip_id}"))
 
 
 def test_fixture_parses_the_reference_record():

@@ -180,7 +180,6 @@ LEAF_OPTIONS = {
     "ledger rotate": {"--topology", "--from-l", "--new-l", "--modulus-bits"},
     "scenario run": {"target", "--seed", "--output"},
     "version": set(),
-    "selftest": set(),
 }
 
 
@@ -245,9 +244,6 @@ def test_each_subcommand_takes_only_its_options():
     (["version"], "--seed", "1"),
     (["version"], "--output", "records"),
     (["version"], "--modulus-bits", "512"),
-    (["selftest"], "--seed", "1"),
-    (["selftest"], "--output", "records"),
-    (["selftest"], "--modulus-bits", "512"),
     (["id", "keygen", "--chip", "c.chip"], "--column", "0"),
     (["id", "audit", "--chip", "c.chip", "--pk", "00"], "--column", "0"),
 ])
@@ -312,7 +308,6 @@ def test_each_option_is_read_by_its_handler(topo_file, tmp_path):
     run(["scenario", "run", "fig10-coexistence", "--seed", "3",
          "--output", "records"])
     run(["version"])
-    run(["selftest"])
 
     for path, leaf in leaves.values():
         assert reads[path] == {action.dest for action in leaf_actions(leaf)}
@@ -367,11 +362,28 @@ def test_entropy_modes_refuse_flags_they_do_not_read(argv):
     assert "usage:" in result.diagnostics
 
 
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--y", "5", "table"],
+    ["entropy", "--y=5", "table", "--output", "records"],
+    ["entropy", "--m", "5", "--y", "5", "table"],
+])
+def test_entropy_refuses_a_flag_given_before_a_mode_that_ignores_it(argv):
+    result = dispatch(argv)
+    assert result.exit_code == 2
+    assert result.stdout_payload == ""
+    assert "usage:" in result.diagnostics
+    assert result.diagnostics.endswith("entropy table does not read --y")
+
+
 def test_entropy_reads_flags_given_before_the_mode():
     before = dispatch(["entropy", "--output", "records", "--l", "2", "table"])
     assert before.exit_code == 0
     assert before == dispatch(["entropy", "table", "--output", "records",
                                "--l", "2"])
+    given = dispatch(["entropy", "--y", "3000", "--m", "4", "collisions"])
+    assert given.exit_code == 0
+    assert given == dispatch(["entropy", "collisions", "--y", "3000",
+                              "--m", "4"])
 
 
 def test_entropy_rejects_bad_population():
@@ -399,6 +411,10 @@ def test_chip_new_and_prn(tmp_path):
     )
 
 
+# the fixture field of each chip option a fixture records
+FIXTURE_KEYS = {"y": "rows", "redundancy": "redundancy_rows"}
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("y", "0", "rows must be positive, got 0"),
     ("y", "4294967296", "rows must be at most 4294967295, got 4294967296"),
@@ -412,7 +428,8 @@ def test_chip_new_and_prn(tmp_path):
 ])
 def test_a_bad_chip_parameter_reads_the_same_at_every_boundary(
         tmp_path, key, value, message):
-    """chip new, a scenario config and a ledger file refuse it with one text."""
+    """chip new, a scenario config, a ledger file and, for the geometry
+    keys, a chip fixture refuse it with one text."""
     chips = f"[chips]\nc seed=1 {key}={value}\n"
     ledger = tmp_path / "net.cfg"
     ledger.write_text(chips)
@@ -430,11 +447,44 @@ def test_a_bad_chip_parameter_reads_the_same_at_every_boundary(
         f"ConfigInvalid: line 2: chip 'c': {message}",
         f"ConfigInvalid: line 2: chip 'c': {message}",
     ]
+    if key in FIXTURE_KEYS:
+        record = {"chip_id": "c", "rows": "2000", "redundancy_rows": "20",
+                  "failure_rows": "1", FIXTURE_KEYS[key]: value}
+        fixture = tmp_path / "c.chip"
+        fixture.write_text("".join(f"{k} = {v}\n" for k, v in record.items()))
+        line_no = list(record).index(FIXTURE_KEYS[key]) + 1
+        results.append(dispatch(["chip", "prn", "--chip", str(fixture)]))
+        assert results[-1].diagnostics == (
+            f"FixtureInvalid: fixture line {line_no}: {message}")
     for result in results:
         assert result.exit_code == 1
         name = result.diagnostics.partition(":")[0]
         assert issubclass(getattr(chipchain, name), ChipChainError)
     assert not (tmp_path / "chips").exists()
+
+
+@pytest.mark.parametrize("chip_id", [
+    "../escaped", "a\nrows = 5", " pad ", "x/y", "-lead", "a#b", ".hidden",
+])
+def test_chip_new_refuses_an_id_its_fixture_cannot_hold(tmp_path, chip_id):
+    chip_dir = tmp_path / "chips"
+    result = dispatch(["chip", "new", f"--chip-id={chip_id}",
+                       "--dir", str(chip_dir)])
+    assert result.exit_code == 1
+    assert result.diagnostics == (
+        "FixtureInvalid: chip_id must match [A-Za-z0-9][A-Za-z0-9._-]*, "
+        f"got {chip_id!r}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_chip_new_takes_every_id_the_pattern_allows(tmp_path):
+    for chip_id in ("a", "Z9", "chip-7", "n0.v2_b", "0-rev.A"):
+        result = dispatch(["chip", "new", "--chip-id", chip_id,
+                           "--dir", str(tmp_path)])
+        assert result.exit_code == 0
+        prn = dispatch(["chip", "prn", "--chip",
+                        str(tmp_path / f"{chip_id}.chip")])
+        assert lines_of(prn)[0].startswith(f"chip {chip_id}, column 0")
 
 
 @pytest.mark.parametrize("argv, diagnostics", [
@@ -606,6 +656,7 @@ def test_ledger_replace_unknown_node(topo_file):
                        "--old", "zz", "--new-seed", "99",
                        "--modulus-bits", "512"])
     assert result.exit_code == 1
+    assert result.diagnostics == f"UnknownChip: no chip 'zz' in {topo_file}"
 
 
 @pytest.mark.parametrize(
@@ -715,17 +766,6 @@ def test_scenario_run_seed_determinism():
     argv = ["scenario", "run", "fig10-coexistence", "--seed", "3",
             "--output", "records"]
     assert dispatch(argv).stdout_payload == dispatch(argv).stdout_payload
-
-
-# ---------------------------------------------------------------- selftest
-
-def test_selftest_passes():
-    result = dispatch(["selftest"])
-    assert result.exit_code == 0
-    lines = lines_of(result)
-    assert all(line.startswith("ok ") for line in lines[:-1])
-    assert lines[-1].startswith("selftest:")
-    assert "6/6" in lines[-1]
 
 
 # -------------------------------------------------------------------- main

@@ -114,6 +114,9 @@ def test_parse_defaults():
         ("[schedule]\n9 enroll mgmt", "device"),
         ("[schedule]\n9 spoof a b", "attacker"),
         ("[schedule]\n9 rotate 1 offline=zz", "unknown"),
+        ("[chips]\ncd seed=4 colour=red", "unknown option 'colour'"),
+        ("[schedule]\n9 rotate 1 when=now", "unknown option 'when'"),
+        ("[schedule]\n9 tamper a colour=red", "unknown option 'colour'"),
         ("[schedule]\n9 mine 40", "difficulty"),
         ("[schedule]\n9 mine 2", "difficulty must be in [4, 32], got 2"),
         ("[schedule]\n9 tamper a seed=-1", "seed must be >= 0"),
@@ -220,7 +223,7 @@ def test_parse_reports_params_line_numbers():
     ("difficulty = 4", "difficulty = 33", "params.difficulty must be in [0, 32]"),
     ("modulus_bits = 512", "modulus_bits = 768",
      "params.modulus_bits must be 512, 1024, or 2048"),
-    ("y = 256", "column = 0", "unknown parameter 'column'"),
+    ("y = 256", "column = 0", "unknown key 'column'"),
 ])
 def test_parse_reports_params_range_line_numbers(before, after, message):
     bad = MINI.replace(before, after)
@@ -313,7 +316,7 @@ def test_load_topology_from_path(tmp_path):
     "extra, message_part",
     [
         ("[schedule]", "unknown section [schedule]"),
-        ("[params]\ndifficulty = 4", "unknown parameter 'difficulty'"),
+        ("[params]\ndifficulty = 4", "unknown key 'difficulty'"),
         ("n0 n1", "look like"),
     ],
 )
