@@ -46,6 +46,7 @@ from .errors import (
     ChipChainError,
     ColumnOutOfRange,
     ConfigInvalid,
+    CountTooLarge,
     CycleDetected,
     FixtureInvalid,
     GeometryInvalid,

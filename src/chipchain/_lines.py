@@ -5,9 +5,22 @@ error is a ConfigInvalid that names its line or opens with the caller's
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Container, Iterable, Iterator, Sequence
 
 from .errors import ConfigInvalid
+
+
+def _read_text(path) -> str:
+    """A file's UTF-8 text; a byte that does not decode names its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode; count their lines
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ConfigInvalid(f"line {line_no}: byte 0x{data[exc.start]:02x} "
+                            f"is not UTF-8 text") from None
 
 
 def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:

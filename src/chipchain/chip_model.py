@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._lines import _numbered_lines, _parse_number, _read_fields
+from ._lines import _numbered_lines, _parse_number, _read_fields, _read_text
 from .errors import (
     CapacityExceeded,
     ColumnOutOfRange,
@@ -480,4 +480,8 @@ def save_chip_fixture(chip: SimulatedChip, path) -> None:
 
 
 def load_chip_fixture(path) -> SimulatedChip:
-    return parse_chip_fixture(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = _read_text(path)
+    except ConfigInvalid as exc:
+        raise FixtureInvalid(f"fixture {exc}") from None
+    return parse_chip_fixture(text)

@@ -77,17 +77,6 @@ class CommandResult:
     diagnostics: str
 
 
-def _parse_population(raw: str) -> int:
-    """Exact integer from plain or scientific notation (e.g. 1e14)."""
-    try:
-        value = Decimal(raw)
-    except InvalidOperation:
-        raise ValueError(f"population {raw!r} is not a number") from None
-    if value != value.to_integral_value():
-        raise ValueError(f"population must be an integer, got {raw!r}")
-    return int(value)
-
-
 def _load_ledger(path):
     """Chip specs, their manufactured chips and the edges of a ledger file."""
     specs, topology = load_topology(path)
@@ -161,8 +150,7 @@ def _cmd_entropy_table(args):
 
 
 def _cmd_entropy_collisions(args):
-    population = _parse_population(args.n)
-    report = collision_report(args.y, args.l, args.m, population)
+    report = collision_report(args.y, args.l, args.m, args.n)
     if args.output == "records":
         return ([f"y={report.rows} l={report.block_side} "
                  f"m={report.failure_count} population={report.population} "
@@ -204,12 +192,9 @@ def _cmd_id_keygen(args):
 
 def _cmd_id_audit(args):
     chip = load_chip_fixture(args.chip)
-    expected = PublicKey.from_bytes(bytes.fromhex(args.pk))
-    if args.nonce:
-        nonce = bytes.fromhex(args.nonce)
-    else:
-        nonce = hashlib.sha256(b"chipchain/cli-audit-nonce" + bytes(8)).digest()
-    verdict = crp_audit(chip, expected, args.l, nonce).verdict
+    nonce = args.nonce or hashlib.sha256(
+        b"chipchain/cli-audit-nonce" + bytes(8)).digest()
+    verdict = crp_audit(chip, args.pk, args.l, nonce).verdict
     genuine = verdict is AuditVerdict.GENUINE
     if args.output == "records":
         lines = [f"chip_id={chip.chip_id} l={args.l} "
@@ -348,15 +333,50 @@ def _int_in(what: str, low: int, high: int | None = None):
 
 _state_index = _int_in("state index", 0, MAX_STATE_INDEX)
 _seed = _int_in("seed", 0)
+_MAX_POPULATION = 10 ** 100
+
+
+def _population(text: str) -> int:
+    """argparse type for `entropy collisions --n`: an integer in
+    [1, 1e100], plain or in scientific notation (1e14)."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        raise argparse.ArgumentTypeError(
+            f"invalid population {text!r}") from None
+    if not value.is_finite() or value != value.to_integral_value():
+        raise argparse.ArgumentTypeError(
+            f"population must be an integer, got {text!r}")
+    if not 1 <= value <= _MAX_POPULATION:
+        raise argparse.ArgumentTypeError(
+            f"population must be in [1, 1e100], got {text}")
+    return int(value)
+
+
+def _nonce(text: str) -> bytes:
+    try:
+        return bytes.fromhex(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"nonce must be hex, got {text!r}") from None
+
+
+def _public_key(text: str) -> PublicKey:
+    """argparse type for a public key, hex as `id keygen` prints it."""
+    try:
+        return PublicKey.from_bytes(bytes.fromhex(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"invalid public key {text!r}: {exc}") from None
 
 
 # flags of the bare `entropy` command; its modes take the subsets they read
 _ENTROPY_FLAGS = {
     "--output": dict(choices=("text", "records"), default="text",
                      help="human text or one key=value record per line"),
-    "--y": dict(type=int, default=2000, help="rows"),
-    "--l": dict(type=int, default=1, help="block side"),
-    "--m": dict(type=int, default=10, help="failure count"),
+    "--y": dict(type=_int_in("y", 1), default=2000, help="rows"),
+    "--l": dict(type=_int_in("l", 1), default=1, help="block side"),
+    "--m": dict(type=_int_in("m", 0), default=10, help="failure count"),
 }
 # the flags each mode reads; given before the mode word, another is refused
 _ENTROPY_MODE_FLAGS = {"table": ("--output", "--l", "--m"),
@@ -426,7 +446,8 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--generations", help="comma-separated subset")
     table.set_defaults(handler=_cmd_entropy_table)
     collisions = modes.add_parser("collisions", help="population odds")
-    collisions.add_argument("--n", default="1e14", help="population size")
+    collisions.add_argument("--n", type=_population, default="1e14",
+                            help="population size")
     collisions.set_defaults(handler=_cmd_entropy_collisions)
     # a mode's copy of a flag stays unset unless given, so a flag given
     # before the mode word keeps its value in the mode
@@ -448,11 +469,12 @@ def _build_parser() -> argparse.ArgumentParser:
     audit = ident_sub.add_parser("audit", parents=[output],
                                  help="challenge a chip against a claimed key")
     audit.add_argument("--chip", required=True, help="chip fixture path")
-    audit.add_argument("--pk", required=True,
+    audit.add_argument("--pk", type=_public_key, required=True,
                        help="claimed public key, hex as printed by keygen")
     audit.add_argument("--l", type=_state_index, default=0,
                        help="state index")
-    audit.add_argument("--nonce", help="hex nonce; default: a fixed nonce")
+    audit.add_argument("--nonce", type=_nonce,
+                       help="hex nonce; default: a fixed nonce")
     audit.set_defaults(handler=_cmd_id_audit)
 
     ledger = sub.add_parser("ledger", help="transfer trees and the mined chain")
@@ -529,6 +551,9 @@ def dispatch(argv) -> CommandResult:
                                                              _ENTROPY_FLAGS)]
             if unread:
                 parser.error(f"entropy {args.mode} does not read {unread[0]}")
+            if args.handler is _cmd_ledger_rotate and args.new_l == args.from_l:
+                parser.error(f"argument --new-l: new state index must differ "
+                             f"from --from-l, got {args.new_l}")
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return CommandResult(code, out.getvalue().rstrip("\n"),

@@ -11,21 +11,36 @@ population are exact fractions, formatted without a float round trip.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .chip_model import GENERATION_CAPACITY, GENERATION_ROWS, GENERATIONS
-from .errors import KExceedsN, UnknownGeneration
+from .errors import CountTooLarge, KExceedsN, UnknownGeneration
 
 
 def combinations(n: int, k: int) -> int:
-    """Exact binomial coefficient n choose k."""
+    """Exact binomial coefficient n choose k.
+
+    A count with more decimal digits than Python converts to text
+    (sys.get_int_max_str_digits) raises CountTooLarge.  The lower bound
+    (n/k)**k refuses the far ones before math.comb builds them.
+    """
     if n < 0 or k < 0:
         raise ValueError("combinations needs non-negative arguments")
     if k > n:
         raise KExceedsN(f"k={k} exceeds n={n}")
-    return math.comb(n, k)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    too_large = CountTooLarge(f"n choose k has more than {limit} decimal "
+                              f"digits, the most Python converts to text")
+    low = min(k, n - k)
+    if low and low * (math.log10(n) - math.log10(low)) > limit:
+        raise too_large
+    count = math.comb(n, low)
+    if count >= 10 ** limit:
+        raise too_large
+    return count
 
 
 @dataclass(frozen=True)

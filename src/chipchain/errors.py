@@ -25,6 +25,10 @@ class KExceedsN(ChipChainError):
     """Binomial coefficient requested with k > n."""
 
 
+class CountTooLarge(ChipChainError):
+    """Exact count with more decimal digits than Python converts to text."""
+
+
 class UnknownGeneration(ChipChainError):
     """Capacity generation name not in the built-in ladder."""
 

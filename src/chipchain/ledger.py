@@ -3,10 +3,11 @@
 Enrolled chips pass value along a directed topology that must funnel
 into a single final receiver, the root chip.  Each transfer hashes the
 sender's public key together with the sender's latest record and signs
-the result toward the receiver; each receiver folds incoming record
-hashes into its own running digest.  The root chip's fold therefore
-commits to every public key and every transfer below it, which is what
-makes substituting any chip in the structure detectable.
+the result toward the receiver.  A node stores only its key pair and
+its incoming records; its fold, the genesis hash with each incoming
+record hash folded in, is computed from them.  The root chip's fold
+therefore commits to every public key and every transfer below it,
+which is what makes substituting any chip in the structure detectable.
 
 The root's stamp (public key, final fold, state index) is the payload
 miners seal into blocks.  Blocks chain by hash with a leading-zero-bit
@@ -115,68 +116,63 @@ def verify_record(record: TransactionRecord) -> bool:
 
 @dataclass
 class ChipNode:
-    """A chip's position in the transfer tree, with its running fold."""
+    """A chip's seat in the transfer tree: its key pair and the records
+    it received.  Genesis, fold and latest signature derive from them."""
 
     node_id: str
     chip: SimulatedChip
     keypair: ChipKeyPair
-    genesis: TransactionRecord
     incoming: list[TransactionRecord]
-    latest_hash: bytes
-    latest_signature: bytes
 
     @property
     def public_key(self) -> PublicKey:
         return self.keypair.public_key
 
+    @property
+    def genesis(self) -> TransactionRecord:
+        return genesis_record(self.public_key)
+
+    @property
+    def latest_hash(self) -> bytes:
+        latest = self.genesis.hash_value
+        for record in self.incoming:
+            latest = fold_hash(self.public_key, latest, record.hash_value)
+        return latest
+
+    @property
+    def latest_signature(self) -> bytes:
+        return (self.incoming[-1].signature if self.incoming
+                else GENESIS_SIGNATURE)
+
 
 def enroll_chip(node_id: str, chip: SimulatedChip, state_index: int,
                 modulus_bits: int = 1024) -> ChipNode:
     """Derive a chip's keys at the state index and seat it at genesis."""
-    keypair = keypair_for_chip(chip, state_index, modulus_bits)
-    genesis = genesis_record(keypair.public_key)
-    return ChipNode(node_id, chip, keypair, genesis, [],
-                    genesis.hash_value, GENESIS_SIGNATURE)
+    return ChipNode(node_id, chip,
+                    keypair_for_chip(chip, state_index, modulus_bits), [])
 
 
 def _signed_record(sender: ChipNode, receiver: ChipNode,
                    seq: int) -> TransactionRecord:
     """The sender's next record toward the receiver, signed."""
-    h = record_hash(sender.public_key, sender.latest_hash,
-                    sender.latest_signature)
+    prev_hash, prev_signature = sender.latest_hash, sender.latest_signature
+    h = record_hash(sender.public_key, prev_hash, prev_signature)
     signature = sign(sender.keypair.secret_key,
                      signed_payload(receiver.public_key, h))
     return TransactionRecord(sender.public_key, receiver.public_key,
-                             sender.latest_hash, sender.latest_signature,
-                             h, signature, seq)
+                             prev_hash, prev_signature, h, signature, seq)
 
 
-def transfer(sender: ChipNode, receiver: ChipNode,
-             state_index: int) -> TransactionRecord:
-    """Execute one transfer and fold it into the receiver."""
-    if sender.keypair.state_index != state_index:
+def transfer(sender: ChipNode, receiver: ChipNode) -> TransactionRecord:
+    """Append the sender's next signed record to the receiver's records."""
+    if sender.keypair.state_index != receiver.keypair.state_index:
         raise StateMismatch(
             f"sender {sender.node_id} keyed at state "
-            f"{sender.keypair.state_index}, transfer wants {state_index}")
-    if receiver.keypair.state_index != state_index:
-        raise StateMismatch(
-            f"receiver {receiver.node_id} keyed at state "
-            f"{receiver.keypair.state_index}, transfer wants {state_index}")
+            f"{sender.keypair.state_index}, receiver {receiver.node_id} at "
+            f"{receiver.keypair.state_index}")
     record = _signed_record(sender, receiver, len(receiver.incoming) + 1)
     receiver.incoming.append(record)
-    receiver.latest_hash = fold_hash(receiver.public_key,
-                                     receiver.latest_hash, record.hash_value)
-    receiver.latest_signature = record.signature
     return record
-
-
-def _refold(node: ChipNode) -> None:
-    latest = node.genesis.hash_value
-    for record in node.incoming:
-        latest = fold_hash(node.public_key, latest, record.hash_value)
-    node.latest_hash = latest
-    node.latest_signature = (node.incoming[-1].signature if node.incoming
-                             else GENESIS_SIGNATURE)
 
 
 def _topological_schedule(node_ids: Iterable[str],
@@ -286,53 +282,48 @@ def build_tree(topology: Iterable[tuple[str, str]],
         for node_id in sorted(chips)
     }
     for src, dst in schedule:
-        transfer(nodes[src], nodes[dst], state_index)
+        transfer(nodes[src], nodes[dst])
     return ChipMerkleTree(nodes, edges, schedule, root_id, state_index,
                           modulus_bits)
 
 
 def verify_tree(tree: ChipMerkleTree) -> bool:
-    """Full structural check: every record, fold, and seat position."""
-    for node in tree.nodes.values():
-        if node.genesis.receiver_key != node.public_key:
-            return False
-        if not verify_record(node.genesis):
-            return False
-        latest = node.genesis.hash_value
-        signature = GENESIS_SIGNATURE
-        for position, record in enumerate(node.incoming, start=1):
-            if record.seq != position:
-                return False
-            if record.receiver_key != node.public_key:
-                return False
-            if not verify_record(record):
-                return False
-            latest = fold_hash(node.public_key, latest, record.hash_value)
-            signature = record.signature
-        if node.latest_hash != latest or node.latest_signature != signature:
-            return False
-    return True
+    """Check every record against the schedule edge that seats it: its
+    position, its sender's key and final fold, its receiver key, its hash
+    rule and its signature; and that no node holds extra records.
 
-
-def _arrival_index(schedule: Sequence[tuple[str, str]]):
-    """Position of each edge's record in its receiver's incoming list."""
-    counts: dict[str, int] = {}
-    arrival: dict[tuple[str, str], int] = {}
-    for src, dst in schedule:
-        arrival[(src, dst)] = counts.get(dst, 0)
-        counts[dst] = counts.get(dst, 0) + 1
-    return arrival
+    A node sends only after all its incoming edges fired, so the record
+    it sent must carry its final fold and latest signature.
+    """
+    nodes = tree.nodes
+    arrivals: dict[str, int] = {}
+    for src, dst in tree.schedule:
+        position = arrivals.get(dst, 0)
+        arrivals[dst] = position + 1
+        sender, receiver = nodes[src], nodes[dst]
+        if position >= len(receiver.incoming):
+            return False
+        record = receiver.incoming[position]
+        if (record.seq != position + 1
+                or record.sender_key != sender.public_key
+                or record.receiver_key != receiver.public_key
+                or record.prev_hash != sender.latest_hash
+                or record.prev_signature != sender.latest_signature
+                or not verify_record(record)):
+            return False
+    return all(len(node.incoming) == arrivals.get(node_id, 0)
+               for node_id, node in nodes.items())
 
 
 def replace_chip(tree: ChipMerkleTree, node_id: str, new_chip: SimulatedChip,
                  state_index: int):
     """Seat a replacement chip and repair only what its change dirties.
 
-    Returns (new_tree, recomputed_ids).  The replaced node's keys,
-    genesis, and incoming signatures change, then the change propagates
-    along the schedule through every node downstream toward the root;
-    siblings off that path are untouched, which is the repair-cost win
-    this structure exists for.
+    Returns (new_tree, recomputed_ids).  The replaced node's keys and
+    incoming signatures change, then the change propagates along the
+    schedule through every node downstream toward the root; siblings off
+    that path are untouched, which is the repair-cost win this structure
+    exists for.
     """
     if node_id not in tree.nodes:
         raise UnknownChip(f"no node {node_id!r} in the tree")
@@ -347,23 +338,21 @@ def replace_chip(tree: ChipMerkleTree, node_id: str, new_chip: SimulatedChip,
     target = nodes[node_id]
     target.chip = new_chip
     target.keypair = keypair_for_chip(new_chip, state_index, tree.modulus_bits)
-    target.genesis = genesis_record(target.public_key)
-    _refold(target)
 
     # A node sends only after all its incoming edges fired, so its fold is
     # final by then: every record into the replaced node or out of a dirty
     # sender is just the sender's next signed record at its position.
-    arrival = _arrival_index(tree.schedule)
+    arrivals: dict[str, int] = {}
     dirty = {node_id}
     recomputed = [node_id]
     for src, dst in tree.schedule:
+        position = arrivals.get(dst, 0)
+        arrivals[dst] = position + 1
         if src not in dirty and dst != node_id:
             continue
         receiver = nodes[dst]
-        position = arrival[(src, dst)]
         receiver.incoming[position] = _signed_record(nodes[src], receiver,
                                                      position + 1)
-        _refold(receiver)
         if dst not in dirty:
             dirty.add(dst)
             recomputed.append(dst)

@@ -58,12 +58,17 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._lines import _parse_number, _read_fields, _read_sections, _split_options
+from ._lines import (
+    _parse_number,
+    _read_fields,
+    _read_sections,
+    _read_text,
+    _split_options,
+)
 from .chip_model import ChipGeometry, FailureModel, SimulatedChip, new_chip
 from .errors import ConfigInvalid, GeometryInvalid, SignatureMalformed
 from .identity import (
@@ -249,7 +254,7 @@ def parse_topology(text: str) -> tuple[dict[str, ChipSpec], _Edges]:
 
 
 def load_topology(path) -> tuple[dict[str, ChipSpec], _Edges]:
-    return parse_topology(Path(path).read_text(encoding="utf-8"))
+    return parse_topology(_read_text(path))
 
 
 def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
@@ -426,7 +431,7 @@ def _parse_action_args(action: str, rest: Sequence[str],
 
 
 def load_scenario(path) -> ScenarioConfig:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"), name=str(path))
+    return parse_scenario(_read_text(path), name=str(path))
 
 
 _BUNDLED = importlib.resources.files("chipchain") / "scenarios"

@@ -113,6 +113,9 @@ def test_state_index_flags_are_bounded(topo_file, flag, value):
 
 MINE = ["ledger", "mine", "--topology", "{topo}", "--chain", "c.bin"]
 VERIFY = ["ledger", "verify", "--chain", "c.bin"]
+AUDIT = ["id", "audit", "--chip", "c.chip"]
+# a well-formed key for the command lines that never get to use it
+ANY_KEY = PublicKey((1 << 511) | 1, 65537).to_bytes().hex()
 
 
 @pytest.mark.parametrize("argv, flag, value, message", [
@@ -131,6 +134,20 @@ VERIFY = ["ledger", "verify", "--chain", "c.bin"]
     (MINE + ["--difficulty", "4"], "--nonce-start", str(2**64),
      "nonce start must be in [0, 18446744073709551615], got "
      "18446744073709551616"),
+    (AUDIT, "--pk", "zz", "invalid public key 'zz': non-hexadecimal number "
+     "found in fromhex() arg at position 0"),
+    (AUDIT, "--pk", "00", "invalid public key '00': truncated length prefix"),
+    (AUDIT + ["--pk", ANY_KEY], "--nonce", "zz", "nonce must be hex, got 'zz'"),
+    (["entropy"], "--y", "-5", "y must be >= 1, got -5"),
+    (["entropy"], "--l", "0", "l must be >= 1, got 0"),
+    (["entropy", "collisions"], "--m", "-1", "m must be >= 0, got -1"),
+    (["entropy", "collisions"], "--y", "0", "y must be >= 1, got 0"),
+    (["entropy", "collisions"], "--n", "1e5000",
+     "population must be in [1, 1e100], got 1e5000"),
+    (["entropy", "collisions"], "--n", "nan",
+     "population must be an integer, got 'nan'"),
+    (["ledger", "rotate", "--topology", "{topo}"], "--new-l", "0",
+     "new state index must differ from --from-l, got 0"),
 ])
 def test_numeric_flags_are_bounded(topo_file, tmp_path, monkeypatch, argv,
                                    flag, value, message):
@@ -217,8 +234,8 @@ def test_each_subcommand_takes_only_its_options():
     (["entropy", "table"], "--seed", "1"),
     (["entropy", "table"], "--modulus-bits", "512"),
     (["id", "keygen", "--chip", "c.chip"], "--seed", "1"),
-    (["id", "audit", "--chip", "c.chip", "--pk", "00"], "--seed", "1"),
-    (["id", "audit", "--chip", "c.chip", "--pk", "00"], "--modulus-bits",
+    (["id", "audit", "--chip", "c.chip", "--pk", ANY_KEY], "--seed", "1"),
+    (["id", "audit", "--chip", "c.chip", "--pk", ANY_KEY], "--modulus-bits",
      "512"),
     (["ledger", "build", "--topology", "t.cfg"], "--seed", "1"),
     (["ledger", "build", "--topology", "t.cfg"], "--output", "records"),
@@ -245,7 +262,7 @@ def test_each_subcommand_takes_only_its_options():
     (["version"], "--output", "records"),
     (["version"], "--modulus-bits", "512"),
     (["id", "keygen", "--chip", "c.chip"], "--column", "0"),
-    (["id", "audit", "--chip", "c.chip", "--pk", "00"], "--column", "0"),
+    (["id", "audit", "--chip", "c.chip", "--pk", ANY_KEY], "--column", "0"),
 ])
 def test_removed_flags_are_usage_errors(argv, flag, value):
     result = dispatch(argv + [flag, value])
@@ -388,8 +405,20 @@ def test_entropy_reads_flags_given_before_the_mode():
 
 def test_entropy_rejects_bad_population():
     result = dispatch(["entropy", "collisions", "--n", "zebras"])
+    assert result.exit_code == 2
+    assert result.diagnostics.endswith(
+        "argument --n: invalid population 'zebras'")
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--y", "4294967295", "--m", "1000"],
+    ["entropy", "collisions", "--y", "4294967295", "--m", "1000"],
+    ["entropy", "--y", "4294967295", "--l", "4294967296", "--m", "4294967296"],
+])
+def test_entropy_refuses_a_count_too_long_to_print(argv):
+    result = dispatch(argv)
     assert result.exit_code == 1
-    assert result.diagnostics
+    assert result.diagnostics.startswith("CountTooLarge: ")
 
 
 # ---------------------------------------------------------------- chip/id
@@ -514,6 +543,19 @@ def test_chip_prn_fixture_flag(tmp_path):
         "000004ff0000052f000005920000059f0000060b000006b500000720000007210000"
         "072a00000738",
     ]
+
+
+@pytest.mark.parametrize("argv, diagnostics", [
+    (["chip", "prn", "--chip"], "FixtureInvalid: fixture line 2: "),
+    (["ledger", "build", "--topology"], "ConfigInvalid: line 2: "),
+    (["scenario", "run"], "ConfigInvalid: line 2: "),
+])
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, argv, diagnostics):
+    path = tmp_path / "input"
+    path.write_bytes(b"# line one\n\xff line two\n")
+    result = dispatch(argv + [str(path)])
+    assert result.exit_code == 1
+    assert result.diagnostics == diagnostics + "byte 0xff is not UTF-8 text"
 
 
 def test_chip_prn_missing_file(tmp_path):

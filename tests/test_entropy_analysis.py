@@ -1,10 +1,13 @@
 import math
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from chipchain import (
+    CountTooLarge,
     GENERATIONS,
     KExceedsN,
     UnknownGeneration,
@@ -84,6 +87,18 @@ def test_pascal_property(n, k):
 
 def test_symmetry_at_scale():
     assert combinations(100000, 99990) == combinations(100000, 10)
+
+
+def test_combinations_refuses_a_count_longer_than_python_prints():
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    assert len(str(combinations(10**limit - 1, 1))) == limit
+    with pytest.raises(CountTooLarge):
+        combinations(10**limit, 1)
+    # refused before math.comb spends seconds building it
+    start = time.perf_counter()
+    with pytest.raises(CountTooLarge):
+        combinations(4294967295, 200000)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------- entropy report

@@ -86,7 +86,7 @@ def test_fold_hash_rule():
 def test_transfer_produces_verifiable_record():
     a = enroll_chip("a", make_small_chip(31), 0, modulus_bits=512)
     b = enroll_chip("b", make_small_chip(32), 0, modulus_bits=512)
-    record = transfer(a, b, state_index=0)
+    record = transfer(a, b)
     assert verify_record(record)
     assert record.seq == 1
     assert record.sender_key == a.public_key
@@ -103,15 +103,13 @@ def test_transfer_state_mismatch():
     a = enroll_chip("a", make_small_chip(31), 0, modulus_bits=512)
     b = enroll_chip("b", make_small_chip(32), 1, modulus_bits=512)
     with pytest.raises(StateMismatch):
-        transfer(a, b, state_index=0)
-    with pytest.raises(StateMismatch):
-        transfer(a, a, state_index=2)
+        transfer(a, b)
 
 
 def test_verify_record_rejects_mutations():
     a = enroll_chip("a", make_small_chip(33), 0, modulus_bits=512)
     b = enroll_chip("b", make_small_chip(34), 0, modulus_bits=512)
-    record = transfer(a, b, state_index=0)
+    record = transfer(a, b)
     flipped_hash = bytes([record.hash_value[0] ^ 1]) + record.hash_value[1:]
     assert not verify_record(dataclasses.replace(record, hash_value=flipped_hash))
     flipped_sig = bytes([record.signature[0] ^ 1]) + record.signature[1:]
@@ -123,7 +121,7 @@ def test_verify_record_rejects_mutations():
 def test_verify_record_wrong_length_signature_reads_false():
     a = enroll_chip("a", make_small_chip(33), 0, modulus_bits=512)
     b = enroll_chip("b", make_small_chip(34), 0, modulus_bits=512)
-    record = transfer(a, b, state_index=0)
+    record = transfer(a, b)
     for signature in (record.signature[:-1], record.signature + b"\x00", b""):
         with pytest.raises(SignatureMalformed):
             verify(record.sender_key, b"payload", signature)
@@ -135,7 +133,7 @@ def test_verify_record_rejects_signature_plus_modulus():
     the same digest under the sender's key and must still be refused."""
     a = enroll_chip("a", make_small_chip(30), 0, modulus_bits=512)
     b = enroll_chip("b", make_small_chip(31), 0, modulus_bits=512)
-    record = transfer(a, b, state_index=0)
+    record = transfer(a, b)
     key = record.sender_key
     forged_int = int.from_bytes(record.signature, "big") + key.modulus
     assert forged_int < 1 << (8 * key.byte_size)
@@ -251,6 +249,53 @@ def test_verify_tree_detects_seq_swap(fig_tree):
     ]
     bad_node = dataclasses.replace(node, incoming=swapped)
     mutated = dataclasses.replace(fig_tree, nodes={**fig_tree.nodes, "n1": bad_node})
+    assert not verify_tree(mutated)
+
+
+def _resigned_into_root(tree, old_sender, signer, prev_hash, prev_signature):
+    """The tree with old_sender's record into n0 swapped for one that signer
+    signs over (prev_hash, prev_signature): valid by verify_record alone."""
+    root = tree.nodes["n0"]
+    sender = tree.nodes[signer]
+    position = next(i for i, r in enumerate(root.incoming)
+                    if r.sender_key == tree.nodes[old_sender].public_key)
+    h = record_hash(sender.public_key, prev_hash, prev_signature)
+    signature = sign(sender.keypair.secret_key, root.public_key.to_bytes() + h)
+    record = dataclasses.replace(
+        root.incoming[position], sender_key=sender.public_key,
+        prev_hash=prev_hash, prev_signature=prev_signature, hash_value=h,
+        signature=signature)
+    assert verify_record(record)
+    incoming = list(root.incoming)
+    incoming[position] = record
+    bad_root = dataclasses.replace(root, incoming=incoming)
+    return dataclasses.replace(tree, nodes={**tree.nodes, "n0": bad_root})
+
+
+def test_verify_tree_detects_a_resigned_stale_record(fig_tree):
+    mutated = _resigned_into_root(fig_tree, "n1", "n1", ZERO_HASH,
+                                  GENESIS_SIGNATURE)
+    assert not verify_tree(mutated)
+
+
+def test_verify_tree_detects_a_record_from_another_sender(fig_tree):
+    n4 = fig_tree.nodes["n4"]
+    mutated = _resigned_into_root(fig_tree, "n1", "n4", n4.latest_hash,
+                                  n4.latest_signature)
+    assert not verify_tree(mutated)
+
+
+def test_verify_tree_detects_an_extra_record(fig_tree):
+    # The root sends nothing, so only the record count can catch this.
+    root, n3 = fig_tree.nodes["n0"], fig_tree.nodes["n3"]  # no edge n3 -> n0
+    h = record_hash(n3.public_key, n3.latest_hash, n3.latest_signature)
+    extra = dataclasses.replace(
+        fig_tree.nodes["n1"].incoming[1], receiver_key=root.public_key,
+        seq=len(root.incoming) + 1,
+        signature=sign(n3.keypair.secret_key, root.public_key.to_bytes() + h))
+    assert extra.sender_key == n3.public_key and verify_record(extra)
+    bad_root = dataclasses.replace(root, incoming=[*root.incoming, extra])
+    mutated = dataclasses.replace(fig_tree, nodes={**fig_tree.nodes, "n0": bad_root})
     assert not verify_tree(mutated)
 
 
