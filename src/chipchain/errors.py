@@ -61,8 +61,9 @@ class NonceExhausted(ChipChainError):
     """Proof-of-work search ran out of nonces below the attempt cap."""
 
 
-class ConfigInvalid(ChipChainError):
-    """Scenario configuration text failed validation."""
+class ConfigInvalid(ChipChainError, ValueError):
+    """Scenario configuration text failed validation, or a scenario run
+    refused one of its schedule actions."""
 
 
 class FixtureInvalid(ChipChainError, ValueError):

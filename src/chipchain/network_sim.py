@@ -44,7 +44,11 @@ mine [DIFFICULTY], rotate NEW_STATE [offline=a,b], sweep, and
 tamper NODE seed=N (silent physical chip swap, caught by the next
 sweep).  build_tree needs a [topology] and runs once, before any mine.
 A mine DIFFICULTY may not fall below [params] difficulty, the
-difficulty the run verifies its whole chain at.
+difficulty the run verifies its whole chain at.  An action the run
+refuses (a second enroll, a spoof of an unregistered victim, a
+build_tree before its devices are admitted) raises a ConfigInvalid
+that names its schedule line.  An EventLog reads its tallies from the
+events.
 
 Ledger files, read by the `chipchain ledger` commands, are the
 [params]/[chips]/[topology] part of this grammar: [params] holds only
@@ -142,6 +146,7 @@ class ScheduleItem:
     tick: int
     action: str
     args: Mapping[str, object]
+    line_no: int
 
 
 @dataclass(frozen=True)
@@ -361,7 +366,7 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
         elif action == "mine" and not tree_built:
             raise ConfigInvalid(f"{where}: no transfer tree to stamp; "
                                 "mine needs an earlier build_tree")
-        schedule.append(ScheduleItem(tick, action, args))
+        schedule.append(ScheduleItem(tick, action, args, line_no))
 
     return ScenarioConfig(
         name=name, difficulty=params["difficulty"],
@@ -463,36 +468,46 @@ class Event:
         return " ".join(parts)
 
 
-@dataclass
-class _NetworkNode:
-    spec: NodeSpec
-    chip: SimulatedChip | None = None
-
-
 @dataclass(frozen=True)
 class EventLog:
-    """Immutable outcome of one scenario run."""
+    """Immutable outcome of one scenario run; its tallies are read from
+    the events, in event order, and kept nowhere else."""
 
-    scenario: str
+    config: ScenarioConfig
     seed: int
-    difficulty: int
-    management: str
-    security: str
     events: tuple[Event, ...]
     chain: tuple[Block, ...]
     members: tuple[str, ...]
-    admitted: tuple[str, ...]
-    denied: tuple[str, ...]
-    evicted: tuple[tuple[int, str], ...]
-    rejections: int
     state_index: int
     root_hash: bytes | None
+
+    def _verdicts(self, verdict: str) -> tuple[str, ...]:
+        return tuple(fields["node"] for event in self.events
+                     if event.kind == "Verdict"
+                     and (fields := dict(event.fields))["verdict"] == verdict)
+
+    @property
+    def admitted(self) -> tuple[str, ...]:
+        return self._verdicts("Admitted")
+
+    @property
+    def denied(self) -> tuple[str, ...]:
+        return self._verdicts("Denied")
+
+    @property
+    def rejections(self) -> int:
+        return len(self._verdicts("Rejected"))
+
+    @property
+    def evicted(self) -> tuple[tuple[int, str], ...]:
+        return tuple((event.tick, dict(event.fields)["node"])
+                     for event in self.events if event.kind == "Evict")
 
     def to_records(self) -> list[str]:
         return [event.to_record() for event in self.events]
 
     def chain_ok(self) -> bool:
-        return verify_chain(self.chain, self.difficulty)
+        return verify_chain(self.chain, self.config.difficulty)
 
     def final_line(self) -> str:
         return (f"chain_length={len(self.chain)} "
@@ -503,7 +518,7 @@ class EventLog:
 
     def summary(self) -> str:
         lines = [
-            f"scenario {self.scenario} (seed {self.seed})",
+            f"scenario {self.config.name} (seed {self.seed})",
             f"  events:     {len(self.events)}",
             f"  admitted:   {', '.join(self.admitted) or '-'}",
             f"  denied:     {', '.join(self.denied) or '-'}",
@@ -514,7 +529,7 @@ class EventLog:
             f"  state:      {self.state_index}",
             f"  chain:      {len(self.chain)} blocks, "
             f"{'verified' if self.chain_ok() else 'BROKEN'} "
-            f"at difficulty {self.difficulty}",
+            f"at difficulty {self.config.difficulty}",
         ]
         if self.root_hash is not None:
             lines.append(f"  tree root:  {self.root_hash.hex()[:16]}")
@@ -523,36 +538,43 @@ class EventLog:
 
 
 def check_invariants(log: EventLog) -> list[str]:
-    """Structural violations in a finished run; empty means healthy."""
-    problems = []
+    """Structural violations in a finished run; empty means healthy.
+    The members must be the Admitted and Evict events replayed in order.
+    """
+    problems, config = [], log.config
     if not log.chain_ok():
         problems.append("chain failed verification")
     last_tick = 0
+    replayed: set[str] = set()
     for event in log.events:
         if event.tick < last_tick:
             problems.append(f"event ticks go backward at {event.to_record()}")
         last_tick = event.tick
         fields = dict(event.fields)
         if event.kind in ("Verdict", "Evict") \
-                and fields.get("actor") != log.management:
+                and fields.get("actor") != config.management:
             problems.append(f"{event.kind} issued by non-management actor "
                             f"{fields.get('actor')!r}")
-        if event.kind == "Rotate" and fields.get("actor") != log.security:
+        if event.kind == "Rotate" and fields.get("actor") != config.security:
             problems.append(f"Rotate issued by non-security actor "
                             f"{fields.get('actor')!r}")
         if event.kind == "Verdict" and fields.get("verdict") == "Accepted":
             problems.append(f"impersonation accepted: {event.to_record()}")
-    evicted_names = {name for _, name in log.evicted}
-    for member in log.members:
-        if member not in log.admitted:
-            problems.append(f"member {member!r} was never admitted")
-        if member in evicted_names:
-            problems.append(f"member {member!r} was evicted but remains")
+        if event.kind == "Verdict" and fields.get("verdict") == "Admitted":
+            replayed.add(fields["node"])
+        elif event.kind == "Evict":
+            replayed.discard(fields["node"])
+    if replayed != set(log.members):
+        problems.append(f"members {log.members} are not the replayed "
+                        f"admissions less evictions {tuple(sorted(replayed))}")
     return problems
 
 
 class Simulation:
-    """Deterministic event-driven run of one scenario."""
+    """Deterministic event-driven run of one scenario: its config, the
+    chip each node carries (`chips`; chipless nodes are absent) and its
+    events.  A refused action raises ConfigInvalid; `run` adds the line.
+    """
 
     def __init__(self, config: ScenarioConfig, seed: int = 0):
         self.config = config
@@ -561,18 +583,10 @@ class Simulation:
         self.clock = 0
         self.events: list[Event] = []
         self.state_index = 0
-        self.nodes = {
-            spec.name: _NetworkNode(
-                spec,
-                config.chips[spec.chip].manufacture() if spec.chip else None)
-            for spec in config.nodes.values()
-        }
+        self.chips = {spec.name: config.chips[spec.chip].manufacture()
+                      for spec in config.nodes.values() if spec.chip}
         self.registry: dict[str, PublicKey] = {}  # member -> its address
         self.transcripts: dict[str, tuple[bytes, bytes]] = {}
-        self.admitted: list[str] = []
-        self.denied: list[str] = []
-        self.evicted: list[tuple[int, str]] = []
-        self.rejections = 0
         self.tree = None
         self.chain: list[Block] = []
         self._emit("Genesis", scenario=config.name, seed=seed,
@@ -594,38 +608,36 @@ class Simulation:
     def _deny(self, node: str, reason: str) -> bool:
         self._emit("Verdict", actor=self.config.management, node=node,
                    verdict="Denied", reason=reason)
-        self.denied.append(node)
         return False
 
-    def _device_keypair(self, node: _NetworkNode):
-        return keypair_for_chip(node.chip, self.state_index,
+    def _device_keypair(self, node: str):
+        return keypair_for_chip(self.chips[node], self.state_index,
                                 self.config.modulus_bits)
 
     # -- schedule actions -------------------------------------------------
 
     def enroll(self, node: str) -> bool:
         """Entry request: blocklist gate, then the physical chip audit."""
-        entrant = self.nodes[node]
+        spec = self.config.nodes[node]
         if node in self.registry:
-            raise ValueError(f"{node} is already a member")
-        self._emit("EntryRequest", node=node, role=entrant.spec.role)
-        if entrant.spec.blocked:
+            raise ConfigInvalid(f"{node} is already a member")
+        self._emit("EntryRequest", node=node, role=spec.role)
+        if spec.blocked:
             return self._deny(node, "blocklist")
         nonce = self._challenge(node)
-        if entrant.chip is None:
-            claimed = (self.registry.get(entrant.spec.claims)
-                       if entrant.spec.claims else None)
+        chip = self.chips.get(node)
+        if chip is None:
+            claimed = self.registry.get(spec.claims)
             self._emit("Response", node=node,
                        key="none" if claimed is None else key_fingerprint(claimed))
             return self._deny(node, "no_chip" if claimed is None
                               else "audit_failed")
-        claimed_key = self._device_keypair(entrant).public_key
+        claimed_key = self._device_keypair(node).public_key
         self._emit("Response", node=node, key=key_fingerprint(claimed_key))
-        audit = crp_audit(entrant.chip, claimed_key, self.state_index, nonce)
+        audit = crp_audit(chip, claimed_key, self.state_index, nonce)
         if audit.verdict is AuditVerdict.GENUINE:
             self.registry[node] = claimed_key
             self.transcripts[node] = (nonce, audit.signature)
-            self.admitted.append(node)
             self._emit("Verdict", actor=self.config.management, node=node,
                        verdict="Admitted")
             return True
@@ -636,13 +648,12 @@ class Simulation:
 
         Returns True when the attempt was (correctly) rejected.
         """
-        attacker_node = self.nodes[attacker]
         victim_key = self.registry.get(victim)
         if victim_key is None:
-            raise ValueError(f"{victim} holds no registered address")
+            raise ConfigInvalid(f"{victim} holds no registered address")
         self._emit("EntryRequest", node=attacker, claims=victim)
         nonce = self._challenge(attacker)
-        if attacker_node.spec.strategy == "replay":
+        if self.config.nodes[attacker].strategy == "replay":
             transcript = self.transcripts.get(victim)
             if transcript is None:
                 signature = bytes(victim_key.byte_size)
@@ -650,9 +661,8 @@ class Simulation:
             else:
                 signature = transcript[1]
                 method = "replay"
-        elif attacker_node.chip is not None:
-            pair = self._device_keypair(attacker_node)
-            signature = sign(pair.secret_key, nonce)
+        elif attacker in self.chips:
+            signature = sign(self._device_keypair(attacker).secret_key, nonce)
             method = "own_chip"
         else:
             signature = bytes(victim_key.byte_size)
@@ -662,20 +672,17 @@ class Simulation:
             accepted = verify(victim_key, nonce, signature)
         except SignatureMalformed:
             accepted = False
-        verdict = "Accepted" if accepted else "Rejected"
-        if not accepted:
-            self.rejections += 1
-        self._emit("Verdict", actor=self.config.management,
-                   node=attacker, verdict=verdict, target=victim)
+        self._emit("Verdict", actor=self.config.management, node=attacker,
+                   verdict="Accepted" if accepted else "Rejected",
+                   target=victim)
         return not accepted
 
     def sweep(self) -> tuple[str, ...]:
         """Re-audit every member against its registered address."""
         failed = []
         for name in sorted(self.registry):
-            node = self.nodes[name]
             nonce = self._challenge(name)
-            audit = crp_audit(node.chip, self.registry[name],
+            audit = crp_audit(self.chips[name], self.registry[name],
                               self.state_index, nonce)
             retained = audit.verdict is AuditVerdict.GENUINE
             self._emit("Verdict", actor=self.config.management, node=name,
@@ -686,7 +693,6 @@ class Simulation:
                 failed.append(name)
         for name in failed:
             del self.registry[name]
-            self.evicted.append((self.clock, name))
             self._emit("Evict", actor=self.config.management, node=name)
         return tuple(failed)
 
@@ -697,15 +703,12 @@ class Simulation:
         entries go stale and the next sweep removes them.
         """
         if state == self.state_index:
-            raise ValueError("rotation must change the state index")
-        offline = set(offline)
+            raise ConfigInvalid("rotation must change the state index")
         self.state_index = state
         self._emit("Rotate", actor=self.config.security, state=state)
         for name in sorted(self.registry):
-            if name in offline:
-                continue
-            pair = self._device_keypair(self.nodes[name])
-            self.registry[name] = pair.public_key
+            if name not in offline:
+                self.registry[name] = self._device_keypair(name).public_key
         if self.tree is not None:
             self.tree = rotate_state_reproduce(self.tree, state)
             for src, dst in self.tree.schedule:
@@ -714,16 +717,14 @@ class Simulation:
     def build_tree(self):
         """Execute the configured topology among admitted members."""
         if self.tree is not None:
-            raise ValueError("transfer tree already built; rotate reproduces it")
+            raise ConfigInvalid("transfer tree already built; rotate reproduces it")
         participants = sorted({n for edge in self.config.topology
                                for n in edge})
-        if not participants:
-            raise ValueError("no transfer topology configured")
         outsiders = [n for n in participants if n not in self.registry]
         if outsiders:
-            raise ValueError("transfer participants not admitted: "
-                             + ", ".join(outsiders))
-        chips = {name: self.nodes[name].chip for name in participants}
+            raise ConfigInvalid("transfer participants not admitted: "
+                                + ", ".join(outsiders))
+        chips = {name: self.chips[name] for name in participants}
         self.tree = build_tree(self.config.topology, chips, self.state_index,
                                self.config.modulus_bits)
         for src, dst in self.tree.schedule:
@@ -732,7 +733,7 @@ class Simulation:
     def mine(self, difficulty: int | None = None):
         """Seal the current root stamp into the next block."""
         if self.tree is None:
-            raise ValueError("no transfer tree to stamp")
+            raise ConfigInvalid("no transfer tree to stamp")
         bits = self.config.difficulty if difficulty is None else difficulty
         stamp = self.tree.root_stamp()
         prev = self.chain[-1].block_hash if self.chain else ZERO_HASH
@@ -748,34 +749,29 @@ class Simulation:
     def tamper(self, node: str, seed: int):
         """Silently swap a device's physical chip (a scripted fault).
 
-        No event fires; the network only notices at the next audit.
+        No event fires; the network only notices at the next audit.  The
+        swapped chip also takes the node's tree seat, keeping its keys and
+        records until a rotate re-keys the seat: a rotate between tamper
+        and sweep re-binds the swapped chip, and that sweep retains it.
         """
-        device = self.nodes[node]
-        spec = self.config.chips[device.spec.chip]
-        device.chip = spec.manufacture(seed, f"{spec.name}-swapped")
+        spec = self.config.chips[self.config.nodes[node].chip]
+        self.chips[node] = spec.manufacture(seed, f"{spec.name}-swapped")
+        if self.tree is not None and node in self.tree.nodes:
+            self.tree.nodes[node].chip = self.chips[node]
 
     # ----------------------------------------------------------------------
 
     def run(self) -> EventLog:
         for item in self.config.schedule:
             self.clock = item.tick
-            getattr(self, item.action)(**item.args)
-        return EventLog(
-            scenario=self.config.name,
-            seed=self.seed,
-            difficulty=self.config.difficulty,
-            management=self.config.management,
-            security=self.config.security,
-            events=tuple(self.events),
-            chain=tuple(self.chain),
-            members=tuple(sorted(self.registry)),
-            admitted=tuple(self.admitted),
-            denied=tuple(self.denied),
-            evicted=tuple(self.evicted),
-            rejections=self.rejections,
-            state_index=self.state_index,
-            root_hash=self.tree.root_hash if self.tree else None,
-        )
+            try:
+                getattr(self, item.action)(**item.args)
+            except ConfigInvalid as exc:
+                raise ConfigInvalid(f"line {item.line_no}: {exc}") from None
+        return EventLog(self.config, self.seed, tuple(self.events),
+                        tuple(self.chain), tuple(sorted(self.registry)),
+                        self.state_index,
+                        self.tree.root_hash if self.tree else None)
 
 
 def run_scenario(config: ScenarioConfig, seed: int = 0) -> EventLog:

@@ -20,6 +20,7 @@ from chipchain import (
 from chipchain.cli import _build_parser, dispatch, main
 
 from oracles import binom_product
+from test_network_sim import MINI, REENROLL_SCHEDULE, REFUSED
 
 TOPOLOGY = """
 # four chips funneling into n0
@@ -796,6 +797,25 @@ def test_scenario_run_from_path(tmp_path):
     result = dispatch(["scenario", "run", str(cfg), "--output", "records"])
     assert result.exit_code == 0
     assert "chain_length=1 verified=yes members=2" in lines_of(result)[-1]
+
+
+@pytest.mark.parametrize("text, line, message", REFUSED)
+def test_scenario_run_refusal_names_its_line(tmp_path, text, line, message):
+    cfg = tmp_path / "refused.cfg"
+    cfg.write_text(text)
+    result = dispatch(["scenario", "run", str(cfg)])
+    assert result.exit_code == 1
+    line_no = text.splitlines().index(line) + 1
+    assert result.diagnostics == f"ConfigInvalid: line {line_no}: {message}"
+
+
+def test_scenario_run_reenrolled_member_is_healthy(tmp_path):
+    cfg = tmp_path / "reenroll.cfg"
+    cfg.write_text(MINI.split("[schedule]")[0] + REENROLL_SCHEDULE)
+    result = dispatch(["scenario", "run", str(cfg), "--output", "records"])
+    assert (result.exit_code, result.diagnostics) == (0, "")
+    assert lines_of(result)[-1] == (
+        "chain_length=0 verified=yes members=2 evictions=1 rejections=0")
 
 
 def test_scenario_run_unknown_name():

@@ -2,7 +2,9 @@
 
 Mutants of the scenario config (MINI) and of the ledger file (TOPOLOGY)
 must either parse or fail with a ChipChainError, and every chip spec in
-a config that parses must manufacture and yield its fingerprint.
+a config that parses must manufacture and yield its fingerprint.  A
+scenario that parses must also run: to a log with no invariant
+violations, or to a ChipChainError.
 """
 
 import re
@@ -10,7 +12,12 @@ import re
 from hypothesis import given, settings, strategies as st
 
 from chipchain import ChipChainError, extract_prn
-from chipchain.network_sim import parse_scenario, parse_topology
+from chipchain.network_sim import (
+    check_invariants,
+    parse_scenario,
+    parse_topology,
+    run_scenario,
+)
 
 from test_cli import TOPOLOGY
 from test_network_sim import MINI
@@ -98,3 +105,19 @@ def test_topology_parser_fuzz(text):
     except ChipChainError:
         return
     _manufacture_all(chips)
+
+
+# after MINI's build_tree and mine: re-key, audit, swap a chip, audit again
+RUN_TAIL = "6 rotate 1\n7 sweep\n8 tamper b seed=777\n9 sweep\n"
+
+
+# a mutant may raise difficulty to 20 or 21, whose mine takes 1-2 s; most
+# mutants do not parse, and 400 examples took 1.3-4.0 s on a 2-vCPU VM
+@settings(max_examples=400)
+@given(mutants(MINI + RUN_TAIL))
+def test_scenario_run_fuzz(text):
+    try:
+        log = run_scenario(parse_scenario(text))
+    except ChipChainError:
+        return
+    assert check_invariants(log) == []

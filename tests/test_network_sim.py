@@ -14,6 +14,7 @@ from chipchain import (
     sign,
     verify,
     verify_chain,
+    verify_tree,
 )
 from chipchain import network_sim
 from chipchain.network_sim import (
@@ -57,6 +58,16 @@ c -> a
 3 enroll c
 4 build_tree
 5 mine
+"""
+
+
+# a tamper evicts b at the sweep; the swapped chip then enrolls as b
+REENROLL_SCHEDULE = """[schedule]
+1 enroll a
+2 enroll b
+3 tamper b seed=777
+4 sweep
+5 enroll b
 """
 
 
@@ -419,6 +430,11 @@ def test_double_enroll_rejected():
 
 # ------------------------------------------------------------ impersonation
 
+def rejected_verdicts(sim):
+    return [e for e in sim.events
+            if e.kind == "Verdict" and dict(e.fields)["verdict"] == "Rejected"]
+
+
 def spoof_config(method):
     # "noise" is not a config strategy: it is what a chipless attacker
     # with no transcript to replay ends up sending
@@ -471,7 +487,7 @@ def test_replayed_signature_is_the_old_transcript():
     old_signature = sim.transcripts["a"][1]
     sim.spoof("mal", "a")
     # a fresh nonce makes the stale signature fail verification
-    assert sim.rejections == 1
+    assert len(rejected_verdicts(sim)) == 1
     assert sim.transcripts["a"][1] == old_signature
 
 
@@ -492,7 +508,7 @@ def test_replay_after_sweep_replays_the_sweep_signature(monkeypatch):
     monkeypatch.setattr(network_sim, "verify", recording_verify)
     assert sim.spoof("mal", "a")
     assert sent == [swept[1]]
-    assert sim.rejections == 1
+    assert len(rejected_verdicts(sim)) == 1
 
 
 # -------------------------------------------------------------- transcripts
@@ -503,8 +519,7 @@ def assert_transcript_is_the_audit_signature(sim, name):
     challenges = [dict(e.fields) for e in sim.events
                   if e.kind == "Challenge" and dict(e.fields)["node"] == name]
     assert challenges[-1]["nonce"] == nonce.hex()[:16]
-    node = sim.nodes[name]
-    pair = keypair_for_chip(node.chip, sim.state_index,
+    pair = keypair_for_chip(sim.chips[name], sim.state_index,
                             sim.config.modulus_bits)
     assert signature == sign(pair.secret_key, nonce)
     assert verify(sim.registry[name], nonce, signature)
@@ -577,6 +592,17 @@ def test_sweep_evicts_swapped_chip():
     assert check_invariants(log) == []
 
 
+def test_evicted_member_may_enroll_again():
+    """An eviction is not a ban: a swapped chip evicted by a sweep enrolls
+    under its own key, and the replayed admissions agree."""
+    text = MINI.split("[schedule]")[0] + REENROLL_SCHEDULE
+    log = run_scenario(parse_scenario(text), seed=0)
+    assert log.admitted == ("a", "b", "b")
+    assert log.evicted == ((4, "b"),)
+    assert log.members == ("a", "b")
+    assert check_invariants(log) == []
+
+
 def test_sweep_evicts_offline_member_after_rotation():
     config = mini_config(extra_schedule="6 rotate 1 offline=c\n7 sweep")
     log = run_scenario(config, seed=0)
@@ -586,6 +612,17 @@ def test_sweep_evicts_offline_member_after_rotation():
 
 
 # ----------------------------------------------------------------- rotation
+
+def test_rotate_after_tamper_rekeys_the_swapped_chip_in_the_tree():
+    """The tree seats the chip the device holds, so a rotate derives the
+    tree key and the registry address from the same swapped chip."""
+    sim = Simulation(mini_config("6 tamper b seed=777\n7 rotate 1"), seed=0)
+    sim.run()
+    assert sim.tree.nodes["b"].public_key == sim.registry["b"]
+    assert verify_tree(sim.tree)
+    assert sim.sweep() == ()
+    assert sim.tree.nodes["b"].chip is sim.chips["b"]
+
 
 def test_rotate_rebinds_keys_and_reproduces_tree():
     sim = Simulation(mini_config(), seed=0)
@@ -637,6 +674,28 @@ def test_every_schedule_action_is_the_simulation_method_of_its_name():
 
 
 # ------------------------------------------------------------------- errors
+
+# (config, the schedule line its run refuses, why): each config parses
+REFUSED = [
+    pytest.param(MINI + "6 enroll a\n", "6 enroll a",
+                 "a is already a member", id="enroll-member"),
+    pytest.param(MINI.replace("[topology]", "eve role=attacker\n[topology]")
+                 .replace("1 enroll a", "1 spoof eve a\n1 enroll a"),
+                 "1 spoof eve a", "a holds no registered address",
+                 id="spoof-unregistered"),
+    pytest.param(MINI.replace("3 enroll c\n", ""), "4 build_tree",
+                 "transfer participants not admitted: c",
+                 id="build-tree-outsider"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", REFUSED)
+def test_refused_schedule_action_names_its_line(text, line, message):
+    line_no = text.splitlines().index(line) + 1
+    with pytest.raises(ConfigInvalid) as caught:
+        run_scenario(parse_scenario(text), seed=0)
+    assert str(caught.value) == f"line {line_no}: {message}"
+
 
 def test_build_tree_requires_admitted_participants():
     config = mini_config()
@@ -793,7 +852,23 @@ def test_invariants_flag_broken_chain(fig10_log):
     import dataclasses
     bad = dataclasses.replace(fig10_log, chain=fig10_log.chain[::-1])
     assert any("chain" in p for p in check_invariants(bad))
-    assert not verify_chain(list(bad.chain), bad.difficulty)
+    assert not verify_chain(list(bad.chain), bad.config.difficulty)
+
+
+def test_tallies_are_read_from_the_events(fig10_log):
+    import dataclasses
+    assert [f.name for f in dataclasses.fields(network_sim.EventLog)] == [
+        "config", "seed", "events", "chain", "members", "state_index",
+        "root_hash"]
+    verdicts = [dict(e.fields) for e in fig10_log.events if e.kind == "Verdict"]
+    assert fig10_log.admitted == tuple(
+        v["node"] for v in verdicts if v["verdict"] == "Admitted")
+    assert fig10_log.rejections == sum(v["verdict"] == "Rejected"
+                                       for v in verdicts)
+    evicting = dataclasses.replace(fig10_log, events=fig10_log.events + (
+        network_sim.Event(99, "Evict", (("actor", "mgmt"), ("node", "n3"))),))
+    assert evicting.evicted == ((99, "n3"),)
+    assert any("replayed" in p for p in check_invariants(evicting))
 
 
 def test_empty_schedule_yields_bare_log():
