@@ -18,6 +18,7 @@ from .chip_model import (
     GENERATIONS,
     GENERATION_CAPACITY,
     GENERATION_ROWS,
+    HMAC_BACKEND,
     Prn,
     SimulatedChip,
     extract_prn,

@@ -67,6 +67,19 @@ _HMAC_BLOCK = 64
 _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
 
+# The pad states are copied four times per response, and CPython's
+# builtin SHA-256 copies and finishes a state with a memcpy where
+# OpenSSL's copies an EVP context.  hashlib falls back to the same
+# builtin module, so when neither imports hashlib.sha256 is OpenSSL's.
+try:
+    from _sha2 import sha256 as _PAD_SHA256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _PAD_SHA256  # CPython 3.10, 3.11
+    except ImportError:
+        _PAD_SHA256 = hashlib.sha256
+HMAC_BACKEND = "openssl" if _PAD_SHA256 is hashlib.sha256 else "builtin"
+
 _MBIT = 1 << 20
 _GBIT = 1 << 30
 
@@ -220,14 +233,17 @@ class Prn:
         They have absorbed key XOR ipad and key XOR opad, the per-key
         precomputation of RFC 2104 section 4; a key longer than the
         64-byte block is hashed first.  Callers copy them, never update
-        them.
+        them.  Both states come from CPython's builtin SHA-256 where it
+        imports (HMAC_BACKEND "builtin"), whose copy and digest are a
+        memcpy; the one-shot key hash stays on hashlib's OpenSSL, which
+        is faster for a single digest.
         """
         key = self.canonical_bytes
         if len(key) > _HMAC_BLOCK:
             key = hashlib.sha256(key).digest()
         key = key.ljust(_HMAC_BLOCK, b"\0")
-        return (hashlib.sha256(key.translate(_IPAD)),
-                hashlib.sha256(key.translate(_OPAD)))
+        return (_PAD_SHA256(key.translate(_IPAD)),
+                _PAD_SHA256(key.translate(_OPAD)))
 
     def __reduce__(self):
         # the cached hash states cannot be pickled; the fields rebuild them

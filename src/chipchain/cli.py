@@ -25,6 +25,7 @@ from decimal import Decimal, InvalidOperation
 from . import __version__
 from ._pow import active_kernel
 from .chip_model import (
+    HMAC_BACKEND,
     ChipGeometry,
     FailureModel,
     extract_prn,
@@ -307,7 +308,7 @@ def _cmd_scenario_run(args):
 
 def _cmd_version(args):
     return [f"chipchain {__version__} (pow kernel: {active_kernel()}, "
-            f"powmod: {POWMOD_BACKEND})"], 0, []
+            f"hmac: {HMAC_BACKEND}, powmod: {POWMOD_BACKEND})"], 0, []
 
 
 # -- parser ----------------------------------------------------------------

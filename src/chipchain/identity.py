@@ -11,7 +11,13 @@ The keyed digest is HMAC-SHA256 with the PRN's canonical bytes as the
 key.  Each Prn keeps the inner and outer SHA-256 states of its key,
 computed once (the precomputation of RFC 2104 section 4), so a
 response costs no key padding or key hashing; the response bytes are
-those of the plain HMAC construction.
+those of the plain HMAC construction.  The pad states are objects of
+CPython's builtin SHA-256 where it imports (chip_model.HMAC_BACKEND
+"builtin"), whose copy and digest are a memcpy; a response makes four
+copies.
+Every one-shot hash (challenges, the key-seed stream, the ledger and
+the proof-of-work scan) stays on hashlib.sha256, OpenSSL's, which
+digests a fresh message faster.
 
 Each key prime is the first prime at or after a candidate drawn from a
 SHA-256 counter stream over the response.  The candidate's residues mod
@@ -56,8 +62,6 @@ _KDF_TAG = b"chipchain/keyseed/v1"
 
 MAX_STATE_INDEX = (1 << 64) - 1  # a challenge packs the index in 8 bytes
 
-_RESPONSE_BLOCKS = 2  # 2 x SHA-256 = 64 response bytes
-
 
 @dataclass(frozen=True)
 class Challenge:
@@ -90,22 +94,24 @@ def respond(prn: Prn, challenge: Challenge) -> Response:
     """Keyed digest of the challenge under the chip fingerprint.
 
     Block i is HMAC-SHA256(canonical PRN bytes, challenge || i as a
-    4-byte word).  The pad states come precomputed from the PRN
-    (RFC 2104 section 4), the challenge is absorbed once, and each
-    block branches from a copy of that state, so the bytes are those
-    of a textbook HMAC per block.
+    4-byte word), for i = 0 and 1.  The pad states come precomputed
+    from the PRN (RFC 2104 section 4) on CPython's builtin SHA-256.
+    The challenge is absorbed once; block 0 finishes a copy of that
+    state and block 1 the state itself, each under a copy of the outer
+    pad, so the bytes are those of a textbook HMAC per block.
     """
     inner_pad, outer_pad = prn.hmac_states
     inner = inner_pad.copy()
     inner.update(challenge.data)
-    blocks = []
-    for i in range(_RESPONSE_BLOCKS):
-        block_inner = inner.copy()
-        block_inner.update(i.to_bytes(4, "big"))
-        outer = outer_pad.copy()
-        outer.update(block_inner.digest())
-        blocks.append(outer.digest())
-    return Response(prn.chip_id, challenge.state_index, b"".join(blocks))
+    inner_0 = inner.copy()
+    inner_0.update(b"\0\0\0\0")
+    inner.update(b"\0\0\0\1")
+    outer_0 = outer_pad.copy()
+    outer_0.update(inner_0.digest())
+    outer_1 = outer_pad.copy()
+    outer_1.update(inner.digest())
+    return Response(prn.chip_id, challenge.state_index,
+                    outer_0.digest() + outer_1.digest())
 
 
 def _int_bytes(value: int) -> bytes:

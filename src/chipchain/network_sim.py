@@ -54,8 +54,12 @@ Ledger files, read by the `chipchain ledger` commands, are the
 [params]/[chips]/[topology] part of this grammar: [params] holds only
 the chip defaults (y, lambda, redundancy, min_failures) and edges run
 between declared chips.  parse_topology reads them with the same steps
-as parse_scenario.  Both formats and the chip fixture share one line
-reader: `#` starts a comment anywhere on a line; errors name `line N`.
+as parse_scenario.  The edges must funnel into one sink without a loop,
+over their endpoints in a scenario and over every declared chip in a
+ledger file; a [topology] that does not is a ConfigInvalid naming its
+first line, so no run reaches build_tree with it.  Both formats and
+the chip fixture share one line reader: `#` starts a comment anywhere
+on a line; errors name `line N`.
 """
 
 from __future__ import annotations
@@ -74,7 +78,13 @@ from ._lines import (
     _split_options,
 )
 from .chip_model import ChipGeometry, FailureModel, SimulatedChip, new_chip
-from .errors import ConfigInvalid, GeometryInvalid, SignatureMalformed
+from .errors import (
+    ConfigInvalid,
+    CycleDetected,
+    GeometryInvalid,
+    MultipleSinks,
+    SignatureMalformed,
+)
 from .identity import (
     AuditVerdict,
     MAX_STATE_INDEX,
@@ -90,6 +100,7 @@ from .ledger import (
     MAX_MINING_DIFFICULTY,
     Block,
     ZERO_HASH,
+    _topological_schedule,
     build_tree,
     mine_block,
     rotate_state_reproduce,
@@ -226,8 +237,13 @@ def _parse_chips(lines: _Lines,
     return chips
 
 
-def _parse_edges(lines: _Lines, check_endpoint) -> _Edges:
-    """`a -> b` lines; check_endpoint(name, where) vets each endpoint."""
+def _parse_edges(lines: _Lines, check_endpoint,
+                 nodes: Iterable[str] = ()) -> _Edges:
+    """`a -> b` lines; check_endpoint(name, where) vets each endpoint.
+
+    The edges over their endpoints and nodes must funnel into one sink
+    without a loop; a topology that does not names its first line.
+    """
     edges: list[tuple[str, str]] = []
     for line_no, line in lines:
         where = f"line {line_no}"
@@ -242,6 +258,12 @@ def _parse_edges(lines: _Lines, check_endpoint) -> _Edges:
         if (src, dst) in edges:
             raise ConfigInvalid(f"{where}: duplicate edge {src} -> {dst}")
         edges.append((src, dst))
+    if edges:
+        try:
+            _topological_schedule({*nodes, *(n for e in edges for n in e)},
+                                  edges)
+        except (CycleDetected, MultipleSinks) as exc:
+            raise ConfigInvalid(f"line {lines[0][0]}: {exc}") from None
     return tuple(edges)
 
 
@@ -255,7 +277,7 @@ def parse_topology(text: str) -> tuple[dict[str, ChipSpec], _Edges]:
         if endpoint not in chips:
             raise ConfigInvalid(f"{where}: unknown chip {endpoint!r}")
 
-    return chips, _parse_edges(sections["topology"], declared)
+    return chips, _parse_edges(sections["topology"], declared, chips)
 
 
 def load_topology(path) -> tuple[dict[str, ChipSpec], _Edges]:

@@ -76,6 +76,7 @@ def test_version():
     assert result.stdout_payload.startswith("chipchain 0.1.0")
     assert "pow kernel:" in result.stdout_payload
     assert re.search(r"powmod: (libcrypto|builtin)\)", result.stdout_payload)
+    assert f"hmac: {chipchain.HMAC_BACKEND}, powmod:" in result.stdout_payload
 
 
 def test_unknown_command_usage_error():

@@ -121,3 +121,54 @@ def test_scenario_run_fuzz(text):
     except ChipChainError:
         return
     assert check_invariants(log) == []
+
+
+# schedule actions a mutant inserts, and the words a token swap puts in;
+# no number above 8, so a `mine D` stays below 2^8 expected attempts
+SCHEDULE_ACTIONS = ["enroll a", "enroll b", "enroll c", "build_tree", "mine",
+                    "mine 8", "rotate 0", "rotate 2", "rotate 3 offline=c",
+                    "sweep", "tamper a seed=5", "tamper c seed=778",
+                    "spoof a b"]
+ACTION_TOKENS = ["enroll", "spoof", "build_tree", "mine", "rotate", "sweep",
+                 "tamper", "a", "b", "c", "mgmt", "sec", "0", "1", "2", "4",
+                 "8", "seed=5", "offline=a", "offline=b,c"]
+
+
+@st.composite
+def schedule_mutants(draw, base: str) -> str:
+    """base with its [schedule] actions inserted, deleted, swapped or
+    re-worded; ticks are dealt afterwards, non-decreasing from 1."""
+    head, _, schedule = base.partition("[schedule]\n")
+    actions = [line.split(None, 1)[1] for line in schedule.splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["insert", "delete", "swap", "token"]))
+        if kind == "insert" or not actions:
+            actions.insert(draw(st.integers(0, len(actions))),
+                           draw(st.sampled_from(SCHEDULE_ACTIONS)))
+            continue
+        i = draw(st.integers(0, len(actions) - 1))
+        if kind == "delete":
+            del actions[i]
+        elif kind == "swap":
+            j = draw(st.integers(0, len(actions) - 1))
+            actions[i], actions[j] = actions[j], actions[i]
+        else:
+            words = actions[i].split()
+            words[draw(st.integers(0, len(words) - 1))] = draw(
+                st.sampled_from(ACTION_TOKENS))
+            actions[i] = " ".join(words)
+    tick, lines = 1, []
+    for action in actions:
+        tick += draw(st.integers(0, 1))
+        lines.append(f"{tick} {action}")
+    return head + "[schedule]\n" + "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=200)
+@given(schedule_mutants(MINI + RUN_TAIL))
+def test_scenario_schedule_fuzz(text):
+    try:
+        log = run_scenario(parse_scenario(text))
+    except ChipChainError:
+        return
+    assert check_invariants(log) == []

@@ -1,8 +1,11 @@
 import copy
+import dataclasses
 import hashlib
+import importlib
 import math
 import pickle
 import signal
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,7 +31,7 @@ from chipchain import (
     sign,
     verify,
 )
-from chipchain import identity
+from chipchain import chip_model, identity
 from chipchain.identity import (
     SUPPORTED_MODULUS_BITS,
     _is_extra_strong_lucas_prp,
@@ -147,6 +150,50 @@ def test_response_key_block_boundary(failures, key_len, hashed):
         assert (got[:32] == first_block) is hashed
 
 
+def _sha256_constructors():
+    """Each SHA-256 constructor the pad states may use that imports here:
+    CPython's builtin module (_sha2 from 3.12, _sha256 before) and the
+    hashlib fallback."""
+    found = {"hashlib": hashlib.sha256}
+    for module in ("_sha2", "_sha256"):
+        try:
+            found[module] = importlib.import_module(module).sha256
+        except ImportError:
+            pass
+    return found
+
+
+SHA256_CONSTRUCTORS = _sha256_constructors()
+
+
+def test_hmac_backend_names_the_pad_constructor():
+    builtin = [name for name in SHA256_CONSTRUCTORS if name != "hashlib"]
+    assert chip_model.HMAC_BACKEND == ("builtin" if builtin else "openssl")
+    if builtin:
+        assert chip_model._PAD_SHA256 is SHA256_CONSTRUCTORS[builtin[0]]
+
+
+@pytest.mark.parametrize("name", sorted(SHA256_CONSTRUCTORS))
+@given(prn=_prns(), challenges=st.lists(_CHALLENGES, min_size=1, max_size=5))
+def test_each_sha256_constructor_matches_both_hmac_oracles(name, prn,
+                                                            challenges):
+    """Fresh Prns, keyed on each constructor, at the fuzzed keys and at
+    the key-block boundary, give the bytes of both HMAC oracles."""
+    constructor = SHA256_CONSTRUCTORS[name]
+    with mock.patch.object(chip_model, "_PAD_SHA256", constructor):
+        fresh = Prn(prn.chip_id, prn.column, prn.rows, prn.total_rows)
+        assert type(fresh.hmac_states[0]) is type(constructor())
+        # 14 failure rows make a 64-byte key, 15 a 68-byte one
+        boundary = [Prn("edge", 0, tuple(range(0, 3 * failures, 3)), 1000)
+                    for failures in (14, 15)]
+        for keyed in [fresh] + boundary:
+            for challenge in challenges + challenges[::-1]:
+                got = respond(keyed, challenge).data
+                for mac in (hmac_sha256, hmac_sha256_library):
+                    assert got == response_oracle(keyed.rows, keyed.total_rows,
+                                                  challenge.data, mac=mac)
+
+
 def test_responded_prn_pickles_and_deep_copies():
     prn = extract_prn(make_small_chip(4))
     challenge = make_challenge(2)
@@ -156,6 +203,56 @@ def test_responded_prn_pickles_and_deep_copies():
         assert hash(clone) == hash(prn)
         assert respond(clone, challenge) == want
         assert respond(prn, challenge) == want
+
+
+# Response is a frozen record, not a tuple: a NamedTuple would compare
+# equal to the plain tuple of its fields and iterate.
+def _two_equal_responses():
+    prn = extract_prn(make_small_chip(4))
+    twin = Prn(prn.chip_id, prn.column, prn.rows, prn.total_rows)
+    return respond(prn, make_challenge(2)), respond(twin, make_challenge(2))
+
+
+def test_equal_responses_compare_and_hash_equal():
+    first, second = _two_equal_responses()
+    assert first is not second
+    assert first == second
+    assert hash(first) == hash(second)
+
+
+def test_response_survives_pickle_and_deep_copy():
+    response, _ = _two_equal_responses()
+    for clone in (pickle.loads(pickle.dumps(response)),
+                  copy.deepcopy(response)):
+        assert type(clone) is Response
+        assert clone == response
+        assert hash(clone) == hash(response)
+
+
+def test_response_public_fields():
+    response, _ = _two_equal_responses()
+    names = ["chip_id", "state_index", "data"]
+    assert [field.name for field in dataclasses.fields(Response)] == names
+    assert [name for name in dir(response)
+            if not name.startswith("_")] == sorted(names)
+
+
+@pytest.mark.parametrize("name, value", [("chip_id", "other"),
+                                         ("state_index", 9),
+                                         ("data", bytes(64))])
+def test_response_fields_are_frozen(name, value):
+    response, _ = _two_equal_responses()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(response, name, value)
+
+
+def test_response_is_not_a_tuple():
+    response, _ = _two_equal_responses()
+    fields = (response.chip_id, response.state_index, response.data)
+    assert response != fields
+    assert fields != response
+    with pytest.raises(TypeError):
+        iter(response)
 
 
 def test_response_differs_across_chips():

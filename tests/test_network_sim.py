@@ -163,6 +163,20 @@ def test_parse_rejects_schedule_order_with_its_line(before, after, bad_line,
         parse_scenario(bad)
 
 
+# MINI's edges with a loop added, and with a second sink; the error names
+# the first [topology] line
+@pytest.mark.parametrize("before, after, message", [
+    ("c -> a", "c -> a\na -> b", "every node sends onward; the topology loops"),
+    ("c -> a", "b -> c", "must funnel into one chip, found sinks: a, c"),
+])
+def test_parse_rejects_topology_shape_with_its_line(before, after, message):
+    bad = MINI.replace(before, after)
+    line_no = bad.splitlines().index("b -> a") + 1
+    with pytest.raises(ConfigInvalid, match=re.escape(f"line {line_no}: ")
+                       + ".*" + re.escape(message)):
+        parse_scenario(bad)
+
+
 def test_parse_reports_line_numbers():
     bad = MINI + "\n[schedule]\n9 dance\n"
     line_no = bad.splitlines().index("9 dance") + 1
@@ -337,6 +351,23 @@ def test_parse_topology_rejections(extra, message_part):
     with pytest.raises(ConfigInvalid, match=re.escape(message_part)) as caught:
         parse_topology(bad)
     assert str(caught.value).startswith(f"line {line_no}: ")
+
+
+# the same two shapes in a ledger file, plus a declared chip on no edge,
+# which is a second sink there
+@pytest.mark.parametrize("before, after, message", [
+    ("n2 -> n0", "n2 -> n0\nn0 -> n1",
+     "every node sends onward; the topology loops"),
+    ("n2 -> n0", "n1 -> n2", "must funnel into one chip, found sinks: n0, n2"),
+    ("n2 -> n0", "n2 -> n0\n[chips]\nn3 seed=53",
+     "must funnel into one chip, found sinks: n0, n3"),
+])
+def test_parse_topology_rejects_shape_with_its_line(before, after, message):
+    bad = LEDGER.replace(before, after)
+    line_no = bad.splitlines().index("n1 -> n0") + 1
+    with pytest.raises(ConfigInvalid, match=re.escape(f"line {line_no}: ")
+                       + ".*" + re.escape(message)):
+        parse_topology(bad)
 
 
 def test_parse_topology_checks_chip_parameters_from_params_defaults():
