@@ -31,10 +31,14 @@ as the reference: both tests accept every prime and no composite is
 known to pass either, so the search stops on the same primes.
 
 Every modular exponentiation (the base-2 test, signing, verifying)
-goes through _bn.powmod: OpenSSL's BN_mod_exp in the system libcrypto
-when it loads (POWMOD_BACKEND "libcrypto"), else builtin pow
-("builtin").  Both give the same numbers, so keys and signatures are
-the same bytes on either backend.
+goes through OpenSSL's BN_mod_exp_mont in the system libcrypto when it
+loads (POWMOD_BACKEND "libcrypto"), else builtin pow ("builtin").  Both
+give the same numbers, so keys and signatures are the same bytes on
+either backend.  The base-2 test, on a new modulus each time, calls
+_bn.powmod.  Keys keep their Montgomery form: a SecretKey holds a
+_bn.fixed_powmod handle per prime and a PublicKey one for its modulus,
+each built on first use, so sign and verify convert no modulus or
+exponent and build no Montgomery context per call.
 
 Key sizes here are desk-scale (512 to 2048 bit) for fast simulation,
 not production parameters.
@@ -46,11 +50,12 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._bn import BACKEND as POWMOD_BACKEND, powmod as _powmod
+from ._bn import (BACKEND as POWMOD_BACKEND, fixed_powmod as _fixed_powmod,
+                  powmod as _powmod)
 from .chip_model import Prn, SimulatedChip, extract_prn
 from .errors import PrimeSearchExhausted, SignatureMalformed
 
@@ -143,6 +148,13 @@ def _read_int(data: bytes, offset: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class PublicKey:
+    """RSA public key.
+
+    Its wire bytes and its exponentiation handle are built once, on
+    first use, and are not fields: equality, hashing, repr and copies
+    see the modulus and the exponent only.
+    """
+
     modulus: int
     exponent: int
 
@@ -150,9 +162,22 @@ class PublicKey:
     def byte_size(self) -> int:
         return (self.modulus.bit_length() + 7) // 8
 
-    def to_bytes(self) -> bytes:
+    @cached_property
+    def _wire(self) -> bytes:
         return (_length_prefixed(_int_bytes(self.modulus))
                 + _length_prefixed(_int_bytes(self.exponent)))
+
+    @cached_property
+    def _opener(self):
+        """s -> s^e mod n, with n in Montgomery form."""
+        return _fixed_powmod(self.exponent, self.modulus)
+
+    def to_bytes(self) -> bytes:
+        return self._wire
+
+    def __reduce__(self):
+        # the cached handle cannot be pickled; the fields rebuild it
+        return type(self), (self.modulus, self.exponent)
 
     @classmethod
     def parse(cls, data: bytes, offset: int = 0) -> tuple["PublicKey", int]:
@@ -173,7 +198,9 @@ class SecretKey:
     """Private exponent plus the CRT form that signing uses.
 
     exponent_p = d mod (p - 1), exponent_q = d mod (q - 1) and
-    q_inverse = q^-1 mod p are derived once per key.
+    q_inverse = q^-1 mod p are derived once per key; the two prime
+    handles are built on first use and, like PublicKey's, are not
+    fields.
     """
 
     modulus: int
@@ -183,6 +210,19 @@ class SecretKey:
     exponent_p: int
     exponent_q: int
     q_inverse: int
+
+    @cached_property
+    def _crt_powers(self):
+        """(m -> m^exponent_p mod p, m -> m^exponent_q mod q), each prime
+        in Montgomery form."""
+        return (_fixed_powmod(self.exponent_p, self.prime_p),
+                _fixed_powmod(self.exponent_q, self.prime_q))
+
+    def __reduce__(self):
+        # the cached handles cannot be pickled; the fields rebuild them
+        return type(self), (self.modulus, self.exponent, self.prime_p,
+                            self.prime_q, self.exponent_p, self.exponent_q,
+                            self.q_inverse)
 
 
 @dataclass(frozen=True)
@@ -472,15 +512,17 @@ def sign(secret_key: SecretKey, message: bytes) -> bytes:
     """Signature over the padded digest of message.
 
     Computed with the Chinese remainder theorem (Quisquater and
-    Couvreur, 1982): one exponentiation mod p and one mod q, joined by
-    Garner's formula.  The result equals em^d mod n, so the signature
-    bytes are the same as those of the plain modexp.
+    Couvreur, 1982): one exponentiation mod p and one mod q, each
+    through the key's handle for its prime, joined by Garner's formula.
+    The result equals em^d mod n, so the signature bytes are the same
+    as those of the plain modexp.
     """
     key = secret_key
     size = (key.modulus.bit_length() + 7) // 8
     em = _padded_digest_int(bytes(message), size)
-    m1 = _powmod(em, key.exponent_p, key.prime_p)
-    m2 = _powmod(em, key.exponent_q, key.prime_q)
+    power_p, power_q = key._crt_powers
+    m1 = power_p(em)
+    m2 = power_q(em)
     s = m2 + (key.q_inverse * (m1 - m2) % key.prime_p) * key.prime_q
     return s.to_bytes(size, "big")
 
@@ -499,7 +541,7 @@ def verify(public_key: PublicKey, message: bytes, signature: bytes) -> bool:
     s = int.from_bytes(signature, "big")
     if s >= public_key.modulus:
         return False
-    recovered = _powmod(s, public_key.exponent, public_key.modulus)
+    recovered = public_key._opener(s)
     return recovered == _padded_digest_int(bytes(message), size)
 
 

@@ -277,7 +277,14 @@ def parse_topology(text: str) -> tuple[dict[str, ChipSpec], _Edges]:
         if endpoint not in chips:
             raise ConfigInvalid(f"{where}: unknown chip {endpoint!r}")
 
-    return chips, _parse_edges(sections["topology"], declared, chips)
+    edges = _parse_edges(sections["topology"], declared, chips)
+    if not edges and len(chips) > 1:
+        # no [topology] line to name: the second chip is the second sink
+        raise ConfigInvalid(
+            f"line {sections['chips'][1][0]}: transfer topology must funnel "
+            f"into one chip, found sinks: {', '.join(chips)}; "
+            f"[topology] is empty")
+    return chips, edges
 
 
 def load_topology(path) -> tuple[dict[str, ChipSpec], _Edges]:

@@ -1,6 +1,9 @@
 """The libcrypto modular exponentiation agrees with builtin pow."""
 
+import copy
+import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -10,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chipchain import POWMOD_BACKEND, _bn, identity
+
+from oracles import rsa_sign_oracle
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -65,6 +70,32 @@ def test_powmod_edge_cases(base, exponent, modulus):
     assert _bn.powmod(base, exponent, modulus) == pow(base, exponent, modulus)
 
 
+@settings(max_examples=150)
+@given(_operands(), st.lists(st.integers(-(1 << 80), 1 << 4160), max_size=4))
+def test_fixed_powmod_matches_builtin_pow(operands, more_bases):
+    base, exponent, modulus = operands
+    handle = _bn.fixed_powmod(exponent, modulus)
+    for b in [base, *more_bases]:
+        assert handle(b) == pow(b, exponent, modulus)
+
+
+@pytest.mark.parametrize("base,exponent,modulus", EDGE_CASES)
+def test_fixed_powmod_edge_cases(base, exponent, modulus):
+    assert _bn.fixed_powmod(exponent, modulus)(base) == pow(base, exponent,
+                                                           modulus)
+
+
+def test_fixed_powmod_cannot_be_copied():
+    """A copy of a libcrypto handle would free its native objects twice."""
+    handle = _bn.fixed_powmod(65537, (1 << 521) - 1)
+    if POWMOD_BACKEND != "libcrypto":
+        pytest.skip("the builtin handle owns no native objects")
+    for clone in (pickle.dumps, copy.copy, copy.deepcopy):
+        with pytest.raises(TypeError, match="cannot be pickled or copied"):
+            clone(handle)
+    assert handle(3) == pow(3, 65537, (1 << 521) - 1)
+
+
 def test_powmod_modulus_zero_raises_like_pow():
     with pytest.raises(ValueError):
         _bn.powmod(3, 2, 0)
@@ -106,10 +137,103 @@ def test_powmod_from_many_threads():
     assert failures == []
 
 
+def test_sign_and_verify_from_many_threads():
+    """Eight threads sign and verify with one key, whose handles the
+    first calls build; every signature must be its own message's."""
+    threads, rounds = 8, 12
+    pair = identity.derive_keypair(identity.Response("t", 0, bytes(64)), 1024)
+    # rebuilt from the fields, so that no handle is built yet
+    secret = dataclasses.replace(pair.secret_key)
+    public = dataclasses.replace(pair.public_key)
+    cases = [[(b"thread %d message %d" % (index, k),
+               rsa_sign_oracle(b"thread %d message %d" % (index, k),
+                               secret.exponent, secret.modulus))
+              for k in range(rounds)] for index in range(threads)]
+    barrier = threading.Barrier(threads)
+    failures = []
+
+    def work(index):
+        barrier.wait(timeout=30)
+        for k, (message, expected) in enumerate(cases[index]):
+            signature = identity.sign(secret, message)
+            if (signature != expected
+                    or not identity.verify(public, message, signature)
+                    or identity.verify(public, message + b"!", signature)):
+                failures.append((index, k))
+
+    pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    assert failures == []
+
+
+def test_exit_while_daemon_threads_sign():
+    """The main thread returns while daemon threads are inside sign and
+    verify; interpreter teardown must not free a handle under them."""
+    code = (
+        "import pickle, threading\n"
+        "import chipchain\n"
+        "pair = chipchain.derive_keypair(chipchain.Response('x', 0,"
+        " bytes(range(64))), 2048)\n"
+        "started = threading.Barrier(5, timeout=30)\n"
+        "def work(blob):\n"
+        "    secret, public = pickle.loads(blob)\n"
+        "    started.wait()\n"
+        "    while True:\n"
+        "        signature = chipchain.sign(secret, b'nonce')\n"
+        "        assert chipchain.verify(public, b'nonce', signature)\n"
+        "blob = pickle.dumps((pair.secret_key, pair.public_key))\n"
+        "for _ in range(4):\n"
+        "    threading.Thread(target=work, args=(blob,), daemon=True).start()\n"
+        "del pair\n"
+        "started.wait()\n"
+        "print('signing')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for _ in range(3):
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "signing\n", "")
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="needs /proc/self/statm")
+def test_dropped_handles_free_their_native_objects():
+    """A kept handle holds two BIGNUMs and a Montgomery context of about
+    700 bytes at 1024 bits, so 20 000 leaked ones would add about 14 MB."""
+    modulus = (1 << 1024) - 105  # odd
+
+    def churn(count):
+        for k in range(count):
+            _bn.fixed_powmod(65537 + 2 * k, modulus)
+
+    churn(2000)  # let the allocators reach their steady state
+    before = _resident_bytes()
+    churn(20000)
+    assert _resident_bytes() - before < 4 << 20
+
+
 @pytest.mark.parametrize("name", ["libchipchain-absent.so.0", "libc.so.6"])
 def test_load_falls_back_to_builtin_pow(name):
     # the first cannot be opened; the second has no BN_* functions
-    assert _bn._load(name) == (pow, "builtin")
+    powmod, fixed_powmod, backend = _bn._load(name)
+    assert (powmod, backend) == (pow, "builtin")
+    assert fixed_powmod is _bn._pow_closure
+    assert fixed_powmod(65537, 10 ** 20 + 39)(12345) == pow(12345, 65537,
+                                                             10 ** 20 + 39)
 
 
 def test_package_falls_back_when_libcrypto_cannot_load():
@@ -122,18 +246,26 @@ def test_package_falls_back_when_libcrypto_cannot_load():
         "ctypes.CDLL = refuse\n"
         "import chipchain\n"
         "from chipchain import identity\n"
-        "print(chipchain.POWMOD_BACKEND, identity._powmod is pow)\n"
+        "from chipchain import _bn, identity\n"
+        "print(chipchain.POWMOD_BACKEND, identity._powmod is pow,\n"
+        "      identity._fixed_powmod is _bn._pow_closure)\n"
         "response = chipchain.Response('x', 0, bytes(range(64)))\n"
         "pair = chipchain.derive_keypair(response, 512)\n"
         "print(chipchain.key_fingerprint(pair.public_key))\n"
+        "signature = chipchain.sign(pair.secret_key, b'nonce')\n"
+        "print(signature.hex(),\n"
+        "      chipchain.verify(pair.public_key, b'nonce', signature),\n"
+        "      chipchain.verify(pair.public_key, b'nonce!', signature))\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     pair = identity.derive_keypair(identity.Response("x", 0, bytes(range(64))),
                                    512)
-    assert out == ["builtin", "True",
-                   identity.key_fingerprint(pair.public_key)]
+    signature = identity.sign(pair.secret_key, b"nonce")
+    assert out == ["builtin", "True", "True",
+                   identity.key_fingerprint(pair.public_key),
+                   signature.hex(), "True", "False"]
 
 
 def _hashlib_links_libcrypto3() -> bool:
@@ -150,3 +282,6 @@ def test_backend_is_libcrypto_where_hashlib_links_it():
         pytest.skip("_hashlib does not link libcrypto.so.3 here")
     assert POWMOD_BACKEND == "libcrypto"
     assert identity._powmod is _bn.powmod
+    assert identity._fixed_powmod is _bn.fixed_powmod
+    key = identity.PublicKey((1 << 521) - 1, 65537)
+    assert type(key._opener).__name__ == "MontgomeryPowmod"

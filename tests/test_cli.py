@@ -735,6 +735,25 @@ def test_ledger_build_without_chips_has_no_final_receiver(tmp_path):
     assert result.diagnostics.startswith("MultipleSinks: ")
 
 
+def test_ledger_build_with_chips_and_no_topology_names_the_second_chip(
+        tmp_path):
+    path = tmp_path / "sinks.cfg"
+    path.write_text("[chips]\nn0 seed=1\nn1 seed=2\n")
+    result = dispatch(["ledger", "build", "--topology", str(path)])
+    assert result.exit_code == 1
+    assert result.diagnostics == (
+        "ConfigInvalid: line 3: transfer topology must funnel into one "
+        "chip, found sinks: n0, n1; [topology] is empty")
+
+
+def test_ledger_build_of_one_chip_without_topology(tmp_path):
+    path = tmp_path / "one.cfg"
+    path.write_text("[params]\ny = 256\n[chips]\nn0 seed=1\n")
+    result = dispatch(["ledger", "build", "--topology", str(path),
+                       "--modulus-bits", "512"])
+    assert result.exit_code == 0, result.diagnostics
+
+
 def test_ledger_replace_keeps_the_replaced_chips_parameters(tmp_path):
     path = tmp_path / "net.cfg"
     path.write_text(TOPOLOGY.replace("n3 seed=53",

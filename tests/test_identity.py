@@ -31,7 +31,7 @@ from chipchain import (
     sign,
     verify,
 )
-from chipchain import chip_model, identity
+from chipchain import _bn, chip_model, identity
 from chipchain.identity import (
     SUPPORTED_MODULUS_BITS,
     _is_extra_strong_lucas_prp,
@@ -710,13 +710,24 @@ def test_sign_verify_roundtrip():
 
 @pytest.mark.parametrize("bits", SUPPORTED_MODULUS_BITS)
 def test_sign_verify_same_bytes_with_builtin_pow(monkeypatch, bits):
+    """sign and verify exponentiate through the handles their keys build;
+    keys rebuilt under builtin pow handles give the same bytes."""
     pair = keypair_for_chip(make_small_chip(6), 0, modulus_bits=bits)
     message = b"registry entry 7"
     signature = sign(pair.secret_key, message)
-    monkeypatch.setattr(identity, "_powmod", pow)
-    assert sign(pair.secret_key, message) == signature
-    assert verify(pair.public_key, message, signature)
-    assert not verify(pair.public_key, b"registry entry 8", signature)
+    moduli = []
+
+    def builtin_handle(exponent, modulus):
+        moduli.append(modulus)
+        return _bn._pow_closure(exponent, modulus)
+
+    monkeypatch.setattr(identity, "_fixed_powmod", builtin_handle)
+    secret = dataclasses.replace(pair.secret_key)
+    public = dataclasses.replace(pair.public_key)
+    assert sign(secret, message) == signature
+    assert verify(public, message, signature)
+    assert not verify(public, b"registry entry 8", signature)
+    assert moduli == [secret.prime_p, secret.prime_q, public.modulus]
 
 
 def test_verify_rejects_wrong_message():
@@ -795,6 +806,53 @@ def test_sign_matches_plain_rsa_oracle(bits):
     for message in (b"", b"m", b"chip nonce 0001", bytes(range(256)) * 4):
         assert sign(key, message) == rsa_sign_oracle(message, key.exponent,
                                                      key.modulus)
+
+
+# A key's handles are built on first use and are not fields: a key that
+# has built them is the same record as the key rebuilt from its fields.
+def _cached(key) -> set[str]:
+    """The names a key holds beyond its fields."""
+    return set(vars(key)) - {f.name for f in dataclasses.fields(key)}
+
+
+def _handle_free_twin(key):
+    twin = type(key)(*(getattr(key, f.name) for f in dataclasses.fields(key)))
+    assert _cached(twin) == set()
+    return twin
+
+
+@pytest.mark.parametrize("bits", SUPPORTED_MODULUS_BITS)
+def test_keys_with_built_handles_keep_their_record_contract(bits):
+    pair = keypair_for_chip(make_small_chip(7), 0, modulus_bits=bits)
+    secret, public = pair.secret_key, pair.public_key
+    message = b"chip nonce 0002"
+    signature = sign(secret, message)
+    assert verify(public, message, signature)
+    assert public.to_bytes() == _handle_free_twin(public).to_bytes()
+    assert signature == rsa_sign_oracle(message, secret.exponent,
+                                        secret.modulus)
+    assert _cached(secret) == {"_crt_powers"}
+    assert _cached(public) == {"_opener", "_wire"}
+    for key in (secret, public):
+        twin = _handle_free_twin(key)
+        assert key == twin and twin == key
+        assert hash(key) == hash(twin)
+        assert repr(key) == repr(twin)
+        for clone in (pickle.loads(pickle.dumps(key)), copy.deepcopy(key),
+                      copy.copy(key), dataclasses.replace(key)):
+            assert type(clone) is type(key)
+            assert clone is not key
+            assert _cached(clone) == set()
+            assert clone == key
+            assert hash(clone) == hash(key)
+    for clone in (pickle.loads(pickle.dumps(secret)), copy.deepcopy(secret),
+                  dataclasses.replace(secret)):
+        assert sign(clone, message) == signature
+    for clone in (pickle.loads(pickle.dumps(public)), copy.deepcopy(public),
+                  dataclasses.replace(public)):
+        assert verify(clone, message, signature)
+        assert not verify(clone, b"chip nonce 0003", signature)
+    assert sign(secret, message) == signature
 
 
 # -------------------------------------------------------------------- audit

@@ -370,6 +370,21 @@ def test_parse_topology_rejects_shape_with_its_line(before, after, message):
         parse_topology(bad)
 
 
+@pytest.mark.parametrize("topology", ["", "[topology]\n"])
+def test_parse_topology_without_edges_names_the_second_chip(topology):
+    text = "[chips]\n# two sinks\nn0 seed=1\n\nn1 seed=2\nn2 seed=3\n" + topology
+    with pytest.raises(ConfigInvalid, match=re.escape(
+            "line 5: transfer topology must funnel into one chip, "
+            "found sinks: n0, n1, n2; [topology] is empty")):
+        parse_topology(text)
+
+
+def test_parse_topology_takes_one_chip_without_edges():
+    chips, edges = parse_topology("[chips]\nn0 seed=1\n")
+    assert list(chips) == ["n0"]
+    assert edges == ()
+
+
 def test_parse_topology_checks_chip_parameters_from_params_defaults():
     bad = LEDGER.replace("lambda = 8", "lambda = nan")
     with pytest.raises(ConfigInvalid,
