@@ -5,8 +5,9 @@ fingerprint (chip_model), whose randomness is quantified exactly
 (entropy_analysis); fingerprints answer challenges and seed
 deterministic keypairs (identity); keys execute transfer trees stamped
 into a proof-of-work chain (ledger, _pow); and a scripted network of
-management, security, device, and attacker nodes exercises the whole
-protocol deterministically (network_sim).
+management, security, device, and attacker nodes, read from a text
+config (config), exercises the whole protocol deterministically
+(network_sim).
 """
 
 from ._pow import active_kernel, pow_search
@@ -109,17 +110,14 @@ from .ledger import (
     verify_record,
     verify_tree,
 )
-from .network_sim import (
-    EventLog,
+from .config import (
     ScenarioConfig,
-    Simulation,
     bundled_scenario,
-    check_invariants,
     load_scenario,
     load_topology,
     parse_scenario,
     parse_topology,
-    run_scenario,
 )
+from .network_sim import EventLog, Simulation, check_invariants, run_scenario
 
 __version__ = "0.1.0"

@@ -62,13 +62,8 @@ from .ledger import (
     verify_chain,
     verify_tree,
 )
-from .network_sim import (
-    bundled_scenario,
-    check_invariants,
-    load_scenario,
-    load_topology,
-    run_scenario,
-)
+from .config import bundled_scenario, load_scenario, load_topology
+from .network_sim import check_invariants, run_scenario
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,8 @@ from chipchain import (
     ZERO_HASH,
 )
 from chipchain.cli import dispatch
-from chipchain.network_sim import bundled_scenario, check_invariants, run_scenario
+from chipchain.config import bundled_scenario
+from chipchain.network_sim import check_invariants, run_scenario
 
 from oracles import binom_product, random_tree_edges
 

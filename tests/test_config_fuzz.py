@@ -12,12 +12,8 @@ import re
 from hypothesis import given, settings, strategies as st
 
 from chipchain import ChipChainError, extract_prn
-from chipchain.network_sim import (
-    check_invariants,
-    parse_scenario,
-    parse_topology,
-    run_scenario,
-)
+from chipchain.config import parse_scenario, parse_topology
+from chipchain.network_sim import check_invariants, run_scenario
 
 from test_cli import TOPOLOGY
 from test_network_sim import MINI

@@ -17,18 +17,16 @@ from chipchain import (
     verify_tree,
 )
 from chipchain import network_sim
-from chipchain.network_sim import (
+from chipchain.config import (
     ChipSpec,
-    Simulation,
     bundled_scenario,
-    check_invariants,
     list_bundled_scenarios,
     load_scenario,
     load_topology,
     parse_scenario,
     parse_topology,
-    run_scenario,
 )
+from chipchain.network_sim import Simulation, check_invariants, run_scenario
 
 MINI = """
 [params]
@@ -132,6 +130,17 @@ def test_parse_defaults():
         ("[schedule]\n9 mine 2", "difficulty must be in [4, 32], got 2"),
         ("[schedule]\n9 tamper a seed=-1", "seed must be >= 0"),
         ("[bogus]\nx = 1", "section"),
+        ("[schedule]\n6 enroll a b", "usage: TICK enroll NODE"),
+        ("[schedule]\n6 spoof eve a junk", "usage: TICK spoof ATTACKER VICTIM"),
+        ("[schedule]\n6 mine 5 6", "usage: TICK mine [DIFFICULTY]"),
+        ("[chips]\ncd seed=4\n[nodes]\nx role=device chip=cd strategy=replay",
+         "only attackers take a strategy"),
+        ("[nodes]\nsec2 role=security strategy=replay",
+         "only attackers take a strategy"),
+        ("[nodes]\nmgmt2 role=management blocked=yes",
+         "management node never enrolls, so it takes no blocked="),
+        ("[nodes]\nsec2 role=security blocked=no",
+         "security node never enrolls, so it takes no blocked="),
     ],
 )
 def test_parse_rejections(mutation, message_part):
@@ -444,7 +453,7 @@ def test_blocked_node_denied():
 def test_chipless_attacker_denied():
     text = MINI.replace(
         "c role=device chip=cc", "c role=attacker claims=a"
-    ).replace("c -> a\n", "").replace("3 enroll c", "3 enroll c attacker")
+    ).replace("c -> a\n", "")
     config = parse_scenario(text)
     log = run_scenario(config, seed=0)
     assert "c" in log.denied
@@ -458,7 +467,7 @@ def test_attacker_with_genuine_chip_enrolls_as_itself():
     text = MINI.replace(
         "c role=device chip=cc", "c role=attacker chip=cc claims=a strategy=own_chip"
     ).replace("c -> a\n", "").replace(
-        "3 enroll c", "3 enroll c attacker\n4 spoof c a"
+        "3 enroll c", "3 enroll c\n4 spoof c a"
     ).replace("4 build_tree\n5 mine\n", "")
     log = run_scenario(parse_scenario(text), seed=0)
     assert "c" in log.members
@@ -702,14 +711,14 @@ def test_members_survive_rotation():
 
 def test_every_schedule_action_is_the_simulation_method_of_its_name():
     assert all(callable(getattr(Simulation, action, None))
-               for action in network_sim._ACTIONS)
+               for action in chipchain.config._ACTIONS)
     text = MINI.replace("c role=device chip=cc\n",
                         "c role=device chip=cc\neve role=attacker\n")
     config = parse_scenario(text + "6 spoof eve a\n7 mine 5\n"
                             "8 rotate 1 offline=c\n9 tamper b seed=777\n"
                             "10 sweep\n", name="every-action")
     assert ({item.action for item in config.schedule}
-            == set(network_sim._ACTIONS))
+            == set(chipchain.config._ACTIONS))
     log = run_scenario(config, seed=0)
     assert log.rejections == 1
     assert [block.stamp.state_index for block in log.chain] == [0, 0]
