@@ -224,7 +224,10 @@ class Prn:
 
     @cached_property
     def canonical_bytes(self) -> bytes:
-        return prn_canonical_bytes(self.rows, self.total_rows)
+        """prn_canonical_bytes of the rows, which __post_init__ already
+        sorted and checked."""
+        rows = self.rows
+        return struct.pack(f">II{len(rows)}I", self.total_rows, len(rows), *rows)
 
     @cached_property
     def hmac_states(self):

@@ -14,18 +14,22 @@ response costs no key padding or key hashing; the response bytes are
 those of the plain HMAC construction.  The pad states are objects of
 CPython's builtin SHA-256 where it imports (chip_model.HMAC_BACKEND
 "builtin"), whose copy and digest are a memcpy; a response makes four
-copies.
+copies.  Response is a frozen dataclass with slots, and respond fills
+the three slots through their descriptors, which costs less than the
+generated __init__ and its object.__setattr__ calls.
 Every one-shot hash (challenges, the key-seed stream, the ledger and
 the proof-of-work scan) stays on hashlib.sha256, OpenSSL's, which
 digests a fresh message faster.
 
 Each key prime is the first prime at or after a candidate drawn from a
 SHA-256 counter stream over the response.  The candidate's residues mod
-the odd primes below 2^15 come from one int64 matrix product over its
-32-bit words; a window sieve then marks their multiples among 256 odd
-numbers at a time (Menezes, van Oorschot and Vanstone, Handbook of
-Applied Cryptography, section 4.4), and a Baillie-PSW test (strong
-base 2 plus extra-strong Lucas) confirms the survivors in order.  Keys
+the odd primes below 2^15 come from one float64 matrix product over
+its 32-bit words, which runs through BLAS and is exact because every
+sum is below 2^53; a window sieve then marks their multiples among 256
+odd numbers at a time (Menezes, van Oorschot and Vanstone, Handbook of
+Applied Cryptography, section 4.4), those of the 53 primes below 256
+in one assignment, and a Baillie-PSW test (strong base 2 plus
+extra-strong Lucas) confirms the survivors in order.  Keys
 must stay those of the 40-witness Miller-Rabin schedule the tests keep
 as the reference: both tests accept every prime and no composite is
 known to pass either, so the search stops on the same primes.
@@ -86,13 +90,21 @@ def make_challenge(state_index: int) -> Challenge:
     return Challenge(state_index, data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Response:
     """64-byte chip answer binding a fingerprint to a challenge."""
 
     chip_id: str
     state_index: int
     data: bytes
+
+
+# respond fills a Response through its slot descriptors, which skips the
+# generated __init__ and its three object.__setattr__ calls.
+_new_response = Response.__new__
+_set_chip_id = Response.chip_id.__set__
+_set_state_index = Response.state_index.__set__
+_set_data = Response.data.__set__
 
 
 def respond(prn: Prn, challenge: Challenge) -> Response:
@@ -115,8 +127,11 @@ def respond(prn: Prn, challenge: Challenge) -> Response:
     outer_0.update(inner_0.digest())
     outer_1 = outer_pad.copy()
     outer_1.update(inner.digest())
-    return Response(prn.chip_id, challenge.state_index,
-                    outer_0.digest() + outer_1.digest())
+    response = _new_response(Response)
+    _set_chip_id(response, prn.chip_id)
+    _set_state_index(response, challenge.state_index)
+    _set_data(response, outer_0.digest() + outer_1.digest())
+    return response
 
 
 def _int_bytes(value: int) -> bytes:
@@ -254,29 +269,37 @@ def _odd_primes_below(bound: int) -> np.ndarray:
 
 
 _SIEVE_PRIMES = _odd_primes_below(_SIEVE_BOUND)  # 3 .. 32749, 3511 primes
-_SIEVE_HALVES = (_SIEVE_PRIMES + 1) // 2  # 2^-1 mod each sieve prime
 _LARGEST_SIEVE_PRIME = int(_SIEVE_PRIMES[-1])
-# Primes below the window width can divide several numbers of a window;
-# each larger one divides at most one.
-_REPEAT_PRIMES = _SIEVE_PRIMES[_SIEVE_PRIMES < _SIEVE_WINDOW].tolist()
 _SMALL_PRIMES = (2,) + tuple(_SIEVE_PRIMES[:39].tolist())  # the first 40: 2 .. 173
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 _CHUNK_WORDS = 8  # 32-bit words per 256-bit chunk of a candidate
 
+# Primes below the window width can divide several steps of a window;
+# each larger one divides at most one.  Prime i of the 53 below 256
+# divides steps hits[i] + k p for k = 0 .. 255 // p, which the two flat
+# tables list as (prime index, k p) pairs, 410 in all.  hits[i] < p, so
+# every marked step lies below 2 * _SIEVE_WINDOW.
+_REPEAT_COUNT = int(np.count_nonzero(_SIEVE_PRIMES < _SIEVE_WINDOW))
+_MARK_PRIMES, _MARK_OFFSETS = (np.array(column, dtype=np.intp) for column in zip(*[
+    (i, k * p) for i, p in enumerate(_SIEVE_PRIMES[:_REPEAT_COUNT].tolist())
+    for k in range((_SIEVE_WINDOW - 1) // p + 1)]))
 
-def _word_powers(count: int) -> np.ndarray:
-    """Row k holds 2^(32k) mod each sieve prime, for k < count."""
+
+def _word_powers() -> tuple[np.ndarray, np.ndarray]:
+    """2^(32k) mod each sieve prime for the words k < 8 of a chunk, as
+    float64 rows so that the chunk product runs through BLAS (about
+    225 kB), and 2^256 mod each sieve prime, as int64, to fold one chunk
+    into the next.  Built row by row: no temporary outgrows the table."""
     shift = (1 << 32) % _SIEVE_PRIMES
-    rows = np.ones((count, len(_SIEVE_PRIMES)), dtype=np.int64)
-    for k in range(1, count):
-        rows[k] = rows[k - 1] * shift % _SIEVE_PRIMES
-    return rows
+    rows = np.empty((_CHUNK_WORDS, len(_SIEVE_PRIMES)), dtype=np.float64)
+    power = np.ones_like(_SIEVE_PRIMES)
+    for row in rows:
+        row[:] = power
+        power = power * shift % _SIEVE_PRIMES
+    return rows, power
 
 
-# 2^(32k) mod P for the words of a chunk (8 rows, about 225 kB), and
-# 2^256 mod P to fold one chunk into the next.
-_WORD_POWERS = _word_powers(_CHUNK_WORDS + 1)
-_WORD_POWERS, _CHUNK_POWER = _WORD_POWERS[:-1], _WORD_POWERS[-1]
+_WORD_POWERS, _CHUNK_POWER = _word_powers()
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -370,19 +393,37 @@ def _sieve_residues(candidate: int) -> np.ndarray:
     """candidate mod every sieve prime.
 
     Each 256-bit chunk of candidate is a row of eight 32-bit words, low
-    word first, and one int64 product with _WORD_POWERS gives each
+    word first, and one float64 product with _WORD_POWERS gives each
     chunk's sum of word * 2^(32k) mod P: every term is below 2^47 and
-    every sum below 2^50, so the product is exact.  Higher chunks fold
-    in by Horner's rule with 2^256 mod P.
+    every sum below 2^50 < 2^53, so each term and each partial sum is an
+    exact float64, in any summation order.  Higher chunks fold in by
+    Horner's rule with 2^256 mod P, in int64.
     """
     chunks = -(-candidate.bit_length() // 256) or 1
     words = np.frombuffer(candidate.to_bytes(32 * chunks, "little"), dtype="<u4")
-    sums = words.astype(np.int64).reshape(chunks, _CHUNK_WORDS) @ _WORD_POWERS
+    sums = words.astype(np.float64).reshape(chunks, _CHUNK_WORDS) @ _WORD_POWERS
+    sums = sums.astype(np.int64)
     sums %= _SIEVE_PRIMES
     residues = sums[-1]
     for chunk in sums[-2::-1]:
         residues = (residues * _CHUNK_POWER + chunk) % _SIEVE_PRIMES
     return residues
+
+
+def _composite_steps(hits: np.ndarray, width: int) -> np.ndarray:
+    """Mask of the first width steps of a window: True where some sieve
+    prime divides the step's number.  hits[i] is the first step of the
+    window that _SIEVE_PRIMES[i] divides, in [0, P); width <= 256.
+
+    The 53 primes below 256 are marked by one assignment through the
+    (prime, multiple) tables; each larger prime marks its hit if the
+    window reaches it.
+    """
+    composite = np.zeros(2 * _SIEVE_WINDOW, dtype=bool)
+    composite[hits[_MARK_PRIMES] + _MARK_OFFSETS] = True
+    single = hits[_REPEAT_COUNT:]
+    composite[single[single < width]] = True
+    return composite[:width]
 
 
 def _next_prime(candidate: int, max_steps: int = 1 << 17) -> int:
@@ -392,8 +433,11 @@ def _next_prime(candidate: int, max_steps: int = 1 << 17) -> int:
     sieve marks, _SIEVE_WINDOW steps at a time, every step whose number
     an odd prime below _SIEVE_BOUND divides; the Baillie-PSW test
     (strong base 2, then extra-strong Lucas) runs on the unmarked steps
-    in order.  A sieve prime P divides the number at step s iff
-    s = (P - candidate mod P) * 2^-1 mod P, plus a multiple of P.
+    in order.  With candidate = 2m + 1, a sieve prime P divides
+    2(m + s) + 1 iff s = (P - 1) / 2 - m mod P, plus a multiple of P;
+    the first such s is taken as ((3P - 1) / 2 - m mod P) mod P, so
+    the remainder is never taken of a negative number, which costs
+    numpy's int64 remainder about twice as much.
     candidate must exceed the largest sieve prime, which would
     otherwise mark itself (key-size integers always do).
     """
@@ -402,18 +446,12 @@ def _next_prime(candidate: int, max_steps: int = 1 << 17) -> int:
             f"candidate must exceed {_LARGEST_SIEVE_PRIME}, got {candidate}")
     candidate |= 1
     # hits[i]: the first step of the window that _SIEVE_PRIMES[i] divides
-    hits = ((_SIEVE_PRIMES - _sieve_residues(candidate)) * _SIEVE_HALVES
-            % _SIEVE_PRIMES)
-    repeat = len(_REPEAT_PRIMES)
+    hits = (3 * _SIEVE_PRIMES >> 1) - _sieve_residues(candidate >> 1)
+    hits %= _SIEVE_PRIMES
     base = 0
     while base < max_steps:
         width = min(_SIEVE_WINDOW, max_steps - base)
-        composite = np.zeros(width, dtype=bool)
-        for p, hit in zip(_REPEAT_PRIMES, hits[:repeat].tolist()):
-            composite[hit::p] = True
-        single = hits[repeat:]
-        composite[single[single < width]] = True
-        for step in np.flatnonzero(~composite).tolist():
+        for step in np.flatnonzero(~_composite_steps(hits, width)).tolist():
             n = candidate + 2 * (base + step)
             if _is_probable_prime(n):
                 return n

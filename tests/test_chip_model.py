@@ -440,7 +440,10 @@ def test_prn_stores_rows_sorted():
     assert a.rows == (3, 7)
     assert a == b
     assert hash(a) == hash(b)
-    assert Prn("a", 0, [np.int64(5), np.uint32(1)], np.int64(16)).rows == (1, 5)
+    assert a.canonical_bytes == prn_canonical_bytes((7, 3), 16)
+    numpy_rows = Prn("a", 0, [np.int64(5), np.uint32(1)], np.int64(16))
+    assert numpy_rows.rows == (1, 5)
+    assert numpy_rows.canonical_bytes == prn_canonical_bytes((5, 1), 16)
 
 
 def test_normalised_prn_pickles():

@@ -7,8 +7,10 @@ import pickle
 import signal
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chipchain import (
     Audit,
@@ -253,6 +255,20 @@ def test_response_is_not_a_tuple():
     assert fields != response
     with pytest.raises(TypeError):
         iter(response)
+
+
+def test_respond_returns_a_slot_backed_response():
+    """respond fills the slots without the generated __init__; what it
+    returns must still be an ordinary Response."""
+    response, _ = _two_equal_responses()
+    assert type(response) is Response
+    assert not hasattr(response, "__dict__")
+    built = Response(response.chip_id, response.state_index, response.data)
+    assert response == built
+    assert hash(response) == hash(built)
+    assert dataclasses.replace(response) == response
+    assert (dataclasses.replace(response, state_index=3)
+            == Response(response.chip_id, 3, response.data))
 
 
 def test_response_differs_across_chips():
@@ -658,12 +674,68 @@ def test_sieve_residues_at_word_and_chunk_boundaries():
         assert _sieve_residues(candidate).tolist() == _sieve_oracle(candidate), candidate
 
 
-def test_sieve_residue_product_stays_below_2_63():
-    """The largest sum the int64 product can form, every word at
-    2^32 - 1, fits in an int64, so no residue is taken of a wrapped sum."""
+def test_sieve_residue_product_stays_below_2_53():
+    """The largest chunk sum the float64 product can form, every word at
+    2^32 - 1, is below 2^53, so every term and every partial sum is an
+    exact float64 and no residue is taken of a rounded sum."""
     largest_word = (1 << 32) - 1
-    columns = zip(*identity._WORD_POWERS.tolist())
-    assert max(largest_word * sum(column) for column in columns) < 1 << 63
+    powers = identity._WORD_POWERS.tolist()
+    assert all(power == int(power) for row in powers for power in row)
+    columns = zip(*powers)
+    assert max(largest_word * int(sum(column)) for column in columns) < 1 << 53
+
+
+# The module-level numpy tables of identity before the float64 chunk
+# product, in bytes: _SIEVE_PRIMES, _SIEVE_HALVES and _CHUNK_POWER
+# (28,088 each) and _WORD_POWERS (224,704).  Each table is resident in
+# every process that imports chipchain.
+_TABLE_BYTES_BOUND = 308_968
+_LARGEST_TABLE_BYTES = 224_704
+
+
+def test_identity_tables_stay_within_their_memory():
+    tables = [value for value in vars(identity).values()
+              if isinstance(value, np.ndarray)]
+    assert tables
+    # a view would hide the size of the array that holds its data
+    assert all(table.flags.owndata for table in tables)
+    assert sum(table.nbytes for table in tables) <= _TABLE_BYTES_BOUND
+    assert max(table.nbytes for table in tables) <= _LARGEST_TABLE_BYTES
+
+
+_REPEAT_PRIMES = identity._SIEVE_PRIMES[:identity._REPEAT_COUNT].tolist()
+
+
+def _marked_by_slices(hits, width):
+    """The window marking the single assignment replaced: one slice
+    assignment per prime below the window width."""
+    composite = np.zeros(width, dtype=bool)
+    for p, hit in zip(_REPEAT_PRIMES, hits[:len(_REPEAT_PRIMES)].tolist()):
+        composite[hit::p] = True
+    single = hits[len(_REPEAT_PRIMES):]
+    composite[single[single < width]] = True
+    return composite
+
+
+def test_repeat_primes_are_the_primes_below_the_window():
+    assert _REPEAT_PRIMES == [p for p in range(3, identity._SIEVE_WINDOW, 2)
+                              if is_prime_trial(p)]
+    assert identity._SIEVE_PRIMES[len(_REPEAT_PRIMES)] > identity._SIEVE_WINDOW
+
+
+@given(small=st.tuples(*(st.integers(0, p - 1) for p in _REPEAT_PRIMES)),
+       large=hnp.arrays(np.int64,
+                        len(identity._SIEVE_PRIMES) - len(_REPEAT_PRIMES),
+                        elements=st.integers(0, identity._SIEVE_BOUND - 1)),
+       width=st.integers(1, identity._SIEVE_WINDOW))
+def test_one_assignment_marks_what_per_prime_slices_mark(small, large, width):
+    """Same composite mask for any hits in [0, P), and for the narrower
+    last window when max_steps is not a multiple of 256."""
+    hits = np.concatenate([
+        np.array(small, dtype=np.int64),
+        large % identity._SIEVE_PRIMES[len(_REPEAT_PRIMES):]])
+    assert (identity._composite_steps(hits, width).tolist()
+            == _marked_by_slices(hits, width).tolist())
 
 
 # ------------------------------------------------------------ serialization
