@@ -104,6 +104,7 @@ from .ledger import (
     replace_chip,
     rotate_state_reproduce,
     save_chain,
+    seat_tree,
     serialize_chain,
     transfer,
     verify_chain,

@@ -200,7 +200,9 @@ class Prn:
 
     rows is stored sorted, so two Prns with the same row set compare and
     hash equal; rows must be distinct and in [0, total_rows), and
-    total_rows must fit the 4-byte word of the canonical bytes.
+    total_rows must fit the 4-byte word of the canonical bytes.  The
+    chip it was read from keeps it (see extract_prn), so its canonical
+    bytes and pad states are computed once per chip column.
     """
 
     chip_id: str
@@ -295,7 +297,10 @@ class SimulatedChip:
     rows are swapped to.  Regular cells at failure rows are never read,
     so a chip costs O(failure rows), not O(rows).  The failure rows and the
     swap map are fixed at construction, the way a real part fixes them
-    at production test.
+    at production test, so each column has one PRN: the chip keeps the
+    Prn its first extraction built (`_prns`, by column) and hands the
+    same object to every later one.  A tampered, replaced or loaded
+    part is a new SimulatedChip with its own.
     """
 
     def __init__(self, chip_id: str, geometry: ChipGeometry,
@@ -311,6 +316,7 @@ class SimulatedChip:
         self._failure_rows = rows
         self._swap_map = swap_map
         self._columns: dict[int, tuple[int | None, int | None, int]] = {}
+        self._prns: dict[int, Prn] = {}
 
     @property
     def failure_rows(self) -> tuple[int, ...]:
@@ -394,14 +400,21 @@ def read_column_normal(chip: SimulatedChip, column: int) -> np.ndarray:
 def extract_prn(chip: SimulatedChip, column: int = 0) -> Prn:
     """Run the two-write preprocess on a column and read the PRN out.
 
-    Overwrites the column's contents.  Extraction is repeatable: the
-    same chip yields the same PRN every time.
+    Overwrites the column's contents.  The readout is a function of the
+    chip's fixed failure rows, so the first extraction of a column
+    builds its Prn and the chip keeps it: every later extraction makes
+    the same two writes and returns that same object, its pad states
+    already computed.
     """
     write_column(chip, ACCESS_NORMAL, column, 0)
     write_column(chip, ACCESS_SPECIAL, column, 1)
-    # the regular fill is now 0: only failure rows can read 1
-    rows = chip._failure_rows if chip._columns[column][2] else ()
-    return Prn(chip.chip_id, column, rows, chip.geometry.rows)
+    prn = chip._prns.get(column)
+    if prn is None:
+        # the regular fill is now 0: only failure rows can read 1
+        rows = chip._failure_rows if chip._columns[column][2] else ()
+        prn = chip._prns[column] = Prn(chip.chip_id, column, rows,
+                                       chip.geometry.rows)
+    return prn
 
 
 # a chip id names its fixture file: one path component, no comment mark

@@ -3,9 +3,14 @@
 A challenge is a pure function of the security-state index.  A chip
 answers with a keyed digest of the challenge under its fingerprint,
 and the response seeds a deterministic RSA keypair, so the same chip
-at the same state index always reproduces the same keys.  Nothing is
-ever stored on the device side; possession of the physical chip is
-what regenerates the secret key.
+at the same state index always reproduces the same keys; possession of
+the physical chip is what regenerates the secret key.  No key is
+stored on the device side.  What is held, and by whom: a chip keeps
+the Prn of each column it was read on (chip_model.extract_prn), a pure
+function of its fixed failure rows; a scenario run keeps the pair of
+each node's chip at the current state index and drops it on rotate or
+tamper (network_sim.Simulation); and _derive_core keeps a bounded
+process-wide cache of derived keys by response bytes and size.
 
 The keyed digest is HMAC-SHA256 with the PRN's canonical bytes as the
 key.  Each Prn keeps the inner and outer SHA-256 states of its key,
@@ -433,8 +438,10 @@ def _next_prime(candidate: int, max_steps: int = 1 << 17) -> int:
     sieve marks, _SIEVE_WINDOW steps at a time, every step whose number
     an odd prime below _SIEVE_BOUND divides; the Baillie-PSW test
     (strong base 2, then extra-strong Lucas) runs on the unmarked steps
-    in order.  With candidate = 2m + 1, a sieve prime P divides
-    2(m + s) + 1 iff s = (P - 1) / 2 - m mod P, plus a multiple of P;
+    in order, without _is_probable_prime's trial division, which the
+    sieve has already done for every odd prime below 2^15.  With
+    candidate = 2m + 1, a sieve prime P divides 2(m + s) + 1 iff
+    s = (P - 1) / 2 - m mod P, plus a multiple of P;
     the first such s is taken as ((3P - 1) / 2 - m mod P) mod P, so
     the remainder is never taken of a negative number, which costs
     numpy's int64 remainder about twice as much.
@@ -453,7 +460,7 @@ def _next_prime(candidate: int, max_steps: int = 1 << 17) -> int:
         width = min(_SIEVE_WINDOW, max_steps - base)
         for step in np.flatnonzero(~_composite_steps(hits, width)).tolist():
             n = candidate + 2 * (base + step)
-            if _is_probable_prime(n):
+            if _is_strong_base2_prp(n) and _is_extra_strong_lucas_prp(n):
                 return n
         hits = (hits - width) % _SIEVE_PRIMES
         base += width
@@ -528,7 +535,11 @@ def derive_keypair(response: Response, modulus_bits: int = 1024) -> ChipKeyPair:
 
 def keypair_for_chip(chip: SimulatedChip, state_index: int,
                      modulus_bits: int = 1024) -> ChipKeyPair:
-    """Extract, respond, derive: the full chip-to-keys pipeline."""
+    """Extract, respond, derive: the full chip-to-keys pipeline.
+
+    The extraction returns the Prn the chip already holds after its
+    first read, so a caller that read the chip builds no second one.
+    """
     prn = extract_prn(chip)
     return derive_keypair(respond(prn, make_challenge(state_index)),
                           modulus_bits)

@@ -269,18 +269,42 @@ def _normalized_edges(topology: Iterable[tuple[str, str]]):
 def build_tree(topology: Iterable[tuple[str, str]],
                chips: Mapping[str, SimulatedChip], state_index: int,
                modulus_bits: int = 1024) -> ChipMerkleTree:
-    """Enroll every chip and run all transfers in deterministic order."""
+    """Derive every chip's keys at the state index, then seat_tree."""
+    keypairs = {node_id: keypair_for_chip(chip, state_index, modulus_bits)
+                for node_id, chip in chips.items()}
+    return seat_tree(topology, chips, keypairs, state_index, modulus_bits)
+
+
+def seat_tree(topology: Iterable[tuple[str, str]],
+              chips: Mapping[str, SimulatedChip],
+              keypairs: Mapping[str, ChipKeyPair], state_index: int,
+              modulus_bits: int) -> ChipMerkleTree:
+    """Seat each chip at genesis with the key pair derived from it and
+    run all transfers in deterministic order.
+
+    keypairs holds, per node, the pair its chip derives at state_index
+    and modulus_bits, which a caller that already derived it passes on
+    instead of deriving again; a pair bound to another chip id, state or
+    size is refused.
+    """
+    if keypairs.keys() != chips.keys():
+        raise UnknownChip("key pairs and chips must name the same nodes")
+    for node_id, pair in keypairs.items():
+        if pair.state_index != state_index:
+            raise StateMismatch(f"{node_id} keyed at state {pair.state_index}, "
+                                f"not {state_index}")
+        if (pair.chip_id, pair.modulus_bits) != (chips[node_id].chip_id,
+                                                 modulus_bits):
+            raise ValueError(f"{node_id} key pair is not its chip's "
+                             f"{modulus_bits}-bit pair")
     edges = _normalized_edges(topology)
     for src, dst in edges:
         for endpoint in (src, dst):
             if endpoint not in chips:
                 raise UnknownChip(f"edge endpoint {endpoint!r} has no chip")
     schedule, root_id = _topological_schedule(chips.keys(), edges)
-    nodes = {
-        node_id: enroll_chip(node_id, chips[node_id], state_index,
-                             modulus_bits)
-        for node_id in sorted(chips)
-    }
+    nodes = {node_id: ChipNode(node_id, chips[node_id], keypairs[node_id], [])
+             for node_id in sorted(chips)}
     for src, dst in schedule:
         transfer(nodes[src], nodes[dst])
     return ChipMerkleTree(nodes, edges, schedule, root_id, state_index,

@@ -26,6 +26,7 @@ from .config import ROLE_MANAGEMENT, ScenarioConfig
 from .errors import ConfigInvalid, SignatureMalformed
 from .identity import (
     AuditVerdict,
+    ChipKeyPair,
     PublicKey,
     crp_audit,
     key_fingerprint,
@@ -36,9 +37,9 @@ from .identity import (
 from .ledger import (
     Block,
     ZERO_HASH,
-    build_tree,
     mine_block,
     rotate_state_reproduce,
+    seat_tree,
     verify_chain,
 )
 
@@ -161,6 +162,11 @@ class Simulation:
     """Deterministic event-driven run of one scenario: its config, the
     chip each node carries (`chips`; chipless nodes are absent) and its
     events.  A refused action raises ConfigInvalid; `run` adds the line.
+
+    The run derives each (chip, state) key pair once: `_keypairs` holds
+    the pair of each node's chip at the current state index, as first
+    derived or as the reproduced tree seated it, until a rotate or a
+    tamper drops it.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int = 0):
@@ -173,6 +179,7 @@ class Simulation:
         self.chips = {spec.name: config.chips[spec.chip].manufacture()
                       for spec in config.nodes.values() if spec.chip}
         self.registry: dict[str, PublicKey] = {}  # member -> its address
+        self._keypairs: dict[str, ChipKeyPair] = {}  # node -> pair at state
         self.transcripts: dict[str, tuple[bytes, bytes]] = {}
         self.tree = None
         self.chain: list[Block] = []
@@ -197,9 +204,13 @@ class Simulation:
                    verdict="Denied", reason=reason)
         return False
 
-    def _device_keypair(self, node: str):
-        return keypair_for_chip(self.chips[node], self.state_index,
-                                self.config.modulus_bits)
+    def _device_keypair(self, node: str) -> ChipKeyPair:
+        """The pair node's chip derives at the current state index."""
+        pair = self._keypairs.get(node)
+        if pair is None:
+            pair = self._keypairs[node] = keypair_for_chip(
+                self.chips[node], self.state_index, self.config.modulus_bits)
+        return pair
 
     # -- schedule actions -------------------------------------------------
 
@@ -286,20 +297,27 @@ class Simulation:
     def rotate(self, state: int, offline: Iterable[str] = ()):
         """Security node advances the state; members re-bind their keys.
 
-        Members listed offline miss the re-binding, so their registry
-        entries go stale and the next sweep removes them.
+        Every held key pair belongs to the old state and is dropped.  The
+        reproduced tree derives its nodes' pairs at the new state from the
+        chips they hold, which are the devices' chips, so a member seated
+        in the tree re-binds to its tree key and only a member outside the
+        tree derives.  Members listed offline miss the re-binding, so
+        their registry entries go stale and the next sweep removes them.
         """
         if state == self.state_index:
             raise ConfigInvalid("rotation must change the state index")
         self.state_index = state
+        self._keypairs.clear()
         self._emit("Rotate", actor=self.config.security, state=state)
+        if self.tree is not None:
+            self.tree = rotate_state_reproduce(self.tree, state)
+            self._keypairs.update((name, node.keypair)
+                                  for name, node in self.tree.nodes.items())
+            for src, dst in self.tree.schedule:
+                self._emit("Transfer", src=src, dst=dst, state=state)
         for name in sorted(self.registry):
             if name not in offline:
                 self.registry[name] = self._device_keypair(name).public_key
-        if self.tree is not None:
-            self.tree = rotate_state_reproduce(self.tree, state)
-            for src, dst in self.tree.schedule:
-                self._emit("Transfer", src=src, dst=dst, state=state)
 
     def build_tree(self):
         """Execute the configured topology among admitted members."""
@@ -311,9 +329,11 @@ class Simulation:
         if outsiders:
             raise ConfigInvalid("transfer participants not admitted: "
                                 + ", ".join(outsiders))
-        chips = {name: self.chips[name] for name in participants}
-        self.tree = build_tree(self.config.topology, chips, self.state_index,
-                               self.config.modulus_bits)
+        self.tree = seat_tree(
+            self.config.topology,
+            {name: self.chips[name] for name in participants},
+            {name: self._device_keypair(name) for name in participants},
+            self.state_index, self.config.modulus_bits)
         for src, dst in self.tree.schedule:
             self._emit("Transfer", src=src, dst=dst, state=self.state_index)
 
@@ -337,12 +357,15 @@ class Simulation:
         """Silently swap a device's physical chip (a scripted fault).
 
         No event fires; the network only notices at the next audit.  The
-        swapped chip also takes the node's tree seat, keeping its keys and
-        records until a rotate re-keys the seat: a rotate between tamper
-        and sweep re-binds the swapped chip, and that sweep retains it.
+        node's held key pair belonged to the old chip and is dropped; the
+        swapped chip is a new part with its own PRN.  It also takes the
+        node's tree seat, keeping the seat's keys and records until a
+        rotate re-keys the seat: a rotate between tamper and sweep
+        re-binds the swapped chip, and that sweep retains it.
         """
         spec = self.config.chips[self.config.nodes[node].chip]
         self.chips[node] = spec.manufacture(seed, f"{spec.name}-swapped")
+        self._keypairs.pop(node, None)
         if self.tree is not None and node in self.tree.nodes:
             self.tree.nodes[node].chip = self.chips[node]
 

@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import pickle
@@ -340,6 +341,77 @@ def test_extract_prn_matches_failure_rows(desk_chip):
     assert prn.total_rows == 2000
     assert prn.chip_id == desk_chip.chip_id
     assert prn.column == 0
+
+
+def test_a_chip_yields_one_prn_per_column():
+    """The first extraction of a column builds its Prn; every later one,
+    after writes to any column, returns that same object with its pad
+    states already computed, and makes the protocol's two writes."""
+    chip = fresh()
+    prn = extract_prn(chip)
+    states = prn.hmac_states
+    write_column(chip, ACCESS_SPECIAL, 0, 0)
+    write_column(chip, ACCESS_NORMAL, 1, 1)
+    write_column(chip, ACCESS_SPECIAL, 2, 1)
+    again = extract_prn(chip)
+    assert again is prn
+    assert again.hmac_states is states
+    assert read_column_normal(chip, 0).tolist() == [
+        1 if r in (3, 7) else 0 for r in range(16)]
+    assert extract_prn(chip, 0) is prn
+
+
+def test_each_column_has_its_own_prn():
+    chip = fresh()
+    prns = [extract_prn(chip, column) for column in range(chip.geometry.cols)]
+    assert [prn.column for prn in prns] == list(range(chip.geometry.cols))
+    assert len({id(prn) for prn in prns}) == chip.geometry.cols
+    assert all(prn.rows == (3, 7) for prn in prns)
+    assert [extract_prn(chip, column) for column in range(chip.geometry.cols)] == prns
+    assert all(extract_prn(chip, column) is prns[column]
+               for column in range(chip.geometry.cols))
+
+
+def test_held_prn_keeps_column_checks():
+    """A bad column still raises and holds nothing; an unread column
+    still needs its writes before a plain read."""
+    chip = fresh()
+    prn = extract_prn(chip)
+    for column in (-1, chip.geometry.cols):
+        with pytest.raises(ColumnOutOfRange):
+            extract_prn(chip, column)
+    with pytest.raises(PreprocessMissing):
+        read_column_normal(chip, 1)
+    assert list(chip._prns) == [0]
+    assert extract_prn(chip) is prn
+
+
+def test_a_loaded_or_replaced_chip_reads_its_own_prn(desk_chip):
+    prn = extract_prn(desk_chip)
+    loaded = parse_chip_fixture(format_chip_fixture(desk_chip))
+    assert extract_prn(loaded) == prn
+    assert extract_prn(loaded) is not prn
+    replacement = new_chip(desk_chip.geometry, seed=43)
+    assert extract_prn(replacement).rows != prn.rows
+    assert extract_prn(desk_chip) is prn
+
+
+@pytest.mark.parametrize("clone", [
+    lambda chip: pickle.loads(pickle.dumps(chip)),
+    copy.deepcopy,
+], ids=["pickle", "deepcopy"])
+def test_an_extracted_chip_survives_copying(clone):
+    chip = fresh()
+    prn = extract_prn(chip)
+    prn.hmac_states  # computed before the copy, rebuilt after it
+    twin = clone(chip)
+    again = extract_prn(twin)
+    assert again == prn
+    assert again is not prn
+    assert extract_prn(twin) is again
+    challenge = make_challenge(5)
+    assert respond(again, challenge) == respond(prn, challenge)
+    assert extract_prn(chip) is prn
 
 
 CAPPED_CHILD = """

@@ -38,6 +38,7 @@ from chipchain.identity import (
     SUPPORTED_MODULUS_BITS,
     _is_extra_strong_lucas_prp,
     _is_probable_prime,
+    _is_strong_base2_prp,
     _next_prime,
     _sieve_residues,
 )
@@ -587,27 +588,29 @@ def test_primality_agrees_with_mr40_on_key_search_survivors(monkeypatch):
 
     def recording(n):
         visited.append(n)
-        return _is_probable_prime(n)
+        return _is_strong_base2_prp(n)
 
-    monkeypatch.setattr(identity, "_is_probable_prime", recording)
-    for bits, label, _fingerprint, _digest in GOLDEN_KEYS:
-        identity._derive_core.__wrapped__(golden_response(label).data, bits)
+    with monkeypatch.context() as patch:
+        patch.setattr(identity, "_is_strong_base2_prp", recording)
+        for bits, label, _fingerprint, _digest in GOLDEN_KEYS:
+            identity._derive_core.__wrapped__(golden_response(label).data, bits)
     assert len(visited) > 2 * len(GOLDEN_KEYS)
     for n in visited:
         assert _is_probable_prime(n) == is_prime_mr40(n), n
 
 
 def test_sieve_leaves_no_small_factor_and_saves_tests(monkeypatch):
-    """The golden-key searches hand _is_probable_prime only numbers
-    without an odd prime factor below 2^15, and fewer of them than the
-    per-step search with its sieve up to 2053 does.  A wrong hit offset
-    would let composites through and keep every key: this catches it."""
+    """The golden-key searches hand the base-2 test only numbers without
+    an odd prime factor below 2^15, so trial division could not reject
+    one, and fewer of them than the per-step search with its sieve up to
+    2053 does.  A wrong hit offset would let composites through and keep
+    every key: this catches it."""
     odd_primorial = math.prod(p for p in range(3, 1 << 15, 2) if is_prime_trial(p))
     sieved, per_step = [], []
 
     def recording(n):
         sieved.append(n)
-        return _is_probable_prime(n)
+        return _is_strong_base2_prp(n)
 
     def recording_oracle(n):
         per_step.append(n)
@@ -617,7 +620,7 @@ def test_sieve_leaves_no_small_factor_and_saves_tests(monkeypatch):
     seeds = [(golden_response(label).data, bits)
              for bits, label, _fingerprint, _digest in GOLDEN_KEYS]
     with monkeypatch.context() as patch:
-        patch.setattr(identity, "_is_probable_prime", recording)
+        patch.setattr(identity, "_is_strong_base2_prp", recording)
         keys = [derive(seed, bits) for seed, bits in seeds]
     with monkeypatch.context() as patch:
         patch.setattr(identity, "_next_prime",
@@ -630,20 +633,20 @@ def test_sieve_leaves_no_small_factor_and_saves_tests(monkeypatch):
 
 
 def test_golden_prime_search_work_is_pinned(monkeypatch):
-    """The six golden derivations hand _is_probable_prime 249 numbers,
-    and the Lucas test runs once per prime they return, on nothing else.
+    """The six golden derivations hand the base-2 test 249 numbers, and
+    the Lucas test runs once per prime they return, on nothing else.
     A change that sieves less or confirms a prime twice shows here."""
     tested, lucas = [], []
 
     def recording(n):
         tested.append(n)
-        return _is_probable_prime(n)
+        return _is_strong_base2_prp(n)
 
     def recording_lucas(n):
         lucas.append(n)
         return _is_extra_strong_lucas_prp(n)
 
-    monkeypatch.setattr(identity, "_is_probable_prime", recording)
+    monkeypatch.setattr(identity, "_is_strong_base2_prp", recording)
     monkeypatch.setattr(identity, "_is_extra_strong_lucas_prp", recording_lucas)
     primes = []
     for bits, label, _fingerprint, _digest in GOLDEN_KEYS:

@@ -22,6 +22,7 @@ from chipchain import (
     enroll_chip,
     fold_hash,
     genesis_record,
+    keypair_for_chip,
     leading_zero_bits,
     load_chain,
     mine_block,
@@ -31,6 +32,7 @@ from chipchain import (
     replace_chip,
     rotate_state_reproduce,
     save_chain,
+    seat_tree,
     serialize_chain,
     sign,
     transfer,
@@ -180,6 +182,36 @@ def test_tree_input_order_invariance(small_chips, fig_tree):
     again = build_tree(shuffled, small_chips, state_index=0, modulus_bits=512)
     assert again.schedule == fig_tree.schedule
     assert again.root_hash == fig_tree.root_hash
+
+
+def test_seat_tree_takes_the_pairs_build_tree_derives(fig_tree, small_chips):
+    """build_tree is a derivation per chip, then seat_tree: seating the
+    same pairs gives the same tree, and the nodes hold the pairs given."""
+    pairs = {nid: node.keypair for nid, node in fig_tree.nodes.items()}
+    seated = seat_tree(FIG_TOPOLOGY, small_chips, pairs, 0, 512)
+    assert seated.root_hash == fig_tree.root_hash
+    assert seated.schedule == fig_tree.schedule
+    assert all(seated.nodes[nid].keypair is pairs[nid] for nid in pairs)
+    assert all(seated.nodes[nid].incoming == fig_tree.nodes[nid].incoming
+               for nid in pairs)
+    assert verify_tree(seated)
+
+
+def test_seat_tree_refuses_pairs_that_are_not_the_chips(fig_tree, small_chips):
+    pairs = {nid: node.keypair for nid, node in fig_tree.nodes.items()}
+    with pytest.raises(UnknownChip):
+        seat_tree(FIG_TOPOLOGY, small_chips,
+                  {nid: pairs[nid] for nid in pairs if nid != "n3"}, 0, 512)
+    with pytest.raises(StateMismatch):
+        seat_tree(FIG_TOPOLOGY, small_chips, pairs, 1, 512)
+    with pytest.raises(ValueError, match="n3 key pair"):
+        seat_tree(FIG_TOPOLOGY, small_chips, dict(pairs, n3=pairs["n4"]), 0, 512)
+    with pytest.raises(ValueError, match="not its chip's 1024-bit pair"):
+        seat_tree(FIG_TOPOLOGY, small_chips, pairs, 0, 1024)
+    with pytest.raises(ValueError, match="n3 key pair"):
+        seat_tree(FIG_TOPOLOGY, small_chips,
+                  dict(pairs, n3=keypair_for_chip(small_chips["n3"], 0, 1024)),
+                  0, 512)
 
 
 def test_single_node_tree(small_chips):

@@ -613,7 +613,9 @@ def _count_calls_everywhere(monkeypatch, original, on_call):
 
 
 def test_fig10_signs_each_nonce_once(monkeypatch):
-    """One fig10 run: 35 signatures, 55 derivations of 19 responses."""
+    """One fig10 run: 35 signatures, 37 derivations of 19 responses: one
+    per (chip, state), 10 at state 0 and 9 where the rotate reproduces
+    the tree, and one per audit (9 enrolls, 9 sweeps)."""
     signatures = []
     responses = []
     _count_calls_everywhere(monkeypatch, chipchain.sign,
@@ -624,8 +626,32 @@ def test_fig10_signs_each_nonce_once(monkeypatch):
     log = run_scenario(bundled_scenario("fig10-coexistence"), seed=0)
     assert log.chain_ok()
     assert len(signatures) == 35
-    assert len(responses) == 55
+    assert len(responses) == 37
     assert len(set(responses)) == 19
+
+
+def test_fig10_reads_each_chip_once_and_keys_each_chip_state_once(monkeypatch):
+    """Ten chips build ten Prns; the run asks keypair_for_chip once per
+    (chip, state): ten at state 0 (nine devices and the spoofer's own
+    chip), nine when the rotate reproduces the tree, which re-keys the
+    members."""
+    built, keyed = [], []
+    build = chipchain.Prn.__post_init__
+
+    def counting_build(prn):
+        built.append(prn.chip_id)
+        build(prn)
+
+    monkeypatch.setattr(chipchain.Prn, "__post_init__", counting_build)
+    _count_calls_everywhere(
+        monkeypatch, chipchain.keypair_for_chip,
+        lambda chip, state_index, *args, **kwargs: keyed.append(
+            (chip.chip_id, state_index)))
+    log = run_scenario(bundled_scenario("fig10-coexistence"), seed=0)
+    assert log.chain_ok() and log.state_index == 1
+    assert sorted(built) == sorted(f"c{k}" for k in range(10))
+    assert sorted(keyed) == sorted([(f"c{k}", 0) for k in range(10)]
+                                   + [(f"c{k}", 1) for k in range(9)])
 
 
 # ------------------------------------------------------------------- sweeps
@@ -677,6 +703,40 @@ def test_rotate_after_tamper_rekeys_the_swapped_chip_in_the_tree():
     assert verify_tree(sim.tree)
     assert sim.sweep() == ()
     assert sim.tree.nodes["b"].chip is sim.chips["b"]
+
+
+def test_tamper_before_build_tree_seats_the_swapped_chip():
+    """A tamper drops the node's held pair: the tree seats the swapped
+    chip's keys, which no longer match the registry, and a sweep evicts
+    the node."""
+    text = MINI.replace("4 build_tree\n5 mine\n",
+                        "4 tamper b seed=777\n5 build_tree\n")
+    sim = Simulation(parse_scenario(text), seed=0)
+    sim.run()
+    swapped = keypair_for_chip(sim.chips["b"], 0, 512)
+    assert sim.tree.nodes["b"].chip is sim.chips["b"]
+    assert sim.tree.nodes["b"].keypair == swapped
+    assert sim.registry["b"] != swapped.public_key
+    assert verify_tree(sim.tree)
+    assert chipchain.extract_prn(sim.chips["b"]).chip_id == "cb-swapped"
+    assert sim.sweep() == ("b",)
+
+
+def test_rotate_rekeys_members_in_and_outside_the_tree():
+    """Tree members re-bind to the reproduced tree's keys; a member
+    outside the tree derives its own; every address is the pair its chip
+    derives afresh at the new state."""
+    text = MINI.replace("cc seed=3\n", "cc seed=3\ncd seed=4\n").replace(
+        "c role=device chip=cc\n", "c role=device chip=cc\nd role=device chip=cd\n"
+    ).replace("3 enroll c\n", "3 enroll c\n3 enroll d\n")
+    sim = Simulation(parse_scenario(text + "6 rotate 1\n"), seed=0)
+    sim.run()
+    assert set(sim.registry) == {"a", "b", "c", "d"}
+    for name in ("a", "b", "c"):
+        assert sim.registry[name] == sim.tree.nodes[name].public_key
+    for name, chip in sim.chips.items():
+        assert sim.registry[name] == keypair_for_chip(chip, 1, 512).public_key
+    assert sim.sweep() == ()
 
 
 def test_rotate_rebinds_keys_and_reproduces_tree():

@@ -36,3 +36,39 @@ def test_the_scenario_grammar_stays_in_config():
 
     assert "_lines" not in imported("network_sim.py")
     assert "network_sim" not in imported("config.py")
+
+
+def test_only_derive_core_holds_a_process_wide_cache():
+    """functools.lru_cache / functools.cache decorate identity._derive_core
+    and nothing else: a chip holds its PRN and a run its key pairs, so
+    no second process-wide store may appear in the package."""
+    cache_names = {"lru_cache", "cache"}
+    decorated, other_uses = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and node.module == "functools"
+                    for alias in node.names if alias.name in cache_names}
+
+        def names_cache(node) -> bool:
+            if isinstance(node, ast.Call):
+                node = node.func
+            return (isinstance(node, ast.Name) and node.id in imported
+                    or isinstance(node, ast.Attribute)
+                    and node.attr in cache_names
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "functools")
+
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                for decorator in node.decorator_list:
+                    if names_cache(decorator):
+                        decorated.append(f"{path.name}:{node.name}")
+                        decorators.update(ast.walk(decorator))
+        other_uses += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                       if names_cache(node) and node not in decorators]
+    assert decorated == ["identity.py:_derive_core"]
+    assert other_uses == []
