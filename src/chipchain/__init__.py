@@ -93,7 +93,6 @@ from .ledger import (
     ZERO_HASH,
     block_hash,
     build_tree,
-    enroll_chip,
     fold_hash,
     genesis_record,
     leading_zero_bits,

@@ -187,11 +187,14 @@ class FailureModel:
                 f"redundancy_rows={geometry.redundancy_rows}")
 
 
-def prn_canonical_bytes(rows: Sequence[int], total_rows: int) -> bytes:
-    """Canonical packed form: total row count, then the sorted failure
-    row indices, each as a 4-byte big-endian word."""
-    ordered = sorted(int(r) for r in rows)
+def _pack_prn(total_rows: int, ordered: Sequence[int]) -> bytes:
     return struct.pack(f">II{len(ordered)}I", total_rows, len(ordered), *ordered)
+
+
+def prn_canonical_bytes(rows: Sequence[int], total_rows: int) -> bytes:
+    """Canonical packed form: total row count, row count, then the sorted
+    failure row indices, each as a 4-byte big-endian word."""
+    return _pack_prn(total_rows, sorted(int(r) for r in rows))
 
 
 @dataclass(frozen=True)
@@ -228,8 +231,7 @@ class Prn:
     def canonical_bytes(self) -> bytes:
         """prn_canonical_bytes of the rows, which __post_init__ already
         sorted and checked."""
-        rows = self.rows
-        return struct.pack(f">II{len(rows)}I", self.total_rows, len(rows), *rows)
+        return _pack_prn(self.total_rows, self.rows)
 
     @cached_property
     def hmac_states(self):

@@ -272,7 +272,7 @@ def _cmd_ledger_replace(args):
 def _cmd_ledger_rotate(args):
     _, chips, topology = _load_ledger(args.topology)
     tree = build_tree(topology, chips, args.from_l, args.modulus_bits)
-    rotated = rotate_state_reproduce(tree, args.new_l)
+    rotated = rotate_state_reproduce(tree, chips, args.new_l)
     changed = sum(
         1 for n in tree.nodes
         if tree.nodes[n].public_key != rotated.nodes[n].public_key)

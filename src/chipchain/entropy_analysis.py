@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .chip_model import GENERATION_CAPACITY, GENERATION_ROWS, GENERATIONS
-from .errors import CountTooLarge, KExceedsN, UnknownGeneration
+from .chip_model import (GENERATION_CAPACITY, GENERATION_ROWS, GENERATIONS,
+                         generation_geometry)
+from .errors import CountTooLarge, KExceedsN
 
 
 def combinations(n: int, k: int) -> int:
@@ -126,9 +127,7 @@ def generation_table(failure_count: int = 10,
     """Entropy reports across capacity generations, smallest first."""
     names = list(GENERATIONS) if generations is None else list(generations)
     for name in names:
-        if name not in GENERATION_ROWS:
-            raise UnknownGeneration(f"unknown generation {name!r}; "
-                                    f"known: {', '.join(GENERATIONS)}")
+        generation_geometry(name)  # refuses an unknown name
     names.sort(key=lambda name: GENERATION_CAPACITY[name])
     return [
         entropy_report(GENERATION_ROWS[name], block_side, failure_count,

@@ -7,10 +7,13 @@ at the same state index always reproduces the same keys; possession of
 the physical chip is what regenerates the secret key.  No key is
 stored on the device side.  What is held, and by whom: a chip keeps
 the Prn of each column it was read on (chip_model.extract_prn), a pure
-function of its fixed failure rows; a scenario run keeps the pair of
-each node's chip at the current state index and drops it on rotate or
-tamper (network_sim.Simulation); and _derive_core keeps a bounded
-process-wide cache of derived keys by response bytes and size.
+function of its fixed failure rows; a scenario run holds each node's
+chip and keeps the pair of that chip at the current state index,
+dropping it on rotate or tamper (network_sim.Simulation); a transfer
+tree holds each seat's pair and its records but never the chip, so a
+rotate is handed the chips to derive from (ledger); and _derive_core
+keeps a bounded process-wide cache of derived keys by response bytes
+and size.
 
 The keyed digest is HMAC-SHA256 with the PRN's canonical bytes as the
 key.  Each Prn keeps the inner and outer SHA-256 states of its key,

@@ -8,6 +8,8 @@ its incoming records; its fold, the genesis hash with each incoming
 record hash folded in, is computed from them.  The root chip's fold
 therefore commits to every public key and every transfer below it,
 which is what makes substituting any chip in the structure detectable.
+The tree never holds a chip: seat_tree takes derived key pairs, and
+build_tree, a rotate and a replacement derive from chips handed in.
 
 The root's stamp (public key, final fold, state index) is the payload
 miners seal into blocks.  Blocks chain by hash with a leading-zero-bit
@@ -116,11 +118,11 @@ def verify_record(record: TransactionRecord) -> bool:
 
 @dataclass
 class ChipNode:
-    """A chip's seat in the transfer tree: its key pair and the records
-    it received.  Genesis, fold and latest signature derive from them."""
+    """A chip's seat in the transfer tree: the key pair its chip derived
+    and the records it received, not the chip itself.  Genesis, fold and
+    latest signature derive from them."""
 
     node_id: str
-    chip: SimulatedChip
     keypair: ChipKeyPair
     incoming: list[TransactionRecord]
 
@@ -143,13 +145,6 @@ class ChipNode:
     def latest_signature(self) -> bytes:
         return (self.incoming[-1].signature if self.incoming
                 else GENESIS_SIGNATURE)
-
-
-def enroll_chip(node_id: str, chip: SimulatedChip, state_index: int,
-                modulus_bits: int = 1024) -> ChipNode:
-    """Derive a chip's keys at the state index and seat it at genesis."""
-    return ChipNode(node_id, chip,
-                    keypair_for_chip(chip, state_index, modulus_bits), [])
 
 
 def _signed_record(sender: ChipNode, receiver: ChipNode,
@@ -255,9 +250,6 @@ class ChipMerkleTree:
         root = self.nodes[self.root_id]
         return RootStamp(root.public_key, root.latest_hash, self.state_index)
 
-    def chips(self) -> dict[str, SimulatedChip]:
-        return {node_id: node.chip for node_id, node in self.nodes.items()}
-
 
 def _normalized_edges(topology: Iterable[tuple[str, str]]):
     edges = [(str(a), str(b)) for a, b in topology]
@@ -272,39 +264,35 @@ def build_tree(topology: Iterable[tuple[str, str]],
     """Derive every chip's keys at the state index, then seat_tree."""
     keypairs = {node_id: keypair_for_chip(chip, state_index, modulus_bits)
                 for node_id, chip in chips.items()}
-    return seat_tree(topology, chips, keypairs, state_index, modulus_bits)
+    return seat_tree(topology, keypairs)
 
 
 def seat_tree(topology: Iterable[tuple[str, str]],
-              chips: Mapping[str, SimulatedChip],
-              keypairs: Mapping[str, ChipKeyPair], state_index: int,
-              modulus_bits: int) -> ChipMerkleTree:
-    """Seat each chip at genesis with the key pair derived from it and
-    run all transfers in deterministic order.
+              keypairs: Mapping[str, ChipKeyPair]) -> ChipMerkleTree:
+    """Seat each node at genesis with its key pair and run all transfers
+    in deterministic order.
 
-    keypairs holds, per node, the pair its chip derives at state_index
-    and modulus_bits, which a caller that already derived it passes on
-    instead of deriving again; a pair bound to another chip id, state or
-    size is refused.
+    The nodes are the keys of keypairs, and the tree is bound to the
+    state index and size of the root's pair; a pair at another state or
+    of another size is refused.
     """
-    if keypairs.keys() != chips.keys():
-        raise UnknownChip("key pairs and chips must name the same nodes")
-    for node_id, pair in keypairs.items():
-        if pair.state_index != state_index:
-            raise StateMismatch(f"{node_id} keyed at state {pair.state_index}, "
-                                f"not {state_index}")
-        if (pair.chip_id, pair.modulus_bits) != (chips[node_id].chip_id,
-                                                 modulus_bits):
-            raise ValueError(f"{node_id} key pair is not its chip's "
-                             f"{modulus_bits}-bit pair")
     edges = _normalized_edges(topology)
     for src, dst in edges:
         for endpoint in (src, dst):
-            if endpoint not in chips:
+            if endpoint not in keypairs:
                 raise UnknownChip(f"edge endpoint {endpoint!r} has no chip")
-    schedule, root_id = _topological_schedule(chips.keys(), edges)
-    nodes = {node_id: ChipNode(node_id, chips[node_id], keypairs[node_id], [])
-             for node_id in sorted(chips)}
+    schedule, root_id = _topological_schedule(keypairs.keys(), edges)
+    root_pair = keypairs[root_id]
+    state_index, modulus_bits = root_pair.state_index, root_pair.modulus_bits
+    for node_id, pair in sorted(keypairs.items()):
+        if pair.state_index != state_index:
+            raise StateMismatch(f"{node_id} keyed at state {pair.state_index}, "
+                                f"root {root_id} at {state_index}")
+        if pair.modulus_bits != modulus_bits:
+            raise ValueError(f"{node_id} key pair is {pair.modulus_bits}-bit, "
+                             f"root {root_id}'s is {modulus_bits}-bit")
+    nodes = {node_id: ChipNode(node_id, keypairs[node_id], [])
+             for node_id in sorted(keypairs)}
     for src, dst in schedule:
         transfer(nodes[src], nodes[dst])
     return ChipMerkleTree(nodes, edges, schedule, root_id, state_index,
@@ -359,9 +347,8 @@ def replace_chip(tree: ChipMerkleTree, node_id: str, new_chip: SimulatedChip,
         nid: dataclasses.replace(node, incoming=list(node.incoming))
         for nid, node in tree.nodes.items()
     }
-    target = nodes[node_id]
-    target.chip = new_chip
-    target.keypair = keypair_for_chip(new_chip, state_index, tree.modulus_bits)
+    nodes[node_id].keypair = keypair_for_chip(new_chip, state_index,
+                                              tree.modulus_bits)
 
     # A node sends only after all its incoming edges fired, so its fold is
     # final by then: every record into the replaced node or out of a dirty
@@ -387,17 +374,19 @@ def replace_chip(tree: ChipMerkleTree, node_id: str, new_chip: SimulatedChip,
 
 
 def rotate_state_reproduce(tree: ChipMerkleTree,
+                           chips: Mapping[str, SimulatedChip],
                            new_state_index: int) -> ChipMerkleTree:
-    """Re-derive every key at a new state index and replay the tree.
+    """Re-derive every key at a new state index from the chips the
+    caller holds for the tree's nodes and replay the tree's topology.
 
-    Same chips, same topology, entirely new keys and folds.  Because
-    everything is deterministic, rotating back to the old index
-    reproduces the old tree exactly.
+    Entirely new keys and folds; a seat whose chip was swapped is keyed
+    from the chip handed in.  Because everything is deterministic,
+    rotating the same chips back to the old index reproduces the old
+    tree exactly.
     """
     if new_state_index == tree.state_index:
         raise ValueError("new state index equals the tree's current index")
-    return build_tree(tree.edges, tree.chips(), new_state_index,
-                      tree.modulus_bits)
+    return build_tree(tree.edges, chips, new_state_index, tree.modulus_bits)
 
 
 @dataclass(frozen=True)

@@ -298,11 +298,11 @@ class Simulation:
         """Security node advances the state; members re-bind their keys.
 
         Every held key pair belongs to the old state and is dropped.  The
-        reproduced tree derives its nodes' pairs at the new state from the
-        chips they hold, which are the devices' chips, so a member seated
-        in the tree re-binds to its tree key and only a member outside the
-        tree derives.  Members listed offline miss the re-binding, so
-        their registry entries go stale and the next sweep removes them.
+        tree is reproduced at the new state from the chips the devices
+        hold now, so a member seated in the tree re-binds to its tree key
+        and only a member outside the tree derives.  Members listed
+        offline miss the re-binding, so their registry entries go stale
+        and the next sweep removes them.
         """
         if state == self.state_index:
             raise ConfigInvalid("rotation must change the state index")
@@ -310,7 +310,9 @@ class Simulation:
         self._keypairs.clear()
         self._emit("Rotate", actor=self.config.security, state=state)
         if self.tree is not None:
-            self.tree = rotate_state_reproduce(self.tree, state)
+            self.tree = rotate_state_reproduce(
+                self.tree, {name: self.chips[name] for name in self.tree.nodes},
+                state)
             self._keypairs.update((name, node.keypair)
                                   for name, node in self.tree.nodes.items())
             for src, dst in self.tree.schedule:
@@ -331,9 +333,7 @@ class Simulation:
                                 + ", ".join(outsiders))
         self.tree = seat_tree(
             self.config.topology,
-            {name: self.chips[name] for name in participants},
-            {name: self._device_keypair(name) for name in participants},
-            self.state_index, self.config.modulus_bits)
+            {name: self._device_keypair(name) for name in participants})
         for src, dst in self.tree.schedule:
             self._emit("Transfer", src=src, dst=dst, state=self.state_index)
 
@@ -358,16 +358,15 @@ class Simulation:
 
         No event fires; the network only notices at the next audit.  The
         node's held key pair belonged to the old chip and is dropped; the
-        swapped chip is a new part with its own PRN.  It also takes the
-        node's tree seat, keeping the seat's keys and records until a
-        rotate re-keys the seat: a rotate between tamper and sweep
-        re-binds the swapped chip, and that sweep retains it.
+        swapped chip is a new part with its own PRN.  The tree is left as
+        it is, its seat keeping the old chip's keys and records; a rotate
+        re-derives the seats from the chips the devices hold, so a rotate
+        between tamper and sweep re-binds the swapped chip, and that sweep
+        retains it.
         """
         spec = self.config.chips[self.config.nodes[node].chip]
         self.chips[node] = spec.manufacture(seed, f"{spec.name}-swapped")
         self._keypairs.pop(node, None)
-        if self.tree is not None and node in self.tree.nodes:
-            self.tree.nodes[node].chip = self.chips[node]
 
     # ----------------------------------------------------------------------
 

@@ -181,7 +181,7 @@ def test_c07_tamper_detection():
                            height=height)
         chain.append(block)
         prev = block.block_hash
-        current = rotate_state_reproduce(current, height + 1)
+        current = rotate_state_reproduce(current, chips, height + 1)
     assert verify_chain(chain, 12)
     assert verify_tree(tree)
 
@@ -279,7 +279,7 @@ def test_c09_resilience_equivalence():
         if recomputed != expected_path or not same or not verify_tree(repaired):
             replace_failures += 1
 
-        rotated = rotate_state_reproduce(tree, 1)
+        rotated = rotate_state_reproduce(tree, chips, 1)
         re_rotated = build_tree(edges, chips, 1, modulus_bits=512)
         same_rotation = all(
             rotated.nodes[name].latest_hash == re_rotated.nodes[name].latest_hash

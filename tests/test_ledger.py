@@ -8,6 +8,7 @@ from chipchain import (
     Block,
     ChainInvalid,
     ChipGeometry,
+    ChipNode,
     CycleDetected,
     GENESIS_SIGNATURE,
     MultipleSinks,
@@ -19,7 +20,6 @@ from chipchain import (
     ZERO_HASH,
     block_hash,
     build_tree,
-    enroll_chip,
     fold_hash,
     genesis_record,
     keypair_for_chip,
@@ -60,7 +60,7 @@ def fig_tree(small_chips):
 # ------------------------------------------------------------ record rules
 
 def test_genesis_record_bytes():
-    node = enroll_chip("solo", make_small_chip(30), 0, modulus_bits=512)
+    node = ChipNode("solo", keypair_for_chip(make_small_chip(30), 0, 512), [])
     pk = node.public_key.to_bytes()
     assert node.genesis.hash_value == hashlib.sha256(pk + bytes(32) + b"").digest()
     assert node.genesis.signature == GENESIS_SIGNATURE
@@ -70,7 +70,7 @@ def test_genesis_record_bytes():
 
 
 def test_record_hash_rule():
-    node = enroll_chip("r", make_small_chip(35), 0, modulus_bits=512)
+    node = ChipNode("r", keypair_for_chip(make_small_chip(35), 0, 512), [])
     pk = node.public_key
     assert record_hash(pk, bytes(32), b"sig") == hashlib.sha256(
         pk.to_bytes() + bytes(32) + b"sig"
@@ -78,7 +78,7 @@ def test_record_hash_rule():
 
 
 def test_fold_hash_rule():
-    node = enroll_chip("r", make_small_chip(35), 0, modulus_bits=512)
+    node = ChipNode("r", keypair_for_chip(make_small_chip(35), 0, 512), [])
     pk = node.public_key
     assert fold_hash(pk, b"a" * 32, b"b" * 32) == hashlib.sha256(
         pk.to_bytes() + b"a" * 32 + b"b" * 32
@@ -86,8 +86,8 @@ def test_fold_hash_rule():
 
 
 def test_transfer_produces_verifiable_record():
-    a = enroll_chip("a", make_small_chip(31), 0, modulus_bits=512)
-    b = enroll_chip("b", make_small_chip(32), 0, modulus_bits=512)
+    a = ChipNode("a", keypair_for_chip(make_small_chip(31), 0, 512), [])
+    b = ChipNode("b", keypair_for_chip(make_small_chip(32), 0, 512), [])
     record = transfer(a, b)
     assert verify_record(record)
     assert record.seq == 1
@@ -102,15 +102,15 @@ def test_transfer_produces_verifiable_record():
 
 
 def test_transfer_state_mismatch():
-    a = enroll_chip("a", make_small_chip(31), 0, modulus_bits=512)
-    b = enroll_chip("b", make_small_chip(32), 1, modulus_bits=512)
+    a = ChipNode("a", keypair_for_chip(make_small_chip(31), 0, 512), [])
+    b = ChipNode("b", keypair_for_chip(make_small_chip(32), 1, 512), [])
     with pytest.raises(StateMismatch):
         transfer(a, b)
 
 
 def test_verify_record_rejects_mutations():
-    a = enroll_chip("a", make_small_chip(33), 0, modulus_bits=512)
-    b = enroll_chip("b", make_small_chip(34), 0, modulus_bits=512)
+    a = ChipNode("a", keypair_for_chip(make_small_chip(33), 0, 512), [])
+    b = ChipNode("b", keypair_for_chip(make_small_chip(34), 0, 512), [])
     record = transfer(a, b)
     flipped_hash = bytes([record.hash_value[0] ^ 1]) + record.hash_value[1:]
     assert not verify_record(dataclasses.replace(record, hash_value=flipped_hash))
@@ -121,8 +121,8 @@ def test_verify_record_rejects_mutations():
 
 
 def test_verify_record_wrong_length_signature_reads_false():
-    a = enroll_chip("a", make_small_chip(33), 0, modulus_bits=512)
-    b = enroll_chip("b", make_small_chip(34), 0, modulus_bits=512)
+    a = ChipNode("a", keypair_for_chip(make_small_chip(33), 0, 512), [])
+    b = ChipNode("b", keypair_for_chip(make_small_chip(34), 0, 512), [])
     record = transfer(a, b)
     for signature in (record.signature[:-1], record.signature + b"\x00", b""):
         with pytest.raises(SignatureMalformed):
@@ -133,8 +133,8 @@ def test_verify_record_wrong_length_signature_reads_false():
 def test_verify_record_rejects_signature_plus_modulus():
     """A record whose signature bytes encode s + n instead of s opens to
     the same digest under the sender's key and must still be refused."""
-    a = enroll_chip("a", make_small_chip(30), 0, modulus_bits=512)
-    b = enroll_chip("b", make_small_chip(31), 0, modulus_bits=512)
+    a = ChipNode("a", keypair_for_chip(make_small_chip(30), 0, 512), [])
+    b = ChipNode("b", keypair_for_chip(make_small_chip(31), 0, 512), [])
     record = transfer(a, b)
     key = record.sender_key
     forged_int = int.from_bytes(record.signature, "big") + key.modulus
@@ -187,8 +187,10 @@ def test_tree_input_order_invariance(small_chips, fig_tree):
 def test_seat_tree_takes_the_pairs_build_tree_derives(fig_tree, small_chips):
     """build_tree is a derivation per chip, then seat_tree: seating the
     same pairs gives the same tree, and the nodes hold the pairs given."""
-    pairs = {nid: node.keypair for nid, node in fig_tree.nodes.items()}
-    seated = seat_tree(FIG_TOPOLOGY, small_chips, pairs, 0, 512)
+    pairs = {nid: keypair_for_chip(chip, 0, 512)
+             for nid, chip in small_chips.items()}
+    seated = seat_tree(FIG_TOPOLOGY, pairs)
+    assert (seated.state_index, seated.modulus_bits) == (0, 512)
     assert seated.root_hash == fig_tree.root_hash
     assert seated.schedule == fig_tree.schedule
     assert all(seated.nodes[nid].keypair is pairs[nid] for nid in pairs)
@@ -197,21 +199,36 @@ def test_seat_tree_takes_the_pairs_build_tree_derives(fig_tree, small_chips):
     assert verify_tree(seated)
 
 
-def test_seat_tree_refuses_pairs_that_are_not_the_chips(fig_tree, small_chips):
+def test_seat_tree_refuses_missing_or_mixed_pairs(fig_tree, small_chips):
+    """Every edge endpoint needs a pair, and the tree binds to the root
+    pair's state and size: a pair at another state or size is refused."""
     pairs = {nid: node.keypair for nid, node in fig_tree.nodes.items()}
-    with pytest.raises(UnknownChip):
-        seat_tree(FIG_TOPOLOGY, small_chips,
-                  {nid: pairs[nid] for nid in pairs if nid != "n3"}, 0, 512)
-    with pytest.raises(StateMismatch):
-        seat_tree(FIG_TOPOLOGY, small_chips, pairs, 1, 512)
-    with pytest.raises(ValueError, match="n3 key pair"):
-        seat_tree(FIG_TOPOLOGY, small_chips, dict(pairs, n3=pairs["n4"]), 0, 512)
-    with pytest.raises(ValueError, match="not its chip's 1024-bit pair"):
-        seat_tree(FIG_TOPOLOGY, small_chips, pairs, 0, 1024)
-    with pytest.raises(ValueError, match="n3 key pair"):
-        seat_tree(FIG_TOPOLOGY, small_chips,
-                  dict(pairs, n3=keypair_for_chip(small_chips["n3"], 0, 1024)),
-                  0, 512)
+    with pytest.raises(UnknownChip, match="^edge endpoint 'n3' has no chip$"):
+        seat_tree(FIG_TOPOLOGY,
+                  {nid: pairs[nid] for nid in pairs if nid != "n3"})
+    with pytest.raises(StateMismatch, match="^n3 keyed at state 1, root n0 at 0$"):
+        seat_tree(FIG_TOPOLOGY,
+                  dict(pairs, n3=keypair_for_chip(small_chips["n3"], 1, 512)))
+    with pytest.raises(StateMismatch, match="^n1 keyed at state 0, root n0 at 1$"):
+        seat_tree(FIG_TOPOLOGY,
+                  dict(pairs, n0=keypair_for_chip(small_chips["n0"], 1, 512)))
+    with pytest.raises(ValueError,
+                       match="^n3 key pair is 1024-bit, root n0's is 512-bit$"):
+        seat_tree(FIG_TOPOLOGY,
+                  dict(pairs, n3=keypair_for_chip(small_chips["n3"], 0, 1024)))
+    with pytest.raises(MultipleSinks):
+        seat_tree([], {})
+
+
+def test_seat_tree_seats_a_one_node_tree(fig_tree):
+    pair = fig_tree.nodes["n5"].keypair
+    tree = seat_tree([], {"solo": pair})
+    assert (tree.root_id, tree.schedule, tree.edges) == ("solo", (), ())
+    assert (tree.state_index, tree.modulus_bits) == (0, 512)
+    assert tree.nodes["solo"].keypair is pair
+    assert tree.nodes["solo"].incoming == []
+    assert tree.root_stamp().root_key == pair.public_key
+    assert verify_tree(tree)
 
 
 def test_single_node_tree(small_chips):
@@ -391,8 +408,8 @@ def test_replace_errors(fig_tree):
 
 # ----------------------------------------------------------------- rotation
 
-def test_rotate_rekeys_every_node(fig_tree):
-    rotated = rotate_state_reproduce(fig_tree, 1)
+def test_rotate_rekeys_every_node(fig_tree, small_chips):
+    rotated = rotate_state_reproduce(fig_tree, small_chips, 1)
     assert rotated.state_index == 1
     assert verify_tree(rotated)
     assert rotated.root_hash != fig_tree.root_hash
@@ -400,16 +417,30 @@ def test_rotate_rekeys_every_node(fig_tree):
         assert rotated.nodes[nid].public_key != fig_tree.nodes[nid].public_key
 
 
-def test_rotate_roundtrip(fig_tree):
-    back = rotate_state_reproduce(rotate_state_reproduce(fig_tree, 1), 0)
+def test_rotate_roundtrip(fig_tree, small_chips):
+    back = rotate_state_reproduce(
+        rotate_state_reproduce(fig_tree, small_chips, 1), small_chips, 0)
     assert back.root_hash == fig_tree.root_hash
     for nid in fig_tree.nodes:
         assert back.nodes[nid].latest_hash == fig_tree.nodes[nid].latest_hash
 
 
-def test_rotate_same_state_rejected(fig_tree):
+def test_rotate_same_state_rejected(fig_tree, small_chips):
     with pytest.raises(ValueError):
-        rotate_state_reproduce(fig_tree, 0)
+        rotate_state_reproduce(fig_tree, small_chips, 0)
+
+
+def test_rotate_keys_each_seat_from_the_chip_handed_in(fig_tree, small_chips):
+    """The tree holds no chip: a seat whose chip the caller swapped is
+    keyed from the chip handed in, and the others as before."""
+    other = make_small_chip(84, chip_id="c3-other")
+    rotated = rotate_state_reproduce(fig_tree, {**small_chips, "n3": other}, 1)
+    assert rotated.nodes["n3"].keypair == keypair_for_chip(other, 1, 512)
+    assert rotated.nodes["n4"].keypair == keypair_for_chip(
+        small_chips["n4"], 1, 512)
+    assert verify_tree(rotated)
+    plain = rotate_state_reproduce(fig_tree, small_chips, 1)
+    assert rotated.root_hash != plain.root_hash
 
 
 # ---------------------------------------------------------------- stamping
@@ -586,10 +617,10 @@ def test_chain_parse_errors_name_block_and_offset(stamps):
             parse_chain(data)
 
 
-def test_chain_of_stamped_roots(fig_tree):
+def test_chain_of_stamped_roots(fig_tree, small_chips):
     """End-to-end: tree root stamped into blocks, chain verifies, bits matter."""
     b0 = mine_block(fig_tree.root_stamp(), difficulty_bits=8, height=0)
-    rotated = rotate_state_reproduce(fig_tree, 1)
+    rotated = rotate_state_reproduce(fig_tree, small_chips, 1)
     b1 = mine_block(rotated.root_stamp(), prev_block_hash=b0.block_hash,
                     difficulty_bits=8, height=1)
     assert verify_chain([b0, b1], difficulty_bits=8)

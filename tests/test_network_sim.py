@@ -702,7 +702,23 @@ def test_rotate_after_tamper_rekeys_the_swapped_chip_in_the_tree():
     assert sim.tree.nodes["b"].public_key == sim.registry["b"]
     assert verify_tree(sim.tree)
     assert sim.sweep() == ()
-    assert sim.tree.nodes["b"].chip is sim.chips["b"]
+    assert sim.tree.nodes["b"].keypair == keypair_for_chip(sim.chips["b"], 1, 512)
+
+
+def test_tamper_after_build_tree_leaves_the_tree_as_it_was():
+    """The tree holds keys and records, not chips: a tamper swaps only the
+    device's chip, and every seat keeps its pair and its records."""
+    sim = Simulation(mini_config(), seed=0)
+    sim.run()
+    before = {name: (node.keypair, list(node.incoming))
+              for name, node in sim.tree.nodes.items()}
+    root = sim.tree.root_hash
+    sim.tamper("b", 777)
+    assert {name: (node.keypair, node.incoming)
+            for name, node in sim.tree.nodes.items()} == before
+    assert sim.tree.root_hash == root
+    assert sim.tree.nodes["b"].keypair.chip_id == "cb"
+    assert verify_tree(sim.tree)
 
 
 def test_tamper_before_build_tree_seats_the_swapped_chip():
@@ -714,7 +730,7 @@ def test_tamper_before_build_tree_seats_the_swapped_chip():
     sim = Simulation(parse_scenario(text), seed=0)
     sim.run()
     swapped = keypair_for_chip(sim.chips["b"], 0, 512)
-    assert sim.tree.nodes["b"].chip is sim.chips["b"]
+    assert sim.tree.nodes["b"].keypair.chip_id == "cb-swapped"
     assert sim.tree.nodes["b"].keypair == swapped
     assert sim.registry["b"] != swapped.public_key
     assert verify_tree(sim.tree)
