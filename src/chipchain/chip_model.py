@@ -412,10 +412,11 @@ def extract_prn(chip: SimulatedChip, column: int = 0) -> Prn:
     write_column(chip, ACCESS_SPECIAL, column, 1)
     prn = chip._prns.get(column)
     if prn is None:
-        # the regular fill is now 0: only failure rows can read 1
-        rows = chip._failure_rows if chip._columns[column][2] else ()
-        prn = chip._prns[column] = Prn(chip.chip_id, column, rows,
-                                       chip.geometry.rows)
+        # The normal write left the regular cells 0 and the special write
+        # set to 1 the spares that the failure rows are swapped to, so a
+        # read gives 1 on the failure rows alone.
+        prn = chip._prns[column] = Prn(chip.chip_id, column,
+                                       chip._failure_rows, chip.geometry.rows)
     return prn
 
 

@@ -556,9 +556,7 @@ def dispatch(argv) -> CommandResult:
                              err.getvalue().rstrip("\n"))
     try:
         lines, code, problems = args.handler(args)
-    except ChipChainError as exc:
-        return CommandResult(1, "", f"{type(exc).__name__}: {exc}")
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ChipChainError, ValueError, ArithmeticError, OSError) as exc:
         return CommandResult(1, "", f"{type(exc).__name__}: {exc}")
     return CommandResult(code, "\n".join(lines), "\n".join(problems))
 

@@ -10,6 +10,7 @@ population are exact fractions, formatted without a float round trip.
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from dataclasses import dataclass
@@ -139,37 +140,18 @@ def generation_table(failure_count: int = 10,
 def format_scientific(value, sig_digits: int = 12) -> str:
     """Exact scientific notation for a Fraction or int.
 
-    The mantissa is computed with integer arithmetic only, so the
-    digits are correct even when the value is far outside float range.
+    One decimal division of the numerator by the denominator, correctly
+    rounded half up to sig_digits digits, so the digits are right even
+    when the value is far outside float range, and no operand passes
+    through Python's int-to-text conversion and its digit limit.
     """
     if sig_digits < 1:
         raise ValueError("sig_digits must be >= 1")
     value = Fraction(value)
     if value == 0:
         return "0e+0"
-    sign = "-" if value < 0 else ""
-    num, den = abs(value.numerator), value.denominator
-
-    # decimal exponent: number of digits difference, corrected by one
-    # comparison (len(str(x)) overshoots log10 by at most one)
-    exp = len(str(num)) - len(str(den))
-    if exp >= 0:
-        if num < den * 10 ** exp:
-            exp -= 1
-    else:
-        if num * 10 ** (-exp) < den:
-            exp -= 1
-
-    shift = sig_digits - 1 - exp
-    if shift >= 0:
-        mantissa = (num * 10 ** shift + den // 2) // den
-    else:
-        scaled_den = den * 10 ** (-shift)
-        mantissa = (num + scaled_den // 2) // scaled_den
-    if mantissa >= 10 ** sig_digits:  # rounding carried over
-        mantissa //= 10
-        exp += 1
-    digits = str(mantissa)
-    if sig_digits == 1:
-        return f"{sign}{digits}e{exp:+d}"
-    return f"{sign}{digits[0]}.{digits[1:]}e{exp:+d}"
+    quotient = decimal.Context(
+        prec=sig_digits, rounding=decimal.ROUND_HALF_UP,
+        Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    ).divide(value.numerator, value.denominator)
+    return f"{quotient:.{sig_digits - 1}e}"

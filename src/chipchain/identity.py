@@ -37,7 +37,9 @@ sum is below 2^53; a window sieve then marks their multiples among 256
 odd numbers at a time (Menezes, van Oorschot and Vanstone, Handbook of
 Applied Cryptography, section 4.4), those of the 53 primes below 256
 in one assignment, and a Baillie-PSW test (strong base 2 plus
-extra-strong Lucas) confirms the survivors in order.  Keys
+extra-strong Lucas, Baillie and Wagstaff 1980, Grantham 2001) confirms
+the survivors in order.  The sieve is the test's trial division, so
+the search holds the package's only primality test.  Keys
 must stay those of the 40-witness Miller-Rabin schedule the tests keep
 as the reference: both tests accept every prime and no composite is
 known to pass either, so the search stops on the same primes.
@@ -278,8 +280,6 @@ def _odd_primes_below(bound: int) -> np.ndarray:
 
 _SIEVE_PRIMES = _odd_primes_below(_SIEVE_BOUND)  # 3 .. 32749, 3511 primes
 _LARGEST_SIEVE_PRIME = int(_SIEVE_PRIMES[-1])
-_SMALL_PRIMES = (2,) + tuple(_SIEVE_PRIMES[:39].tolist())  # the first 40: 2 .. 173
-_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 _CHUNK_WORDS = 8  # 32-bit words per 256-bit chunk of a candidate
 
 # Primes below the window width can divide several steps of a window;
@@ -384,19 +384,6 @@ def _is_extra_strong_lucas_prp(n: int) -> bool:
     return False
 
 
-def _is_probable_prime(n: int) -> bool:
-    """Baillie-PSW: small-prime trial division, a strong base-2 test and
-    an extra-strong Lucas test (Baillie and Wagstaff, 1980; Grantham,
-    2001).  Deterministic, and no composite is known to pass it; below
-    2^64 it is exact.
-    """
-    if n <= _SMALL_PRIMES[-1]:
-        return n in _SMALL_PRIMES
-    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
-        return False
-    return _is_strong_base2_prp(n) and _is_extra_strong_lucas_prp(n)
-
-
 def _sieve_residues(candidate: int) -> np.ndarray:
     """candidate mod every sieve prime.
 
@@ -441,8 +428,8 @@ def _next_prime(candidate: int, max_steps: int = 1 << 17) -> int:
     sieve marks, _SIEVE_WINDOW steps at a time, every step whose number
     an odd prime below _SIEVE_BOUND divides; the Baillie-PSW test
     (strong base 2, then extra-strong Lucas) runs on the unmarked steps
-    in order, without _is_probable_prime's trial division, which the
-    sieve has already done for every odd prime below 2^15.  With
+    in order.  The sieve is the search's trial division: a step reaches
+    the two tests only with no odd prime factor below 2^15.  With
     candidate = 2m + 1, a sieve prime P divides 2(m + s) + 1 iff
     s = (P - 1) / 2 - m mod P, plus a multiple of P;
     the first such s is taken as ((3P - 1) / 2 - m mod P) mod P, so

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -237,6 +238,47 @@ def test_format_scientific_single_digit():
 def test_format_scientific_validation():
     with pytest.raises(ValueError):
         format_scientific(1, 0)
+
+
+def test_format_scientific_beyond_the_int_text_limit():
+    """Operands longer than the 4300 digits Python turns into text."""
+    assert format_scientific(Fraction(1, 10**5000)) == "1.00000000000e-5000"
+    assert format_scientific(10**5000) == "1.00000000000e+5000"
+    assert format_scientific(Fraction(3, 7 * 10**4400)) == "4.28571428571e-4401"
+
+
+@st.composite
+def _scientific_cases(draw):
+    """A nonzero Fraction of either sign and a digit count; half of the
+    values are exact ties at that digit count (its digits, then a 5)."""
+    sig_digits = draw(st.integers(1, 20))
+    scale = Fraction(10) ** draw(st.integers(-60, 60))
+    if draw(st.booleans()):
+        digits = draw(st.integers(10 ** (sig_digits - 1), 10 ** sig_digits - 1))
+        value = Fraction(10 * digits + 5) * scale
+    else:
+        value = Fraction(draw(st.integers(1, 10**40)),
+                         draw(st.integers(1, 10**40))) * scale
+    return (-value if draw(st.booleans()) else value), sig_digits
+
+
+@given(_scientific_cases())
+def test_format_scientific_matches_exact_rounding(case):
+    """Against exact Fraction arithmetic: sig_digits digits with the
+    first nonzero, within half a unit in the last place of the value,
+    and a tie rounded away from zero."""
+    value, sig_digits = case
+    text = format_scientific(value, sig_digits)
+    assert re.fullmatch(r"-?\d(\.\d+)?e[+-]\d+", text), text
+    mantissa, _, exponent = text.partition("e")
+    assert mantissa.startswith("-") == (value < 0)
+    digits = int(mantissa.lstrip("-").replace(".", ""))
+    assert 10 ** (sig_digits - 1) <= digits < 10 ** sig_digits
+    ulp = Fraction(10) ** (int(exponent) - sig_digits + 1)
+    excess = digits * ulp - abs(value)
+    assert abs(excess) <= ulp / 2
+    if abs(excess) == ulp / 2:
+        assert excess > 0
 
 
 @given(st.integers(min_value=1, max_value=10**40), st.integers(min_value=1, max_value=10**40))

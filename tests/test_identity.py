@@ -37,7 +37,6 @@ from chipchain import _bn, chip_model, identity
 from chipchain.identity import (
     SUPPORTED_MODULUS_BITS,
     _is_extra_strong_lucas_prp,
-    _is_probable_prime,
     _is_strong_base2_prp,
     _next_prime,
     _sieve_residues,
@@ -506,14 +505,25 @@ EXTRA_STRONG_LUCAS_PSEUDOPRIMES = [
 ]
 
 
+def _is_bpsw_prp(n):
+    """The Baillie-PSW pair as _next_prime runs it, with no trial division."""
+    return _is_strong_base2_prp(n) and _is_extra_strong_lucas_prp(n)
+
+
 def test_primality_agrees_with_mr40_below_200000():
-    for n in range(-3, 200000):
-        assert _is_probable_prime(n) == is_prime_mr40(n), n
+    """Every odd n from 3 on, with no sieve in front: the pair alone
+    rejects each odd composite.  5 is the one prime the Lucas half
+    refuses (it divides 3^2 - 4); _next_prime never tests it, since its
+    candidates exceed every sieve prime."""
+    for n in range(3, 200000, 2):
+        if n != 5:
+            assert _is_bpsw_prp(n) == is_prime_mr40(n), n
+    assert not _is_bpsw_prp(5)
 
 
 @pytest.mark.parametrize("n", PSEUDOPRIMES)
 def test_primality_rejects_pseudoprimes(n):
-    assert not _is_probable_prime(n)
+    assert not _is_bpsw_prp(n)
     assert not is_prime_mr40(n)
 
 
@@ -522,8 +532,8 @@ def test_primality_rejects_squares_without_hanging():
     Lucas parameter search would not end on one before P^2 - 4 reached a
     factor.
     1093 and 3511 are the Wieferich primes: their squares pass the
-    strong base-2 test.  The Lucas test is also called alone, on the
-    odd squares coprime to the small primes that it accepts as input."""
+    strong base-2 test.  The Lucas test is also called alone, on every
+    odd square."""
     key_prime = derive_keypair(golden_response(0),
                                modulus_bits=512).secret_key.prime_p
     roots = [p for p in range(2, 200) if is_prime_mr40(p)] + [1093, 3511, key_prime]
@@ -535,9 +545,9 @@ def test_primality_rejects_squares_without_hanging():
     signal.setitimer(signal.ITIMER_REAL, 10)
     try:
         for root in roots:
-            assert not _is_probable_prime(root * root), root
+            assert not _is_bpsw_prp(root * root), root
             assert not is_prime_mr40(root * root), root
-            if root > 173:
+            if root % 2:
                 assert not _is_extra_strong_lucas_prp(root * root), root
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
@@ -596,7 +606,7 @@ def test_primality_agrees_with_mr40_on_key_search_survivors(monkeypatch):
             identity._derive_core.__wrapped__(golden_response(label).data, bits)
     assert len(visited) > 2 * len(GOLDEN_KEYS)
     for n in visited:
-        assert _is_probable_prime(n) == is_prime_mr40(n), n
+        assert _is_bpsw_prp(n) == is_prime_mr40(n), n
 
 
 def test_sieve_leaves_no_small_factor_and_saves_tests(monkeypatch):

@@ -72,3 +72,45 @@ def test_only_derive_core_holds_a_process_wide_cache():
                        if names_cache(node) and node not in decorators]
     assert decorated == ["identity.py:_derive_core"]
     assert other_uses == []
+
+
+def _top_level_bindings(body):
+    """Nodes binding names at module level: statements outside any
+    function or class body, through if and try blocks."""
+    for node in body:
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _top_level_bindings(getattr(node, field, ()))
+
+
+def test_every_private_top_level_name_is_loaded_in_the_package():
+    """A private module-level function, class or constant that no code
+    in the package reads is dead code kept beside the live path (a test
+    reaching it does not count)."""
+    defined, loaded = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in _top_level_bindings(tree.body):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname for alias in node.names if alias.asname]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                names = [name.id for target in targets
+                         for name in ast.walk(target)
+                         if isinstance(name, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        loaded.update(node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name)
+                      and isinstance(node.ctx, ast.Load))
+        loaded.update(node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute))
+    assert [f"{module}:{name}" for module, name in defined
+            if name not in loaded] == []
