@@ -28,9 +28,7 @@ from .chip_model import (
     load_chip_fixture,
     new_chip,
     parse_chip_fixture,
-    prn_canonical_bytes,
     read_column_normal,
-    save_chip_fixture,
     write_column,
 )
 from .entropy_analysis import (

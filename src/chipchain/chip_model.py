@@ -32,9 +32,8 @@ import re
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -187,16 +186,6 @@ class FailureModel:
                 f"redundancy_rows={geometry.redundancy_rows}")
 
 
-def _pack_prn(total_rows: int, ordered: Sequence[int]) -> bytes:
-    return struct.pack(f">II{len(ordered)}I", total_rows, len(ordered), *ordered)
-
-
-def prn_canonical_bytes(rows: Sequence[int], total_rows: int) -> bytes:
-    """Canonical packed form: total row count, row count, then the sorted
-    failure row indices, each as a 4-byte big-endian word."""
-    return _pack_prn(total_rows, sorted(int(r) for r in rows))
-
-
 @dataclass(frozen=True)
 class Prn:
     """A chip's physical random number: its failure-row set.
@@ -229,9 +218,12 @@ class Prn:
 
     @cached_property
     def canonical_bytes(self) -> bytes:
-        """prn_canonical_bytes of the rows, which __post_init__ already
-        sorted and checked."""
-        return _pack_prn(self.total_rows, self.rows)
+        """Canonical packed form: total row count, row count, then the
+        failure rows in ascending order (__post_init__ sorted and checked
+        them), each as a 4-byte big-endian word."""
+        rows = self.rows
+        return struct.pack(f">II{len(rows)}I", self.total_rows, len(rows),
+                           *rows)
 
     @cached_property
     def hmac_states(self):
@@ -508,10 +500,6 @@ def parse_chip_fixture(text: str) -> SimulatedChip:
                              seed=seed)
     except ValueError as exc:
         raise invalid("swap_targets", f"swap_targets: {exc}") from None
-
-
-def save_chip_fixture(chip: SimulatedChip, path) -> None:
-    Path(path).write_text(format_chip_fixture(chip), encoding="utf-8")
 
 
 def load_chip_fixture(path) -> SimulatedChip:

@@ -59,6 +59,7 @@ from .ledger import (
     replace_chip,
     rotate_state_reproduce,
     save_chain,
+    seat_tree,
     verify_chain,
     verify_tree,
 )
@@ -250,10 +251,12 @@ def _cmd_ledger_replace(args):
         args.new_seed, f"{args.old}-replacement")
     repaired, recomputed = replace_chip(tree, args.old, replacement, args.l)
 
-    # independent route: rebuild everything from scratch with the swap
-    swapped = dict(chips)
-    swapped[args.old] = replacement
-    rebuilt = build_tree(topology, swapped, args.l, args.modulus_bits)
+    # independent route: re-run every transfer from genesis, seating the
+    # tree's pairs and a replacement pair derived here, not by replace_chip
+    keypairs = {node_id: node.keypair for node_id, node in tree.nodes.items()}
+    keypairs[args.old] = keypair_for_chip(replacement, args.l,
+                                          args.modulus_bits)
+    rebuilt = seat_tree(topology, keypairs)
     match = (repaired.root_hash == rebuilt.root_hash
              and all(repaired.nodes[n].latest_hash == rebuilt.nodes[n].latest_hash
                      for n in repaired.nodes))

@@ -37,8 +37,12 @@ enroll, take no blocked=.
 Schedule actions: enroll NODE, spoof ATTACKER VICTIM, build_tree,
 mine [DIFFICULTY], rotate NEW_STATE [offline=a,b], sweep, and
 tamper NODE seed=N (silent physical chip swap, caught by the next
-sweep).  An action given more words than its usage shows is refused
-with that usage.  build_tree needs a [topology] and runs once, before
+sweep).  One part is one chip: a [chips] line whose part has the
+fingerprint (row count and failure rows) of an earlier line's, or a
+tamper that gives a node the fingerprint another node holds at that
+tick, is refused, since the two parts would share every key.  An
+action given more words than its usage shows is refused with that
+usage.  build_tree needs a [topology] and runs once, before
 any mine.  A mine DIFFICULTY may not fall below [params] difficulty,
 the difficulty the run verifies its whole chain at.
 
@@ -106,6 +110,12 @@ class ChipSpec:
         return new_chip(self.geometry, self.failure_model,
                         seed=self.seed if seed is None else seed,
                         chip_id=chip_id or self.name)
+
+    def fingerprint(self,
+                    seed: int | None = None) -> tuple[int, tuple[int, ...]]:
+        """(rows, failure rows) of manufacture(seed): what its PRN packs,
+        so two parts with one fingerprint are one chip and share keys."""
+        return self.geometry.rows, self.manufacture(seed).failure_rows
 
 
 @dataclass(frozen=True)
@@ -179,8 +189,10 @@ def _parse_params(lines: _Lines, defaults: Mapping[str, object]) -> dict:
 
 def _parse_chips(lines: _Lines,
                  params: Mapping[str, object]) -> dict[str, ChipSpec]:
-    """`name seed=N [y= lambda= redundancy= min_failures=]` lines."""
+    """`name seed=N [y= lambda= redundancy= min_failures=]` lines; a
+    line whose part has the fingerprint of an earlier line's is a clone."""
     chips: dict[str, ChipSpec] = {}
+    ordered: dict[tuple, str] = {}  # fingerprint -> the chip ordering it
     for line_no, line in lines:
         where = f"line {line_no}"
         chip_name, *parts = line.split()
@@ -196,10 +208,15 @@ def _parse_chips(lines: _Lines,
             geometry = ChipGeometry(values["y"],
                                     redundancy_rows=values["redundancy"])
             model = FailureModel(values["lambda"], values["min_failures"])
-            chips[chip_name] = ChipSpec(chip_name, values["seed"], geometry,
-                                        model)
+            spec = ChipSpec(chip_name, values["seed"], geometry, model)
         except GeometryInvalid as exc:
             raise ConfigInvalid(f"{where}: chip {chip_name!r}: {exc}") from None
+        earlier = ordered.setdefault(spec.fingerprint(), chip_name)
+        if earlier != chip_name:
+            raise ConfigInvalid(f"{where}: chip {chip_name!r} clones "
+                                f"{earlier!r}: the same failure rows of "
+                                f"the same row count")
+        chips[chip_name] = spec
     return chips
 
 
@@ -332,6 +349,9 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
     topology = _parse_edges(sections["topology"], device)
 
     schedule: list[ScheduleItem] = []
+    # node -> the fingerprint it holds; a tamper may not clone another's
+    held = {spec.name: chips[spec.chip].fingerprint()
+            for spec in nodes.values() if spec.chip}
     last_tick = 0
     state = 0
     tree_built = False
@@ -366,6 +386,15 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
         elif action == "mine" and not tree_built:
             raise ConfigInvalid(f"{where}: no transfer tree to stamp; "
                                 "mine needs an earlier build_tree")
+        elif action == "tamper":
+            node = args["node"]
+            fingerprint = chips[nodes[node].chip].fingerprint(args["seed"])
+            holder = next((other for other, theirs in held.items()
+                           if theirs == fingerprint and other != node), None)
+            if holder is not None:
+                raise ConfigInvalid(f"{where}: tamper gives {node!r} a clone "
+                                    f"of the chip {holder!r} holds")
+            held[node] = fingerprint
         schedule.append(ScheduleItem(tick, action, args, line_no))
 
     return ScenarioConfig(

@@ -7,13 +7,15 @@ at the same state index always reproduces the same keys; possession of
 the physical chip is what regenerates the secret key.  No key is
 stored on the device side.  What is held, and by whom: a chip keeps
 the Prn of each column it was read on (chip_model.extract_prn), a pure
-function of its fixed failure rows; a scenario run holds each node's
-chip and keeps the pair of that chip at the current state index,
-dropping it on rotate or tamper (network_sim.Simulation); a transfer
-tree holds each seat's pair and its records but never the chip, so a
-rotate is handed the chips to derive from (ledger); and _derive_core
-keeps a bounded process-wide cache of derived keys by response bytes
-and size.
+function of its fixed failure rows; a pair records the response bytes
+that seeded it, so an audit handed the pair its chip's fresh response
+seeds uses it instead of deriving again (crp_audit); a scenario run
+holds each node's chip and keeps the pair of that chip at the current
+state index, dropping it on rotate or tamper (network_sim.Simulation);
+a transfer tree holds each seat's pair and its records but never the
+chip, so a rotate is handed the chips to derive from (ledger); and
+_derive_core keeps a bounded process-wide cache of derived keys by
+response bytes and size, which no package path needs.
 
 The keyed digest is HMAC-SHA256 with the PRN's canonical bytes as the
 key.  Each Prn keeps the inner and outer SHA-256 states of its key,
@@ -61,8 +63,9 @@ not production parameters.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 
@@ -252,11 +255,15 @@ class SecretKey:
 
 @dataclass(frozen=True)
 class ChipKeyPair:
+    """The pair a chip's response seeds; seed is that response's bytes,
+    kept for crp_audit and left out of equality and repr."""
+
     chip_id: str
     state_index: int
     public_key: PublicKey
     secret_key: SecretKey
     modulus_bits: int
+    seed: bytes = field(compare=False, repr=False)
 
 
 def key_fingerprint(key: PublicKey) -> str:
@@ -458,22 +465,12 @@ def _next_prime(candidate: int, max_steps: int = 1 << 17) -> int:
         f"no prime within {max_steps} odd steps of the candidate")
 
 
-class _ByteStream:
-    """Counter-mode SHA-256 stream over a fixed seed."""
-
-    def __init__(self, seed: bytes):
-        self.seed = seed
-        self.counter = 0
-        self.buffer = b""
-
-    def take(self, nbytes: int) -> bytes:
-        while len(self.buffer) < nbytes:
-            self.buffer += hashlib.sha256(
-                _KDF_TAG + self.seed + self.counter.to_bytes(4, "big")
-            ).digest()
-            self.counter += 1
-        out, self.buffer = self.buffer[:nbytes], self.buffer[nbytes:]
-        return out
+def _key_seed_blocks(seed: bytes):
+    """Counter-mode SHA-256 over a fixed seed: block i is
+    SHA-256(tag || seed || i as a 4-byte word)."""
+    for counter in itertools.count():
+        yield hashlib.sha256(
+            _KDF_TAG + seed + counter.to_bytes(4, "big")).digest()
 
 
 # Bounded so that memory does not grow with throughput: a fig10 run
@@ -481,10 +478,12 @@ class _ByteStream:
 @lru_cache(maxsize=1024)
 def _derive_core(seed: bytes, modulus_bits: int):
     half = modulus_bits // 2
-    stream = _ByteStream(seed)
+    blocks = _key_seed_blocks(seed)
 
     def candidate() -> int:
-        raw = int.from_bytes(stream.take(half // 8), "big")
+        # half is 256, 512 or 1024 bits: whole SHA-256 blocks
+        raw = int.from_bytes(
+            b"".join(itertools.islice(blocks, half // 256)), "big")
         # top two bits forced so p*q always lands on modulus_bits bits
         return raw | (3 << (half - 2)) | 1
 
@@ -520,6 +519,7 @@ def derive_keypair(response: Response, modulus_bits: int = 1024) -> ChipKeyPair:
         public_key=public,
         secret_key=secret,
         modulus_bits=modulus_bits,
+        seed=response.data,
     )
 
 
@@ -603,15 +603,20 @@ class Audit:
 
 
 def crp_audit(chip: SimulatedChip, expected_key: PublicKey,
-              state_index: int, nonce: bytes) -> Audit:
+              state_index: int, nonce: bytes,
+              held: ChipKeyPair | None = None) -> Audit:
     """Challenge the physical chip and test it against a claimed key.
 
-    The chip regenerates its keypair at state_index and signs the
-    fresh nonce.  Genuine requires both the regenerated public key to
-    equal the claimed one and the nonce signature to verify under the
-    claimed key; an Impostor verdict is a result, not an error.  Either
-    way the chip's signature comes back with the verdict, so a caller
-    keeping the transcript never signs again.
+    The chip answers the challenge of state_index and the keypair its
+    response seeds signs the fresh nonce.  A derivation is a pure
+    function of the response, so a held pair that this response seeded
+    at the claimed size is used as it is; without one (no pair, or one
+    of another chip, state or size) the audit derives.  Genuine
+    requires both that pair's public key to equal the claimed one and
+    the nonce signature to verify under the claimed key; an Impostor
+    verdict is a result, not an error.  Either way the chip's signature
+    comes back with the verdict, so a caller keeping the transcript
+    never signs again.
     """
     nonce = bytes(nonce)
     if not nonce:
@@ -621,7 +626,12 @@ def crp_audit(chip: SimulatedChip, expected_key: PublicKey,
     bits = expected_key.modulus.bit_length()
     if bits not in SUPPORTED_MODULUS_BITS:
         return Audit(AuditVerdict.IMPOSTOR, None)
-    pair = derive_keypair(respond(extract_prn(chip), challenge), bits)
+    response = respond(extract_prn(chip), challenge)
+    if (held is not None and held.seed == response.data
+            and held.modulus_bits == bits):
+        pair = held
+    else:
+        pair = derive_keypair(response, bits)
     signature = sign(pair.secret_key, nonce)
     try:
         signature_ok = verify(expected_key, nonce, signature)

@@ -166,7 +166,9 @@ class Simulation:
     The run derives each (chip, state) key pair once: `_keypairs` holds
     the pair of each node's chip at the current state index, as first
     derived or as the reproduced tree seated it, until a rotate or a
-    tamper drops it.
+    tamper drops it.  Every audit is handed the node's held pair, which
+    it uses when the chip's fresh response seeded it, so a fig10 run
+    derives 19 pairs for its 19 (chip, state) responses.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int = 0):
@@ -230,9 +232,10 @@ class Simulation:
                        key="none" if claimed is None else key_fingerprint(claimed))
             return self._deny(node, "no_chip" if claimed is None
                               else "audit_failed")
-        claimed_key = self._device_keypair(node).public_key
+        pair = self._device_keypair(node)
+        claimed_key = pair.public_key
         self._emit("Response", node=node, key=key_fingerprint(claimed_key))
-        audit = crp_audit(chip, claimed_key, self.state_index, nonce)
+        audit = crp_audit(chip, claimed_key, self.state_index, nonce, pair)
         if audit.verdict is AuditVerdict.GENUINE:
             self.registry[node] = claimed_key
             self.transcripts[node] = (nonce, audit.signature)
@@ -281,7 +284,8 @@ class Simulation:
         for name in sorted(self.registry):
             nonce = self._challenge(name)
             audit = crp_audit(self.chips[name], self.registry[name],
-                              self.state_index, nonce)
+                              self.state_index, nonce,
+                              self._keypairs.get(name))
             retained = audit.verdict is AuditVerdict.GENUINE
             self._emit("Verdict", actor=self.config.management, node=name,
                        verdict="Retained" if retained else "AuditFailed")

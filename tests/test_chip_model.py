@@ -33,10 +33,8 @@ from chipchain import (
     make_challenge,
     new_chip,
     parse_chip_fixture,
-    prn_canonical_bytes,
     read_column_normal,
     respond,
-    save_chip_fixture,
     write_column,
 )
 from chipchain.chip_model import MAX_MEAN_FAILURES, MAX_REDUNDANCY_ROWS, MAX_ROWS
@@ -487,13 +485,19 @@ def test_extract_prn_fidelity_fuzz(data):
 # ---------------------------------------------------------- canonical form
 
 def test_canonical_bytes_golden():
-    assert prn_canonical_bytes((3, 7), 16) == bytes(
+    assert Prn("a", 0, (3, 7), 16).canonical_bytes == bytes(
         [0, 0, 0, 16, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 7]
     )
 
 
 def test_canonical_bytes_sorts_input():
-    assert prn_canonical_bytes((7, 3), 16) == prn_canonical_bytes((3, 7), 16)
+    """Prn sorts its rows, so the order they come in does not reach the
+    packed bytes."""
+    assert Prn("a", 0, (7, 3), 16).canonical_bytes == bytes(
+        [0, 0, 0, 16, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 7]
+    )
+    assert (Prn("a", 0, (9, 1, 5), 16).canonical_bytes
+            == Prn("a", 0, (1, 5, 9), 16).canonical_bytes)
 
 
 def test_canonical_ignores_chip_identity():
@@ -503,7 +507,8 @@ def test_canonical_ignores_chip_identity():
 
 
 def test_canonical_distinguishes_total_rows():
-    assert prn_canonical_bytes((3,), 16) != prn_canonical_bytes((3,), 32)
+    assert (Prn("a", 0, (3,), 16).canonical_bytes
+            != Prn("a", 0, (3,), 32).canonical_bytes)
 
 
 def test_prn_stores_rows_sorted():
@@ -512,10 +517,10 @@ def test_prn_stores_rows_sorted():
     assert a.rows == (3, 7)
     assert a == b
     assert hash(a) == hash(b)
-    assert a.canonical_bytes == prn_canonical_bytes((7, 3), 16)
+    assert a.canonical_bytes == b.canonical_bytes
     numpy_rows = Prn("a", 0, [np.int64(5), np.uint32(1)], np.int64(16))
     assert numpy_rows.rows == (1, 5)
-    assert numpy_rows.canonical_bytes == prn_canonical_bytes((5, 1), 16)
+    assert numpy_rows.canonical_bytes == Prn("a", 0, (1, 5), 16).canonical_bytes
 
 
 def test_normalised_prn_pickles():
@@ -554,7 +559,7 @@ def test_prn_accepts_its_bounds():
 
 def test_fixture_roundtrip(tmp_path, desk_chip):
     path = tmp_path / "chip.chip"
-    save_chip_fixture(desk_chip, path)
+    path.write_text(format_chip_fixture(desk_chip))
     loaded = load_chip_fixture(path)
     assert loaded.chip_id == desk_chip.chip_id
     assert loaded.geometry == desk_chip.geometry
@@ -565,7 +570,7 @@ def test_fixture_roundtrip(tmp_path, desk_chip):
 
 def test_fixture_comments_and_blanks(tmp_path, desk_chip):
     path = tmp_path / "chip.chip"
-    save_chip_fixture(desk_chip, path)
+    path.write_text(format_chip_fixture(desk_chip))
     text = "# banner\n\n" + path.read_text().replace("\n", "  # note\n", 1)
     assert parse_chip_fixture(text).chip_id == desk_chip.chip_id
 
@@ -653,7 +658,7 @@ def test_fixture_numpy_free_types(tmp_path):
     """Fixture loading yields plain ints even though manufacture uses numpy."""
     chip = new_chip(ChipGeometry(rows=64), seed=3)
     path = tmp_path / "c.chip"
-    save_chip_fixture(chip, path)
+    path.write_text(format_chip_fixture(chip))
     loaded = load_chip_fixture(path)
     assert all(type(r) is int for r in loaded.failure_rows)
     assert not isinstance(loaded.failure_rows[0], np.integer)

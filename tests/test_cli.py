@@ -17,7 +17,10 @@ from chipchain import (
     replace_chip,
     serialize_chain,
 )
+from chipchain import cli, identity
 from chipchain.cli import _build_parser, dispatch, main
+from chipchain.config import bundled_scenario
+from chipchain.network_sim import run_scenario
 
 from oracles import binom_product
 from test_network_sim import MINI, REENROLL_SCHEDULE, REFUSED
@@ -783,6 +786,58 @@ def test_ledger_rotate(topo_file):
     assert result.exit_code == 0
     assert field_anywhere(result, "keys_changed") == "4/4"
     assert field_anywhere(result, "verified") == "yes"
+
+
+def test_ledger_replace_diverges_from_a_wrong_replacement_key(topo_file,
+                                                             monkeypatch):
+    """The from-scratch route derives the replacement's pair itself, so a
+    repair that seats another chip's key is caught."""
+    def wrong_chip(tree, node_id, replacement, state_index):
+        other = new_chip(replacement.geometry, seed=12345)
+        return replace_chip(tree, node_id, other, state_index)
+
+    monkeypatch.setattr(cli, "replace_chip", wrong_chip)
+    result = dispatch(["ledger", "replace", "--topology", topo_file,
+                       "--old", "n3", "--new-seed", "99",
+                       "--modulus-bits", "512"])
+    assert result.exit_code == 1
+    assert field_anywhere(result, "rebuild_match") == "no"
+    assert "diverged" in result.diagnostics
+
+
+def test_every_path_derives_each_response_once(topo_file, tmp_path,
+                                               monkeypatch):
+    """With the process-wide key cache bypassed, no path derives a
+    response twice except where a check must: fig10 derives its 19
+    (chip, state) pairs once each, `ledger build`, `mine` and `rotate`
+    once per response, and `ledger replace` on n chips derives n + 2
+    times, n + 1 distinct: the tree, the repair's replacement pair and
+    the from-scratch check's own replacement pair."""
+    derivations = []
+    uncached = identity._derive_core.__wrapped__
+
+    def counting(seed, modulus_bits):
+        derivations.append((seed, modulus_bits))
+        return uncached(seed, modulus_bits)
+
+    monkeypatch.setattr(identity, "_derive_core", counting)
+
+    def derived(argv) -> tuple[int, int]:
+        derivations.clear()
+        result = dispatch(argv)
+        assert result.exit_code == 0, result.diagnostics
+        return len(derivations), len(set(derivations))
+
+    run_scenario(bundled_scenario("fig10-coexistence"), seed=0)
+    assert (len(derivations), len(set(derivations))) == (19, 19)
+    ledger = ["--topology", topo_file, "--modulus-bits", "512"]
+    chain = str(tmp_path / "chain.bin")
+    assert derived(["ledger", "build", *ledger]) == (4, 4)
+    assert derived(["ledger", "mine", *ledger, "--difficulty", "4",
+                    "--chain", chain]) == (4, 4)
+    assert derived(["ledger", "rotate", *ledger, "--new-l", "1"]) == (8, 8)
+    assert derived(["ledger", "replace", *ledger, "--old", "n3",
+                    "--new-seed", "99"]) == (6, 5)
 
 
 # ---------------------------------------------------------------- scenario

@@ -1038,6 +1038,77 @@ def test_audit_refusals_still_raise(monkeypatch, state_index, nonce, message,
     with pytest.raises(ValueError, match=message):
         crp_audit(chip, claimed, state_index, nonce)
 
+
+def test_a_pair_records_the_response_that_seeded_it():
+    chip = make_small_chip(20)
+    response = respond(extract_prn(chip), make_challenge(3))
+    pair = derive_keypair(response, 512)
+    assert pair.seed == response.data
+    assert keypair_for_chip(chip, 3, 512).seed == response.data
+    assert dataclasses.replace(pair, seed=b"other") == pair
+    assert "seed" not in repr(pair)
+
+
+def _counting(monkeypatch, name):
+    """Wrap identity.<name> so that each call is recorded."""
+    calls = []
+    original = getattr(identity, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(identity, name, counting)
+    return calls
+
+
+def test_audit_uses_the_held_pair_its_fresh_response_seeded(monkeypatch):
+    """The chip is still read and still answers; the pair that answer
+    seeded is not derived again."""
+    chip = make_small_chip(20)
+    pair = keypair_for_chip(chip, 2, modulus_bits=512)
+    responses = _counting(monkeypatch, "respond")
+
+    def no_derivation(*args):
+        raise AssertionError("a held pair of this response must be used")
+
+    monkeypatch.setattr(identity, "derive_keypair", no_derivation)
+    for nonce in (b"first", b"second"):
+        audit = crp_audit(chip, pair.public_key, 2, nonce, pair)
+        assert audit == Audit(AuditVerdict.GENUINE,
+                              sign(pair.secret_key, nonce))
+    assert len(responses) == 2
+
+
+@pytest.mark.parametrize("held_chip, held_state, held_bits", [
+    (21, 0, 512), (20, 1, 512), (20, 0, 1024)],
+    ids=["other-chip", "other-state", "other-size"])
+def test_audit_derives_when_the_held_pair_is_not_its_responses(
+        monkeypatch, held_chip, held_state, held_bits):
+    """A held pair of another chip, state or size is not the pair this
+    response seeds: the audit derives its own and decides on that."""
+    chip = make_small_chip(20)
+    genuine = keypair_for_chip(chip, 0, modulus_bits=512)
+    held = keypair_for_chip(make_small_chip(held_chip), held_state,
+                            modulus_bits=held_bits)
+    derived = _counting(monkeypatch, "derive_keypair")
+    audit = crp_audit(chip, genuine.public_key, 0, b"n", held)
+    assert audit == Audit(AuditVerdict.GENUINE, sign(genuine.secret_key, b"n"))
+    assert [(response.data, bits) for response, bits in derived] == [
+        (genuine.seed, 512)]
+
+
+def test_audit_of_a_swapped_chip_derives_and_fails(monkeypatch):
+    """Holding the registered chip's pair does not let another chip
+    pass: the swapped chip answers differently and keys its own pair."""
+    registered = keypair_for_chip(make_small_chip(20), 0, modulus_bits=512)
+    swapped = make_small_chip(21)
+    own = keypair_for_chip(swapped, 0, modulus_bits=512)
+    derived = _counting(monkeypatch, "derive_keypair")
+    audit = crp_audit(swapped, registered.public_key, 0, b"n", registered)
+    assert audit == Audit(AuditVerdict.IMPOSTOR, sign(own.secret_key, b"n"))
+    assert [response.data for response, _bits in derived] == [own.seed]
+
 def test_fingerprint_distinctness_sweep():
     """No fingerprint, response, or key collides across a small chip batch."""
     fingerprints = set()

@@ -292,6 +292,70 @@ def test_claims_only_for_attackers():
         )
 
 
+# One part is one chip.  Both configs below once ran: cd cloned ca, so
+# eve's own-chip spoof of a was Accepted; and the tamper handed b the
+# part a holds, so the sweep after a rotate retained both with one key.
+CLONED_CHIP = MINI.replace("cc seed=3", "cc seed=3\ncd seed=1") + """
+[nodes]
+eve role=attacker chip=cd strategy=own_chip claims=a
+[schedule]
+6 spoof eve a
+"""
+CLONING_TAMPER = MINI + "6 tamper b seed=1\n7 rotate 1\n8 sweep\n"
+
+
+def _line_of(text: str, line: str) -> int:
+    return text.splitlines().index(line) + 1
+
+
+# ca's order at seed 1 reads out 8 failure rows, so spare-row bounds that
+# do not clip 8 make the same part; another y or lambda makes another
+@pytest.mark.parametrize("options", ["", "redundancy=19", "min_failures=2"])
+def test_parse_refuses_a_chip_line_that_clones_an_earlier_part(options):
+    bad = CLONED_CHIP.replace("cd seed=1", f"cd seed=1 {options}".rstrip())
+    line_no = _line_of(bad, f"cd seed=1 {options}".rstrip())
+    with pytest.raises(ConfigInvalid, match=re.escape(
+            f"line {line_no}: chip 'cd' clones 'ca': the same failure rows "
+            "of the same row count")):
+        parse_scenario(bad)
+
+
+@pytest.mark.parametrize("options", ["y=257", "lambda=9"])
+def test_parse_takes_another_part_at_the_same_seed(options):
+    config = parse_scenario(CLONED_CHIP.replace("cd seed=1",
+                                                f"cd seed=1 {options}"))
+    log = run_scenario(config)
+    assert check_invariants(log) == []
+    assert log.rejections == 1
+
+
+def test_parse_refuses_a_tamper_that_clones_a_held_part():
+    line_no = _line_of(CLONING_TAMPER, "6 tamper b seed=1")
+    with pytest.raises(ConfigInvalid, match=re.escape(
+            f"line {line_no}: tamper gives 'b' a clone of the chip 'a' holds")):
+        parse_scenario(CLONING_TAMPER)
+
+
+def test_parse_lets_a_tamper_take_a_part_its_holder_gave_up():
+    """Holding is per tick: once b's own part is swapped out, a's tamper
+    may take it; b's tamper back to it while a holds it is refused."""
+    moved = MINI + "6 tamper b seed=7\n7 tamper a seed=2\n8 sweep\n"
+    log = run_scenario(parse_scenario(moved))
+    assert log.evicted == ((8, "a"), (8, "b"))
+    bad = moved + "9 tamper b seed=2\n"
+    with pytest.raises(ConfigInvalid, match=re.escape(
+            f"line {_line_of(bad, '9 tamper b seed=2')}: tamper gives 'b' a "
+            "clone of the chip 'a' holds")):
+        parse_scenario(bad)
+
+
+def test_parse_topology_refuses_a_chip_line_that_clones_an_earlier_part():
+    bad = LEDGER + "[chips]\nn3 seed=51 lambda=3 min_failures=2\n"
+    with pytest.raises(ConfigInvalid, match=re.escape(
+            f"line {len(bad.splitlines())}: chip 'n3' clones 'n1'")):
+        parse_topology(bad)
+
+
 def test_bundled_scenarios():
     names = list_bundled_scenarios()
     assert "fig10-coexistence" in names
@@ -613,9 +677,10 @@ def _count_calls_everywhere(monkeypatch, original, on_call):
 
 
 def test_fig10_signs_each_nonce_once(monkeypatch):
-    """One fig10 run: 35 signatures, 37 derivations of 19 responses: one
-    per (chip, state), 10 at state 0 and 9 where the rotate reproduces
-    the tree, and one per audit (9 enrolls, 9 sweeps)."""
+    """One fig10 run: 35 signatures and 19 derivations of 19 responses,
+    one per (chip, state): 10 at state 0 and 9 where the rotate
+    reproduces the tree.  The 9 enroll and 9 sweep audits use the pair
+    the run holds, which their chip's fresh response seeded."""
     signatures = []
     responses = []
     _count_calls_everywhere(monkeypatch, chipchain.sign,
@@ -626,7 +691,7 @@ def test_fig10_signs_each_nonce_once(monkeypatch):
     log = run_scenario(bundled_scenario("fig10-coexistence"), seed=0)
     assert log.chain_ok()
     assert len(signatures) == 35
-    assert len(responses) == 37
+    assert len(responses) == 19
     assert len(set(responses)) == 19
 
 
