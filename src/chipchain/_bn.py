@@ -28,8 +28,13 @@ is kept small: nine functions, each with declared argument and result
 types, every return code checked.  One BN_CTX with four scratch
 BIGNUMs is allocated once and released with the process (freeing them
 at exit could pull them from under a daemon thread still inside a
-call).  ctypes releases the GIL during each foreign call, so a lock
-guards the BN_CTX and the scratch BIGNUMs.
+call).  Beside them sits one scratch output buffer that every call
+writes its result into and reads it back from; it starts at 256 bytes
+(a 2048-bit modulus) and only grows, under the lock, when a larger
+modulus comes.  A handle does not keep a buffer of its own, since a
+key cache keeps every key's handles alive.  ctypes releases the GIL
+during each foreign call, so a lock guards the BN_CTX, the scratch
+BIGNUMs and the buffer, which is read before the lock is released.
 
 A handle owns its exponent, modulus and Montgomery context: the caller
 that keeps the handle (a key, in identity) owns them.  They are freed
@@ -99,6 +104,13 @@ def _load(name: str = _LIBRARY):
     bn_free = funcs["BN_clear_free"]
     is_finalizing = sys.is_finalizing
     lock = threading.Lock()
+    out = ctypes.create_string_buffer(256)
+
+    def reserve(size: int) -> None:
+        """Grow the output buffer to at least size bytes; lock held."""
+        nonlocal out
+        if size > len(out):
+            out = ctypes.create_string_buffer(size)
 
     def powmod(base: int, exponent: int, modulus: int) -> int:
         if base < 0 or exponent < 0 or modulus < 3 or not modulus & 1:
@@ -106,17 +118,16 @@ def _load(name: str = _LIBRARY):
         b, e = _to_bytes(base), _to_bytes(exponent)
         size = (modulus.bit_length() + 7) // 8
         m = modulus.to_bytes(size, "big")
-        out = ctypes.create_string_buffer(size)
         with lock:
-            ok = (bin2bn(b, len(b), base_bn)
-                  and bin2bn(e, len(e), exponent_bn)
-                  and bin2bn(m, size, modulus_bn)
-                  and mod_exp(result_bn, base_bn, exponent_bn, modulus_bn,
-                              ctx, None)
-                  and bn2binpad(result_bn, out, size) == size)
-        if not ok:
-            raise RuntimeError("libcrypto BN_mod_exp_mont failed")
-        return int.from_bytes(out.raw, "big")
+            reserve(size)
+            if (bin2bn(b, len(b), base_bn)
+                    and bin2bn(e, len(e), exponent_bn)
+                    and bin2bn(m, size, modulus_bn)
+                    and mod_exp(result_bn, base_bn, exponent_bn, modulus_bn,
+                                ctx, None)
+                    and bn2binpad(result_bn, out, size) == size):
+                return int.from_bytes(out[:size], "big")
+        raise RuntimeError("libcrypto BN_mod_exp_mont failed")
 
     class MontgomeryPowmod:
         """base -> pow(base, exponent, modulus) for an odd modulus above 2
@@ -136,6 +147,7 @@ def _load(name: str = _LIBRARY):
             if not (self._exponent_bn and self._modulus_bn and self._mont):
                 raise MemoryError("libcrypto could not allocate a handle")
             with lock:
+                reserve(size)  # so that a call never needs to grow it
                 ok = mont_set(self._mont, self._modulus_bn, ctx)
             if not ok:
                 raise RuntimeError("libcrypto BN_MONT_CTX_set failed")
@@ -144,15 +156,13 @@ def _load(name: str = _LIBRARY):
             if base < 0:
                 return pow(base, self._exponent, self._modulus)
             b, size = _to_bytes(base), self._size
-            out = ctypes.create_string_buffer(size)
             with lock:
-                ok = (bin2bn(b, len(b), base_bn)
-                      and mod_exp(result_bn, base_bn, self._exponent_bn,
-                                  self._modulus_bn, ctx, self._mont)
-                      and bn2binpad(result_bn, out, size) == size)
-            if not ok:
-                raise RuntimeError("libcrypto BN_mod_exp_mont failed")
-            return int.from_bytes(out.raw, "big")
+                if (bin2bn(b, len(b), base_bn)
+                        and mod_exp(result_bn, base_bn, self._exponent_bn,
+                                    self._modulus_bn, ctx, self._mont)
+                        and bn2binpad(result_bn, out, size) == size):
+                    return int.from_bytes(out[:size], "big")
+            raise RuntimeError("libcrypto BN_mod_exp_mont failed")
 
         def __reduce__(self):
             raise TypeError("a libcrypto handle cannot be pickled or copied")

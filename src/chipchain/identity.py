@@ -9,9 +9,11 @@ stored on the device side.  What is held, and by whom: a chip keeps
 the Prn of each column it was read on (chip_model.extract_prn), a pure
 function of its fixed failure rows; a pair records the response bytes
 that seeded it, so an audit handed the pair its chip's fresh response
-seeds uses it instead of deriving again (crp_audit); a scenario run
-holds each node's chip and keeps the pair of that chip at the current
-state index, dropping it on rotate or tamper (network_sim.Simulation);
+seeds uses it instead of deriving again, and an audit hands back the
+pair that signed (crp_audit); a scenario run holds each node's chip
+and keeps the pair of that chip at the current state index (a sweep
+keeps the pair its audit hands back), dropping it on rotate or tamper
+(network_sim.Simulation);
 a transfer tree holds each seat's pair and its records but never the
 chip, so a rotate is handed the chips to derive from (ledger); and
 _derive_core keeps a bounded process-wide cache of derived keys by
@@ -595,11 +597,15 @@ class Audit:
 
     signature is the chip's signature over the verifier's nonce, the
     transcript of the exchange, or None when no signature was made
-    (the claimed key has an unsupported size).
+    (the claimed key has an unsupported size).  keypair is the pair the
+    chip's fresh response seeded, the one that signed (held or derived),
+    or None with the signature; it is left out of equality and repr.
     """
 
     verdict: AuditVerdict
     signature: bytes | None
+    keypair: ChipKeyPair | None = field(default=None, compare=False,
+                                        repr=False)
 
 
 def crp_audit(chip: SimulatedChip, expected_key: PublicKey,
@@ -615,8 +621,9 @@ def crp_audit(chip: SimulatedChip, expected_key: PublicKey,
     requires both that pair's public key to equal the claimed one and
     the nonce signature to verify under the claimed key; an Impostor
     verdict is a result, not an error.  Either way the chip's signature
-    comes back with the verdict, so a caller keeping the transcript
-    never signs again.
+    and the pair that made it come back with the verdict, so a caller
+    keeping the transcript never signs again and a caller keeping pairs
+    never derives this pair again.
     """
     nonce = bytes(nonce)
     if not nonce:
@@ -638,5 +645,5 @@ def crp_audit(chip: SimulatedChip, expected_key: PublicKey,
     except SignatureMalformed:
         signature_ok = False
     if signature_ok and pair.public_key == expected_key:
-        return Audit(AuditVerdict.GENUINE, signature)
-    return Audit(AuditVerdict.IMPOSTOR, signature)
+        return Audit(AuditVerdict.GENUINE, signature, pair)
+    return Audit(AuditVerdict.IMPOSTOR, signature, pair)

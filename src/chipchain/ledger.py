@@ -120,7 +120,9 @@ def verify_record(record: TransactionRecord) -> bool:
 class ChipNode:
     """A chip's seat in the transfer tree: the key pair its chip derived
     and the records it received, not the chip itself.  Genesis, fold and
-    latest signature derive from them."""
+    latest signature derive from them; the fold starts from the genesis
+    record's hash, record_hash(key, ZERO_HASH, GENESIS_SIGNATURE), and
+    folds in each incoming record's hash in order."""
 
     node_id: str
     keypair: ChipKeyPair
@@ -136,7 +138,8 @@ class ChipNode:
 
     @property
     def latest_hash(self) -> bytes:
-        latest = self.genesis.hash_value
+        # the genesis record's hash, without building the record
+        latest = record_hash(self.public_key, ZERO_HASH, GENESIS_SIGNATURE)
         for record in self.incoming:
             latest = fold_hash(self.public_key, latest, record.hash_value)
         return latest

@@ -8,6 +8,9 @@ inside the membership.  A run follows a ScenarioConfig parsed by
 chipchain.config, tick by tick through its schedule, and is fully
 deterministic for a given (config, seed): replaying yields
 byte-identical event records except that audit nonces follow the seed.
+Each challenge takes its 32-byte nonce from the PCG64 stream the seed
+selects, the bytes np.random.default_rng(seed).bytes(32) would give in
+the same order.
 
 An action the run refuses (a second enroll, a spoof of an unregistered
 victim, a build_tree before its devices are admitted) raises a
@@ -167,14 +170,17 @@ class Simulation:
     the pair of each node's chip at the current state index, as first
     derived or as the reproduced tree seated it, until a rotate or a
     tamper drops it.  Every audit is handed the node's held pair, which
-    it uses when the chip's fresh response seeded it, so a fig10 run
-    derives 19 pairs for its 19 (chip, state) responses.
+    it uses when the chip's fresh response seeded it, and hands back the
+    pair that signed; a sweep keeps that pair, so a node whose chip was
+    swapped is derived once, at its audit, and not again when it
+    re-enrolls.  A fig10 run derives 19 pairs for its 19 (chip, state)
+    responses.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int = 0):
         self.config = config
         self.seed = seed
-        self.rng = np.random.default_rng(seed)
+        self._nonces = np.random.PCG64(seed)
         self.clock = 0
         self.events: list[Event] = []
         self.state_index = 0
@@ -191,11 +197,19 @@ class Simulation:
     def _emit(self, kind: str, **fields):
         self.events.append(Event(
             self.clock, kind,
-            tuple((key, str(value)) for key, value in fields.items())))
+            tuple(zip(fields, map(str, fields.values())))))
 
     def _challenge(self, node: str) -> bytes:
-        """A fresh audit nonce for node, recorded as its Challenge."""
-        nonce = self.rng.bytes(32)
+        """A fresh audit nonce for node, recorded as its Challenge.
+
+        The nonce is four raw 64-bit words of the PCG64 stream the seed
+        selects, each little-endian.  These are the bytes
+        np.random.default_rng(seed).bytes(32) gives: Generator.bytes
+        draws the same words and hands out the low 32 bits of each before
+        the high, and since a run draws only whole 32-byte nonces no
+        half-used word is ever pending.
+        """
+        nonce = self._nonces.random_raw(4).astype("<u8", copy=False).tobytes()
         self._emit("Challenge", actor=self.config.management, node=node,
                    issuer=ROLE_MANAGEMENT, state=self.state_index,
                    nonce=nonce.hex()[:16])
@@ -279,13 +293,19 @@ class Simulation:
         return not accepted
 
     def sweep(self) -> tuple[str, ...]:
-        """Re-audit every member against its registered address."""
+        """Re-audit every member against its registered address.
+
+        Each audit is handed the node's held pair and hands back the pair
+        that signed, which the run keeps whatever the verdict: it is the
+        pair of the chip the node holds now, at the current state.
+        """
         failed = []
         for name in sorted(self.registry):
             nonce = self._challenge(name)
             audit = crp_audit(self.chips[name], self.registry[name],
                               self.state_index, nonce,
                               self._keypairs.get(name))
+            self._keypairs[name] = audit.keypair
             retained = audit.verdict is AuditVerdict.GENUINE
             self._emit("Verdict", actor=self.config.management, node=name,
                        verdict="Retained" if retained else "AuditFailed")

@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,74 @@ def test_powmod_from_many_threads():
             thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    assert failures == []
+
+
+_PLAIN_LOCK = threading.Lock  # kept: the test below patches threading.Lock
+
+
+class _HandOverLock:
+    """A lock that sleeps once released, so that a thread waiting for it
+    takes it and finishes its call before the releasing thread goes on."""
+
+    def __init__(self):
+        self._lock = _PLAIN_LOCK()
+
+    def __enter__(self):
+        self._lock.acquire()
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+        time.sleep(5e-4)
+
+
+def test_handles_and_powmod_share_the_output_buffer_across_threads(
+        monkeypatch):
+    """Every call writes its result into one scratch buffer and reads it
+    back under the lock.  Threads call handles of 512-, 1024- and
+    2048-bit moduli and the one-shot powmod, whose moduli run up to
+    3072 bits, at the same time.  The lock hands over at each release,
+    so a result read after the release would be another thread's, of
+    another size."""
+    if POWMOD_BACKEND != "libcrypto":
+        pytest.skip("the builtin backend has no buffer")
+    with monkeypatch.context() as patch:
+        patch.setattr(_bn.threading, "Lock", _HandOverLock)
+        powmod, fixed_powmod, _backend = _bn._load()
+    rounds = 40
+    moduli = [(1 << bits) - 1 - 2 * k
+              for k, bits in enumerate((512, 1024, 2048))]
+    handles = [fixed_powmod(65537, modulus) for modulus in moduli]
+    handle_cases = [[(base, pow(base, 65537, modulus))
+                     for base in ((k + 3) ** 50 % modulus
+                                  for k in range(rounds))]
+                    for modulus in moduli]
+    one_shot = [((k + 5) ** 30, 65537, (1 << (512 * (k % 6 + 1))) - 3)
+                for k in range(rounds)]
+    one_shot_cases = [(ops, pow(*ops)) for ops in one_shot]
+    barrier = threading.Barrier(len(handles) + 1)
+    failures = []
+
+    def call_handle(index):
+        barrier.wait(timeout=30)
+        for k, (base, expected) in enumerate(handle_cases[index]):
+            if handles[index](base) != expected:
+                failures.append((index, k))
+
+    def call_powmod():
+        barrier.wait(timeout=30)
+        for k, (operands, expected) in enumerate(one_shot_cases):
+            if powmod(*operands) != expected:
+                failures.append(("powmod", k))
+
+    pool = [threading.Thread(target=call_handle, args=(i,))
+            for i in range(len(handles))]
+    pool.append(threading.Thread(target=call_powmod))
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in pool)
     assert failures == []
 

@@ -1109,6 +1109,23 @@ def test_audit_of_a_swapped_chip_derives_and_fails(monkeypatch):
     assert audit == Audit(AuditVerdict.IMPOSTOR, sign(own.secret_key, b"n"))
     assert [response.data for response, _bits in derived] == [own.seed]
 
+
+def test_audit_hands_back_the_pair_that_signed():
+    """A held pair comes back as it is, a derived one as derived, and an
+    unsupported claimed size makes neither; the pair stays out of
+    equality and repr."""
+    chip = make_small_chip(20)
+    held = keypair_for_chip(chip, 0, modulus_bits=512)
+    assert crp_audit(chip, held.public_key, 0, b"n", held).keypair is held
+    swapped = make_small_chip(21)
+    audit = crp_audit(swapped, held.public_key, 0, b"n", held)
+    assert audit.keypair == keypair_for_chip(swapped, 0, modulus_bits=512)
+    assert audit.keypair.chip_id == swapped.chip_id
+    assert audit == Audit(AuditVerdict.IMPOSTOR, audit.signature)
+    assert "keypair" not in repr(audit)
+    bogus = PublicKey(modulus=(1 << 767) + 11, exponent=65537)
+    assert crp_audit(chip, bogus, 0, b"n").keypair is None
+
 def test_fingerprint_distinctness_sweep():
     """No fingerprint, response, or key collides across a small chip batch."""
     fingerprints = set()

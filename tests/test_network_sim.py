@@ -2,6 +2,7 @@ import hashlib
 import re
 import sys
 
+import numpy as np
 import pytest
 
 import chipchain
@@ -16,7 +17,7 @@ from chipchain import (
     verify_chain,
     verify_tree,
 )
-from chipchain import network_sim
+from chipchain import identity, network_sim
 from chipchain.config import (
     ChipSpec,
     bundled_scenario,
@@ -749,6 +750,25 @@ def test_evicted_member_may_enroll_again():
     assert check_invariants(log) == []
 
 
+def test_reenroll_derives_once_per_response(monkeypatch):
+    """The sweep keeps the pair its audit derived for the swapped chip,
+    so the re-enroll uses it: three derivations (a, b and the swapped
+    b, all at state 0) for three distinct responses."""
+    seeds = []
+    uncached = identity._derive_core.__wrapped__
+
+    def counting_derive(seed, modulus_bits):
+        seeds.append(seed)
+        return uncached(seed, modulus_bits)
+
+    monkeypatch.setattr(identity, "_derive_core", counting_derive)
+    text = MINI.split("[schedule]")[0] + REENROLL_SCHEDULE
+    log = run_scenario(parse_scenario(text), seed=0)
+    assert log.admitted == ("a", "b", "b")
+    assert len(seeds) == 3
+    assert len(set(seeds)) == 3
+
+
 def test_sweep_evicts_offline_member_after_rotation():
     config = mini_config(extra_schedule="6 rotate 1 offline=c\n7 sweep")
     log = run_scenario(config, seed=0)
@@ -996,6 +1016,16 @@ def test_seed_changes_only_nonces():
         strip(line) for line in b.to_records()
     ]
     assert a.chain == b.chain  # mining never touches the nonce rng
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7919, (7919 << 32) | 5])
+def test_nonces_are_the_seeds_generator_bytes(seed):
+    """Each challenge's nonce is the next 32 bytes that
+    np.random.default_rng(seed).bytes gives, in order."""
+    sim = Simulation(mini_config(), seed=seed)
+    expected = np.random.default_rng(seed)
+    for _ in range(40):
+        assert sim._challenge("a") == expected.bytes(32)
 
 
 def test_many_seeds_same_outcome():
