@@ -92,7 +92,6 @@ from .ledger import (
     block_hash,
     build_tree,
     fold_hash,
-    genesis_record,
     leading_zero_bits,
     load_chain,
     mine_block,

@@ -207,7 +207,7 @@ class Prn:
         if not 1 <= total <= MAX_ROWS:
             raise GeometryInvalid(
                 f"total_rows must be in [1, {MAX_ROWS}], got {total}")
-        rows = tuple(sorted(map(operator.index, self.rows)))
+        rows = _sorted_rows(self.rows, "PRN rows")
         if len(set(rows)) != len(rows):
             raise GeometryInvalid(f"PRN rows must be distinct, got {rows}")
         if rows and (rows[0] < 0 or rows[-1] >= total):
@@ -250,9 +250,20 @@ class Prn:
                             self.total_rows)
 
 
+def _sorted_rows(rows: Iterable[int], what: str) -> tuple[int, ...]:
+    """rows ascending, each through operator.index, or GeometryInvalid."""
+    taken = []
+    for row in rows:
+        try:
+            taken.append(operator.index(row))
+        except TypeError:
+            raise GeometryInvalid(f"{what} must be integers, got {row!r}") from None
+    return tuple(sorted(taken))
+
+
 def _checked_failure_rows(failure_rows: Iterable[int],
                           geometry: ChipGeometry) -> tuple[int, ...]:
-    rows = tuple(sorted(int(r) for r in failure_rows))
+    rows = _sorted_rows(failure_rows, "failure rows")
     if len(set(rows)) != len(rows):
         raise ValueError("failure rows must be distinct")
     if rows and (rows[0] < 0 or rows[-1] >= geometry.rows):

@@ -189,13 +189,11 @@ def _cmd_id_keygen(args):
 
 def _cmd_id_audit(args):
     chip = load_chip_fixture(args.chip)
-    nonce = args.nonce or hashlib.sha256(
-        b"chipchain/cli-audit-nonce" + bytes(8)).digest()
-    verdict = crp_audit(chip, args.pk, args.l, nonce).verdict
+    verdict = crp_audit(chip, args.pk, args.l, args.nonce).verdict
     genuine = verdict is AuditVerdict.GENUINE
     if args.output == "records":
         lines = [f"chip_id={chip.chip_id} l={args.l} "
-                 f"verdict={verdict.value} nonce={nonce.hex()[:16]}"]
+                 f"verdict={verdict.value} nonce={args.nonce.hex()[:16]}"]
     else:
         lines = [f"verdict: {verdict.value}"]
     return lines, 0 if genuine else 1, []
@@ -331,6 +329,7 @@ def _int_in(what: str, low: int, high: int | None = None):
 
 
 _state_index = _int_in("state index", 0, MAX_STATE_INDEX)
+_AUDIT_NONCE = hashlib.sha256(b"chipchain/cli-audit-nonce" + bytes(8)).digest()
 _seed = _int_in("seed", 0)
 _MAX_POPULATION = 10 ** 100
 
@@ -353,11 +352,15 @@ def _population(text: str) -> int:
 
 
 def _nonce(text: str) -> bytes:
+    """argparse type for `id audit --nonce`: non-empty hex."""
     try:
-        return bytes.fromhex(text)
+        nonce = bytes.fromhex(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"nonce must be hex, got {text!r}") from None
+    if not nonce:
+        raise argparse.ArgumentTypeError("nonce must be non-empty")
+    return nonce
 
 
 def _public_key(text: str) -> PublicKey:
@@ -397,13 +400,19 @@ def _build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed", type=_seed, default=0,
                       help="deterministic seed (default 0, never wall clock)")
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--output", choices=("text", "records"),
-                        default="text",
-                        help="human text or one key=value record per line")
+    output.add_argument("--output", **_ENTROPY_FLAGS["--output"])
     bits = argparse.ArgumentParser(add_help=False)
     bits.add_argument("--modulus-bits", type=int, default=1024,
                       choices=SUPPORTED_MODULUS_BITS,
                       help="RSA modulus size for derived keys")
+    chip_path = argparse.ArgumentParser(add_help=False)
+    chip_path.add_argument("--chip", required=True, help="chip fixture path")
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("--l", type=_state_index, default=0,
+                       help="state index")
+    topology = argparse.ArgumentParser(add_help=False)
+    topology.add_argument("--topology", required=True,
+                          help="config file with [chips] and [topology]")
 
     parser = argparse.ArgumentParser(
         prog="chipchain",
@@ -428,9 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="directory for the .chip fixture file")
     chip_new.set_defaults(handler=_cmd_chip_new)
 
-    chip_prn = chip_sub.add_parser("prn", parents=[output],
+    chip_prn = chip_sub.add_parser("prn", parents=[chip_path, output],
                                    help="extract a fixture's fingerprint")
-    chip_prn.add_argument("--chip", required=True, help="chip fixture path")
     chip_prn.add_argument("--column", type=int, default=0)
     chip_prn.set_defaults(handler=_cmd_chip_prn)
 
@@ -457,40 +465,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ident = sub.add_parser("id", help="chip-bound keys and audits")
     ident_sub = ident.add_subparsers(dest="subcommand", required=True)
-    keygen = ident_sub.add_parser("keygen", parents=[output, bits],
+    keygen = ident_sub.add_parser("keygen",
+                                  parents=[chip_path, state, output, bits],
                                   help="derive the keypair of a chip fixture")
-    keygen.add_argument("--chip", required=True, help="chip fixture path")
-    keygen.add_argument("--l", type=_state_index, default=0,
-                        help="state index")
     keygen.add_argument("--show-secret", action="store_true")
     keygen.set_defaults(handler=_cmd_id_keygen)
 
-    audit = ident_sub.add_parser("audit", parents=[output],
+    audit = ident_sub.add_parser("audit", parents=[chip_path, state, output],
                                  help="challenge a chip against a claimed key")
-    audit.add_argument("--chip", required=True, help="chip fixture path")
     audit.add_argument("--pk", type=_public_key, required=True,
                        help="claimed public key, hex as printed by keygen")
-    audit.add_argument("--l", type=_state_index, default=0,
-                       help="state index")
-    audit.add_argument("--nonce", type=_nonce,
+    audit.add_argument("--nonce", type=_nonce, default=_AUDIT_NONCE,
                        help="hex nonce; default: a fixed nonce")
     audit.set_defaults(handler=_cmd_id_audit)
 
     ledger = sub.add_parser("ledger", help="transfer trees and the mined chain")
     ledger_sub = ledger.add_subparsers(dest="subcommand", required=True)
 
-    build = ledger_sub.add_parser("build", parents=[bits],
+    build = ledger_sub.add_parser("build", parents=[topology, state, bits],
                                   help="execute a transfer topology")
-    build.add_argument("--topology", required=True,
-                       help="config file with [chips] and [topology]")
-    build.add_argument("--l", type=_state_index, default=0,
-                       help="state index")
     build.set_defaults(handler=_cmd_ledger_build)
 
-    mine = ledger_sub.add_parser("mine", parents=[bits],
+    mine = ledger_sub.add_parser("mine", parents=[topology, state, bits],
                                  help="mine the tree's root stamp onto a chain")
-    mine.add_argument("--topology", required=True)
-    mine.add_argument("--l", type=_state_index, default=0)
     mine.add_argument("--difficulty", required=True,
                       type=_int_in("difficulty", 0, MAX_MINING_DIFFICULTY),
                       help="leading zero bits")
@@ -507,18 +504,15 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_cmd.set_defaults(handler=_cmd_ledger_verify)
 
     replace = ledger_sub.add_parser(
-        "replace", parents=[bits],
+        "replace", parents=[topology, state, bits],
         help="swap one chip and repair only the dirtied path")
-    replace.add_argument("--topology", required=True)
     replace.add_argument("--old", required=True, help="node id to replace")
     replace.add_argument("--new-seed", type=_seed, required=True,
                          help="manufacture seed of the replacement chip")
-    replace.add_argument("--l", type=_state_index, default=0)
     replace.set_defaults(handler=_cmd_ledger_replace)
 
-    rotate = ledger_sub.add_parser("rotate", parents=[bits],
+    rotate = ledger_sub.add_parser("rotate", parents=[topology, bits],
                                    help="reproduce the tree at a new state")
-    rotate.add_argument("--topology", required=True)
     rotate.add_argument("--from-l", type=_state_index, default=0)
     rotate.add_argument("--new-l", type=_state_index, required=True)
     rotate.set_defaults(handler=_cmd_ledger_rotate)

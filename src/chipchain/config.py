@@ -187,10 +187,11 @@ def _parse_params(lines: _Lines, defaults: Mapping[str, object]) -> dict:
     return params
 
 
-def _parse_chips(lines: _Lines,
-                 params: Mapping[str, object]) -> dict[str, ChipSpec]:
-    """`name seed=N [y= lambda= redundancy= min_failures=]` lines; a
-    line whose part has the fingerprint of an earlier line's is a clone."""
+def _parse_chips(lines: _Lines, params: Mapping[str, object]
+                 ) -> tuple[dict[str, ChipSpec], dict[str, tuple]]:
+    """`name seed=N [y= lambda= redundancy= min_failures=]` lines, and each
+    one's fingerprint by name; a line whose part has the fingerprint of
+    an earlier line's is a clone."""
     chips: dict[str, ChipSpec] = {}
     ordered: dict[tuple, str] = {}  # fingerprint -> the chip ordering it
     for line_no, line in lines:
@@ -217,7 +218,7 @@ def _parse_chips(lines: _Lines,
                                 f"{earlier!r}: the same failure rows of "
                                 f"the same row count")
         chips[chip_name] = spec
-    return chips
+    return chips, {name: fingerprint for fingerprint, name in ordered.items()}
 
 
 def _parse_edges(lines: _Lines, check_endpoint,
@@ -253,8 +254,8 @@ def _parse_edges(lines: _Lines, check_endpoint,
 def parse_topology(text: str) -> tuple[dict[str, ChipSpec], _Edges]:
     """Parse a ledger file into (chip specs, edges); errors carry line numbers."""
     sections = _read_sections(text, ("params", "chips", "topology"))
-    chips = _parse_chips(sections["chips"],
-                         _parse_params(sections["params"], _CHIP_DEFAULTS))
+    chips, _ = _parse_chips(sections["chips"],
+                            _parse_params(sections["params"], _CHIP_DEFAULTS))
 
     def declared(endpoint: str, where: str):
         if endpoint not in chips:
@@ -279,7 +280,7 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
     sections = _read_sections(
         text, ("params", "chips", "nodes", "topology", "schedule"))
     params = _parse_params(sections["params"], _SCENARIO_DEFAULTS)
-    chips = _parse_chips(sections["chips"], params)
+    chips, fingerprints = _parse_chips(sections["chips"], params)
 
     nodes: dict[str, NodeSpec] = {}
     chip_owner: dict[str, str] = {}
@@ -350,7 +351,7 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
 
     schedule: list[ScheduleItem] = []
     # node -> the fingerprint it holds; a tamper may not clone another's
-    held = {spec.name: chips[spec.chip].fingerprint()
+    held = {spec.name: fingerprints[spec.chip]
             for spec in nodes.values() if spec.chip}
     last_tick = 0
     state = 0

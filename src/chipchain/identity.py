@@ -475,8 +475,9 @@ def _key_seed_blocks(seed: bytes):
             _KDF_TAG + seed + counter.to_bytes(4, "big")).digest()
 
 
-# Bounded so that memory does not grow with throughput: a fig10 run
-# reuses 19 keys and a 64-node tree check about 130.
+# Bounded so that memory does not grow with throughput.  A run derives
+# each of its pairs once (a fig10 run 19), so the cache hits only when
+# the same chips are keyed again, as in perfbench's warm fig10-sweep.
 @lru_cache(maxsize=1024)
 def _derive_core(seed: bytes, modulus_bits: int):
     half = modulus_bits // 2

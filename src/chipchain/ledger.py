@@ -3,10 +3,11 @@
 Enrolled chips pass value along a directed topology that must funnel
 into a single final receiver, the root chip.  Each transfer hashes the
 sender's public key together with the sender's latest record and signs
-the result toward the receiver.  A node stores only its key pair and
-its incoming records; its fold, the genesis hash with each incoming
-record hash folded in, is computed from them.  The root chip's fold
-therefore commits to every public key and every transfer below it,
+the result toward the receiver; a record holds what its sender hashed
+and signed, and the schedule fixes its place.  A node stores only its
+key pair and its incoming records; its fold, the genesis hash with each
+incoming record hash folded in, is computed from them.  The root chip's
+fold therefore commits to every public key and every transfer below it,
 which is what makes substituting any chip in the structure detectable.
 The tree never holds a chip: seat_tree takes derived key pairs, and
 build_tree, a rotate and a replacement derive from chips handed in.
@@ -71,11 +72,9 @@ def fold_hash(receiver_key: PublicKey, latest: bytes,
 
 @dataclass(frozen=True)
 class TransactionRecord:
-    """One chip-to-chip transfer.
-
-    seq is the record's 1-based position among the receiver's incoming
-    records; genesis records use seq 0 and an empty signature.
-    """
+    """One chip-to-chip transfer, as its sender hashed and signed it; its
+    place among the receiver's records is its list position, which
+    verify_tree checks against the schedule."""
 
     sender_key: PublicKey
     receiver_key: PublicKey
@@ -83,31 +82,23 @@ class TransactionRecord:
     prev_signature: bytes
     hash_value: bytes
     signature: bytes
-    seq: int
-
-
-def genesis_record(owner_key: PublicKey) -> TransactionRecord:
-    """Self-record every chip starts from; nothing to sign yet."""
-    h = record_hash(owner_key, ZERO_HASH, GENESIS_SIGNATURE)
-    return TransactionRecord(owner_key, owner_key, ZERO_HASH,
-                             GENESIS_SIGNATURE, h, GENESIS_SIGNATURE, 0)
 
 
 def verify_record(record: TransactionRecord) -> bool:
     """Recompute the record hash and check the transfer signature.
 
-    Genesis records (seq 0) carry no signature; their hash rule and
-    self-addressing are all there is to check.
+    A transfer signature is as long as its key, so an empty one marks a
+    genesis record (ChipNode.genesis); its hash rule and self-addressing
+    are all there is to check.
     """
     expected = record_hash(record.sender_key, record.prev_hash,
                            record.prev_signature)
     if record.hash_value != expected:
         return False
-    if record.seq == 0:
+    if record.signature == GENESIS_SIGNATURE:
         return (record.sender_key == record.receiver_key
                 and record.prev_hash == ZERO_HASH
-                and record.prev_signature == GENESIS_SIGNATURE
-                and record.signature == GENESIS_SIGNATURE)
+                and record.prev_signature == GENESIS_SIGNATURE)
     try:
         return verify(record.sender_key,
                       signed_payload(record.receiver_key, record.hash_value),
@@ -134,7 +125,11 @@ class ChipNode:
 
     @property
     def genesis(self) -> TransactionRecord:
-        return genesis_record(self.public_key)
+        """The self-record every seat starts from; nothing to sign yet."""
+        key = self.public_key
+        return TransactionRecord(
+            key, key, ZERO_HASH, GENESIS_SIGNATURE,
+            record_hash(key, ZERO_HASH, GENESIS_SIGNATURE), GENESIS_SIGNATURE)
 
     @property
     def latest_hash(self) -> bytes:
@@ -150,15 +145,14 @@ class ChipNode:
                 else GENESIS_SIGNATURE)
 
 
-def _signed_record(sender: ChipNode, receiver: ChipNode,
-                   seq: int) -> TransactionRecord:
+def _signed_record(sender: ChipNode, receiver: ChipNode) -> TransactionRecord:
     """The sender's next record toward the receiver, signed."""
     prev_hash, prev_signature = sender.latest_hash, sender.latest_signature
     h = record_hash(sender.public_key, prev_hash, prev_signature)
     signature = sign(sender.keypair.secret_key,
                      signed_payload(receiver.public_key, h))
     return TransactionRecord(sender.public_key, receiver.public_key,
-                             prev_hash, prev_signature, h, signature, seq)
+                             prev_hash, prev_signature, h, signature)
 
 
 def transfer(sender: ChipNode, receiver: ChipNode) -> TransactionRecord:
@@ -168,7 +162,7 @@ def transfer(sender: ChipNode, receiver: ChipNode) -> TransactionRecord:
             f"sender {sender.node_id} keyed at state "
             f"{sender.keypair.state_index}, receiver {receiver.node_id} at "
             f"{receiver.keypair.state_index}")
-    record = _signed_record(sender, receiver, len(receiver.incoming) + 1)
+    record = _signed_record(sender, receiver)
     receiver.incoming.append(record)
     return record
 
@@ -304,11 +298,13 @@ def seat_tree(topology: Iterable[tuple[str, str]],
 
 def verify_tree(tree: ChipMerkleTree) -> bool:
     """Check every record against the schedule edge that seats it: its
-    position, its sender's key and final fold, its receiver key, its hash
-    rule and its signature; and that no node holds extra records.
+    sender's key and final fold, its receiver key, its hash rule and its
+    signature; and that no node holds a missing or an extra record.
 
     A node sends only after all its incoming edges fired, so the record
-    it sent must carry its final fold and latest signature.
+    it sent must carry its final fold and latest signature.  A record
+    out of place fails the sender-key check or, where two seats share a
+    key, the prev-fold check.
     """
     nodes = tree.nodes
     arrivals: dict[str, int] = {}
@@ -319,8 +315,7 @@ def verify_tree(tree: ChipMerkleTree) -> bool:
         if position >= len(receiver.incoming):
             return False
         record = receiver.incoming[position]
-        if (record.seq != position + 1
-                or record.sender_key != sender.public_key
+        if (record.sender_key != sender.public_key
                 or record.receiver_key != receiver.public_key
                 or record.prev_hash != sender.latest_hash
                 or record.prev_signature != sender.latest_signature
@@ -365,15 +360,12 @@ def replace_chip(tree: ChipMerkleTree, node_id: str, new_chip: SimulatedChip,
         if src not in dirty and dst != node_id:
             continue
         receiver = nodes[dst]
-        receiver.incoming[position] = _signed_record(nodes[src], receiver,
-                                                     position + 1)
+        receiver.incoming[position] = _signed_record(nodes[src], receiver)
         if dst not in dirty:
             dirty.add(dst)
             recomputed.append(dst)
 
-    new_tree = ChipMerkleTree(nodes, tree.edges, tree.schedule, tree.root_id,
-                              tree.state_index, tree.modulus_bits)
-    return new_tree, recomputed
+    return dataclasses.replace(tree, nodes=nodes), recomputed
 
 
 def rotate_state_reproduce(tree: ChipMerkleTree,

@@ -211,6 +211,25 @@ def test_explicit_chip_validation():
         SimulatedChip("x", geometry, [3, 4], swap_map={3: 0, 4: 0})
 
 
+@pytest.mark.parametrize("make", [
+    lambda rows: SimulatedChip("x", ChipGeometry(rows=64), rows),
+    lambda rows: Prn("x", 0, rows, 64),
+], ids=["chip", "prn"])
+@pytest.mark.parametrize("row", [3.7, "5", None])
+def test_non_integer_rows_are_refused_by_name(make, row):
+    """A chip's failure rows and a PRN's rows pass one integer check: a
+    row that is not an integer is neither truncated nor parsed."""
+    with pytest.raises(GeometryInvalid,
+                       match=re.escape(f"rows must be integers, got {row!r}")):
+        make([1, row])
+
+
+def test_integer_like_rows_are_taken():
+    chip = SimulatedChip("x", ChipGeometry(rows=64), [np.int64(9), 3])
+    assert chip.failure_rows == (3, 9)
+    assert Prn("x", 0, [np.int64(9), 3], 64).rows == (3, 9)
+
+
 def test_extraction_through_an_out_of_order_swap_map():
     """Failure rows routed to spares out of order still read out exactly."""
     swap_map = {40: 3, 120: 0, 333: 7, 499: 1}

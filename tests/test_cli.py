@@ -153,6 +153,7 @@ ANY_KEY = PublicKey((1 << 511) | 1, 65537).to_bytes().hex()
      "population must be an integer, got 'nan'"),
     (["ledger", "rotate", "--topology", "{topo}"], "--new-l", "0",
      "new state index must differ from --from-l, got 0"),
+    (AUDIT + ["--pk", ANY_KEY], "--nonce", "", "nonce must be non-empty"),
 ])
 def test_numeric_flags_are_bounded(topo_file, tmp_path, monkeypatch, argv,
                                    flag, value, message):

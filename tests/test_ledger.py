@@ -13,15 +13,16 @@ from chipchain import (
     GENESIS_SIGNATURE,
     MultipleSinks,
     NonceExhausted,
+    PublicKey,
     RootStamp,
     SignatureMalformed,
     StateMismatch,
+    TransactionRecord,
     UnknownChip,
     ZERO_HASH,
     block_hash,
     build_tree,
     fold_hash,
-    genesis_record,
     keypair_for_chip,
     leading_zero_bits,
     load_chain,
@@ -64,7 +65,6 @@ def test_genesis_record_bytes():
     pk = node.public_key.to_bytes()
     assert node.genesis.hash_value == hashlib.sha256(pk + bytes(32) + b"").digest()
     assert node.genesis.signature == GENESIS_SIGNATURE
-    assert node.genesis.seq == 0
     assert node.genesis.sender_key == node.genesis.receiver_key
     assert verify_record(node.genesis)
 
@@ -90,7 +90,6 @@ def test_transfer_produces_verifiable_record():
     b = ChipNode("b", keypair_for_chip(make_small_chip(32), 0, 512), [])
     record = transfer(a, b)
     assert verify_record(record)
-    assert record.seq == 1
     assert record.sender_key == a.public_key
     assert record.receiver_key == b.public_key
     # receiver folded the incoming hash into its running latest
@@ -290,15 +289,49 @@ def test_verify_tree_detects_tampering(fig_tree):
     assert not verify_tree(mutated)
 
 
-def test_verify_tree_detects_seq_swap(fig_tree):
-    node = fig_tree.nodes["n1"]
-    swapped = [
-        dataclasses.replace(node.incoming[0], seq=2),
-        dataclasses.replace(node.incoming[1], seq=1),
-    ]
-    bad_node = dataclasses.replace(node, incoming=swapped)
-    mutated = dataclasses.replace(fig_tree, nodes={**fig_tree.nodes, "n1": bad_node})
-    assert not verify_tree(mutated)
+def _with_incoming(tree, node_id, incoming):
+    node = dataclasses.replace(tree.nodes[node_id], incoming=incoming)
+    return dataclasses.replace(tree, nodes={**tree.nodes, node_id: node})
+
+
+def test_verify_tree_detects_swapped_records(fig_tree):
+    """A record's place is its list position: two records swapped in
+    place are each checked against the other's schedule edge."""
+    first, second = fig_tree.nodes["n1"].incoming
+    assert not verify_tree(_with_incoming(fig_tree, "n1", [second, first]))
+
+
+def test_verify_tree_detects_a_missing_record(fig_tree):
+    # n6 -> n0 is the last edge of the schedule, so every earlier record
+    # checks out and only the count of n0's records is short
+    assert fig_tree.schedule[-1] == ("n6", "n0")
+    incoming = fig_tree.nodes["n0"].incoming
+    assert not verify_tree(_with_incoming(fig_tree, "n0", incoming[:-1]))
+
+
+def _changed(value, other_key):
+    if isinstance(value, bytes):
+        return bytes([value[0] ^ 1]) + value[1:] if value else b"\x01"
+    if isinstance(value, PublicKey):
+        return other_key
+    raise AssertionError(f"no change rule for a {type(value).__name__} field")
+
+
+def test_verify_tree_checks_every_record_field(fig_tree):
+    """Every seated record, with any one field of TransactionRecord
+    changed, fails verify_tree: no field goes unchecked."""
+    other_key = keypair_for_chip(make_small_chip(85), 0, 512).public_key
+    assert other_key not in {n.public_key for n in fig_tree.nodes.values()}
+    fields = [f.name for f in dataclasses.fields(TransactionRecord)]
+    for node_id, node in fig_tree.nodes.items():
+        for position, record in enumerate(node.incoming):
+            for name in fields:
+                incoming = list(node.incoming)
+                incoming[position] = dataclasses.replace(
+                    record, **{name: _changed(getattr(record, name), other_key)})
+                assert not verify_tree(
+                    _with_incoming(fig_tree, node_id, incoming)), (node_id,
+                                                                  position, name)
 
 
 def _resigned_into_root(tree, old_sender, signer, prev_hash, prev_signature):
@@ -340,7 +373,6 @@ def test_verify_tree_detects_an_extra_record(fig_tree):
     h = record_hash(n3.public_key, n3.latest_hash, n3.latest_signature)
     extra = dataclasses.replace(
         fig_tree.nodes["n1"].incoming[1], receiver_key=root.public_key,
-        seq=len(root.incoming) + 1,
         signature=sign(n3.keypair.secret_key, root.public_key.to_bytes() + h))
     assert extra.sender_key == n3.public_key and verify_record(extra)
     bad_root = dataclasses.replace(root, incoming=[*root.incoming, extra])

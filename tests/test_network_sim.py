@@ -142,11 +142,34 @@ def test_parse_defaults():
          "management node never enrolls, so it takes no blocked="),
         ("[nodes]\nsec2 role=security blocked=no",
          "security node never enrolls, so it takes no blocked="),
+        ("[chips]\ncd seed=4\n[nodes]\nx role=device chip=cd blocked=maybe",
+         "expected yes/no, got 'maybe'"),
+        ("[nodes]\neve role=attacker strategy=bribe",
+         "strategy must be one of own_chip, replay"),
+        ("[nodes]\neve role=attacker claims=ghost",
+         "node 'eve' claims unknown node 'ghost'"),
+        ("[schedule]\n9 sweep now", "sweep takes no arguments"),
+        ("[schedule]\n9 build_tree x", "build_tree takes no arguments"),
     ],
 )
 def test_parse_rejections(mutation, message_part):
     with pytest.raises(ConfigInvalid, match=re.escape(message_part)):
         parse_scenario(MINI + "\n" + mutation)
+
+
+def test_parse_makes_each_chip_once(monkeypatch):
+    """The clone check's fingerprints also seed the tamper check's, so
+    parsing fig10 manufactures each of its 10 chips once."""
+    calls = []
+
+    def counting_new_chip(*args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return new_chip(*args, **kwargs)
+
+    monkeypatch.setattr(chipchain.config, "new_chip", counting_new_chip)
+    config = bundled_scenario("fig10-coexistence")
+    assert len(config.chips) == 10
+    assert sorted(calls) == sorted(spec.seed for spec in config.chips.values())
 
 
 def test_parse_rejects_rotate_beyond_eight_byte_state():
@@ -1059,6 +1082,17 @@ def test_invariants_flag_wrong_actor(fig10_log):
         events.append(event)
     bad = dataclasses.replace(fig10_log, events=tuple(events))
     assert any("non-security" in p for p in check_invariants(bad))
+
+
+def test_invariants_flag_a_verdict_from_another_actor(fig10_log):
+    import dataclasses
+    events = list(fig10_log.events)
+    at = next(i for i, e in enumerate(events) if e.kind == "Verdict")
+    events[at] = dataclasses.replace(events[at], fields=tuple(
+        (k, "sec" if k == "actor" else v) for k, v in events[at].fields))
+    bad = dataclasses.replace(fig10_log, events=tuple(events))
+    assert check_invariants(bad) == [
+        "Verdict issued by non-management actor 'sec'"]
 
 
 def test_invariants_flag_accepted_impersonation(fig10_log):
