@@ -117,6 +117,34 @@ GENERATION_CAPACITY: Mapping[str, int] = MappingProxyType(dict(_GENERATION_CAPAC
 GENERATIONS: tuple[str, ...] = tuple(name for name, _ in _GENERATION_CAPACITY)
 
 
+def _integer(value, field: str) -> int:
+    """value through operator.index: an integer, neither truncated nor parsed."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise GeometryInvalid(f"{field} must be an integer, got {value!r}") from None
+
+
+def _row_set(values, bound: int, what: str, array: str) -> tuple[int, ...]:
+    """values as distinct integers in [0, bound), sorted.  A refusal names
+    the value; `what` names one value, `array` the array `bound` sizes."""
+    values = tuple(values)  # walked again when one is refused
+    try:
+        rows = sorted(map(operator.index, values))
+    except TypeError:
+        for value in values:  # name the value that is not an integer
+            _integer(value, what)
+        raise
+    if len(set(rows)) != len(rows):
+        twice = next(a for a, b in zip(rows, rows[1:]) if a == b)
+        raise GeometryInvalid(f"{what}s must be distinct, got {twice} twice")
+    if rows and (rows[0] < 0 or rows[-1] >= bound):
+        row = rows[0] if rows[0] < 0 else rows[-1]
+        raise GeometryInvalid(f"{what} outside the {array} array: "
+                              f"{row} not in [0, {bound})")
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class ChipGeometry:
     """Static layout of one simulated part.
@@ -131,6 +159,8 @@ class ChipGeometry:
     redundancy_rows: int = 20
 
     def __post_init__(self):
+        for field in ("rows", "cols", "redundancy_rows"):
+            object.__setattr__(self, field, _integer(getattr(self, field), field))
         if self.rows < 1:
             raise GeometryInvalid(f"rows must be positive, got {self.rows}")
         if self.rows > MAX_ROWS:
@@ -167,7 +197,11 @@ class FailureModel:
     min_failures: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.mean_failures):
+        if not isinstance(self.mean_failures, (int, float, np.integer, np.floating)):
+            raise GeometryInvalid(
+                f"mean_failures must be an int or a float, got {self.mean_failures!r}")
+        # compared, as math.isfinite overflows on a huge int
+        if not -math.inf < self.mean_failures < math.inf:
             raise GeometryInvalid(
                 f"mean_failures must be finite, got {self.mean_failures}")
         if self.mean_failures <= 0:
@@ -175,6 +209,8 @@ class FailureModel:
         if self.mean_failures > MAX_MEAN_FAILURES:
             raise GeometryInvalid(f"mean_failures must be at most "
                                   f"{MAX_MEAN_FAILURES:.6g}, got {self.mean_failures}")
+        object.__setattr__(self, "min_failures",
+                           _integer(self.min_failures, "min_failures"))
         if self.min_failures < 0:
             raise GeometryInvalid("min_failures must be >= 0")
 
@@ -203,17 +239,12 @@ class Prn:
     total_rows: int
 
     def __post_init__(self):
-        total = operator.index(self.total_rows)
+        total = _integer(self.total_rows, "total_rows")
         if not 1 <= total <= MAX_ROWS:
             raise GeometryInvalid(
                 f"total_rows must be in [1, {MAX_ROWS}], got {total}")
-        rows = _sorted_rows(self.rows, "PRN rows")
-        if len(set(rows)) != len(rows):
-            raise GeometryInvalid(f"PRN rows must be distinct, got {rows}")
-        if rows and (rows[0] < 0 or rows[-1] >= total):
-            raise GeometryInvalid(
-                f"PRN rows must be in [0, {total}), got {rows[0]} .. {rows[-1]}")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "column", _integer(self.column, "column"))
+        object.__setattr__(self, "rows", _row_set(self.rows, total, "PRN row", "regular"))
         object.__setattr__(self, "total_rows", total)
 
     @cached_property
@@ -250,49 +281,6 @@ class Prn:
                             self.total_rows)
 
 
-def _sorted_rows(rows: Iterable[int], what: str) -> tuple[int, ...]:
-    """rows ascending, each through operator.index, or GeometryInvalid."""
-    taken = []
-    for row in rows:
-        try:
-            taken.append(operator.index(row))
-        except TypeError:
-            raise GeometryInvalid(f"{what} must be integers, got {row!r}") from None
-    return tuple(sorted(taken))
-
-
-def _checked_failure_rows(failure_rows: Iterable[int],
-                          geometry: ChipGeometry) -> tuple[int, ...]:
-    rows = _sorted_rows(failure_rows, "failure rows")
-    if len(set(rows)) != len(rows):
-        raise ValueError("failure rows must be distinct")
-    if rows and (rows[0] < 0 or rows[-1] >= geometry.rows):
-        raise ValueError(f"failure row out of range for rows={geometry.rows}")
-    if len(rows) > geometry.redundancy_rows:
-        raise CapacityExceeded(
-            f"{len(rows)} failure rows exceed "
-            f"{geometry.redundancy_rows} spare rows")
-    return rows
-
-
-def _checked_swap_map(swap_map: Mapping[int, int] | None,
-                      rows: tuple[int, ...],
-                      geometry: ChipGeometry) -> dict[int, int]:
-    """The swap map of checked failure rows; None maps them in order."""
-    if swap_map is None:
-        return {r: i for i, r in enumerate(rows)}
-    swap_map = {int(k): int(v) for k, v in swap_map.items()}
-    if set(swap_map) != set(rows):
-        raise ValueError("swap map keys must equal the failure rows")
-    targets = set(swap_map.values())
-    if len(targets) != len(rows):
-        raise ValueError("swap map targets must be distinct")
-    if targets and (min(targets) < 0
-                    or max(targets) >= geometry.redundancy_rows):
-        raise ValueError("swap map target outside the redundancy array")
-    return swap_map
-
-
 class SimulatedChip:
     """One manufactured part: geometry, hidden failure map, cell state.
 
@@ -312,8 +300,20 @@ class SimulatedChip:
                  failure_rows: Iterable[int],
                  swap_map: Mapping[int, int] | None = None,
                  seed: int | None = None):
-        rows = _checked_failure_rows(failure_rows, geometry)
-        swap_map = _checked_swap_map(swap_map, rows, geometry)
+        rows = _row_set(failure_rows, geometry.rows, "failure row", "regular")
+        if len(rows) > geometry.redundancy_rows:
+            raise CapacityExceeded(f"{len(rows)} failure rows exceed "
+                                   f"{geometry.redundancy_rows} spare rows")
+        if swap_map is None:
+            swap_map = {r: i for i, r in enumerate(rows)}
+        else:
+            swap_map = {_integer(row, "swap map key"): _integer(spare, "swap map target")
+                        for row, spare in swap_map.items()}
+            if set(swap_map) != set(rows):
+                raise GeometryInvalid(f"swap map keys must equal the failure rows "
+                                      f"{list(rows)}, got {sorted(swap_map)}")
+            _row_set(swap_map.values(), geometry.redundancy_rows, "swap map target",
+                     "redundancy")
 
         self.chip_id = chip_id
         self.geometry = geometry
@@ -332,7 +332,7 @@ class SimulatedChip:
         return MappingProxyType(self._swap_map)
 
     def _check_column(self, column: int):
-        if not 0 <= column < self.geometry.cols:
+        if not 0 <= _integer(column, "column") < self.geometry.cols:
             raise ColumnOutOfRange(
                 f"column {column} outside 0..{self.geometry.cols - 1}")
 
@@ -355,7 +355,7 @@ def new_chip(geometry: ChipGeometry, failure_model: FailureModel | None = None,
     model.check_fits(geometry)
     rng = np.random.default_rng(seed)
 
-    count = int(rng.poisson(model.mean_failures))
+    count = rng.poisson(model.mean_failures)
     count = max(model.min_failures, min(count, geometry.redundancy_rows))
     rows = rng.choice(geometry.rows, size=count, replace=False)
     return SimulatedChip(chip_id or f"chip-{seed}", geometry,
@@ -496,21 +496,19 @@ def parse_chip_fixture(text: str) -> SimulatedChip:
     seed = integer("seed") if fields.get("seed", (0, ""))[1] else None
     if seed is not None and seed < 0:
         raise invalid("seed", f"seed: must be >= 0, got {seed}")
+    # the targets follow the failure rows in ascending order, as written
+    rows, targets = sorted(integers("failure_rows")), integers("swap_targets")
+    paired = bool(targets) and len(targets) == len(rows)
     try:
-        failure_rows = _checked_failure_rows(integers("failure_rows"), geometry)
-    except (ValueError, CapacityExceeded) as exc:
-        raise invalid("failure_rows", f"failure_rows: {exc}") from None
-    targets = integers("swap_targets")
-    if targets and len(targets) != len(failure_rows):
-        raise invalid("swap_targets",
-                      "swap_targets: length must match failure_rows")
-    # the chip checks the swap map; its failure rows passed above
-    try:
-        return SimulatedChip(chip_id, geometry, failure_rows,
-                             dict(zip(failure_rows, targets)) if targets else None,
-                             seed=seed)
-    except ValueError as exc:
-        raise invalid("swap_targets", f"swap_targets: {exc}") from None
+        chip = SimulatedChip(chip_id, geometry, rows,
+                             dict(zip(rows, targets)) if paired else None, seed=seed)
+    except (GeometryInvalid, CapacityExceeded) as exc:
+        # a chip refuses its swap map in a text that opens with "swap map"
+        key = "swap_targets" if str(exc).startswith("swap map") else "failure_rows"
+        raise invalid(key, f"{key}: {exc}") from None
+    if targets and not paired:
+        raise invalid("swap_targets", "swap_targets: length must match failure_rows")
+    return chip
 
 
 def load_chip_fixture(path) -> SimulatedChip:

@@ -560,8 +560,15 @@ def dispatch(argv) -> CommandResult:
 
 def main(argv=None) -> int:
     result = dispatch(sys.argv[1:] if argv is None else argv)
-    if result.stdout_payload:
-        print(result.stdout_payload)
+    try:
+        if result.stdout_payload:
+            print(result.stdout_payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull, so that
+        # the interpreter's own flush at exit has nothing left to fail on.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if result.diagnostics:
         print(result.diagnostics, file=sys.stderr)
     return result.exit_code

@@ -52,13 +52,17 @@ def test_active_kernel_is_a_string():
 
 
 def test_fig10_trace_sees_every_expected_label():
-    """A fig10 run under perfbench's tracer calls each label fig10 expects."""
+    """A fig10 run under perfbench's tracer calls each label fig10 expects.
+
+    perfbench builds a workload, its parse included, before it installs
+    the tracer, so only the run is traced here: a label the parse calls
+    and the run does not would fail perfbench's --trace 1 replay."""
+    config = chipchain.bundled_scenario("fig10-coexistence")
     tracer = tracing.Tracer()
     tracer.op = 0
     tracer.install()
     try:
-        chipchain.run_scenario(chipchain.bundled_scenario("fig10-coexistence"),
-                               seed=0)
+        chipchain.run_scenario(config, seed=0)
     finally:
         tracer.uninstall()
     calls = {label: entry["calls"] for label, entry in tracer.summary().items()}

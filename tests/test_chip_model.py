@@ -17,6 +17,7 @@ from chipchain import (
     GENERATION_CAPACITY,
     GENERATION_ROWS,
     CapacityExceeded,
+    ChipChainError,
     ChipGeometry,
     ColumnOutOfRange,
     FailureModel,
@@ -211,23 +212,79 @@ def test_explicit_chip_validation():
         SimulatedChip("x", geometry, [3, 4], swap_map={3: 0, 4: 0})
 
 
-@pytest.mark.parametrize("make", [
-    lambda rows: SimulatedChip("x", ChipGeometry(rows=64), rows),
-    lambda rows: Prn("x", 0, rows, 64),
+@pytest.mark.parametrize("make, what", [
+    (lambda rows: SimulatedChip("x", ChipGeometry(rows=64), rows), "failure row"),
+    (lambda rows: Prn("x", 0, rows, 64), "PRN row"),
 ], ids=["chip", "prn"])
 @pytest.mark.parametrize("row", [3.7, "5", None])
-def test_non_integer_rows_are_refused_by_name(make, row):
+def test_non_integer_rows_are_refused_by_name(make, what, row):
     """A chip's failure rows and a PRN's rows pass one integer check: a
     row that is not an integer is neither truncated nor parsed."""
     with pytest.raises(GeometryInvalid,
-                       match=re.escape(f"rows must be integers, got {row!r}")):
+                       match=re.escape(f"{what} must be an integer, got {row!r}")):
         make([1, row])
+
+
+SMALL = ChipGeometry(rows=64, redundancy_rows=4)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: new_chip(ChipGeometry(rows=2000.5)),
+     "rows must be an integer, got 2000.5"),
+    (lambda: new_chip(ChipGeometry(rows=64, redundancy_rows=4.0)),
+     "redundancy_rows must be an integer, got 4.0"),
+    (lambda: ChipGeometry(rows=64, cols=2.5),
+     "cols must be an integer, got 2.5"),
+    (lambda: new_chip(SMALL, FailureModel(mean_failures=0.5, min_failures=1.5)),
+     "min_failures must be an integer, got 1.5"),
+    (lambda: FailureModel(mean_failures="5"),
+     "mean_failures must be an int or a float, got '5'"),
+    (lambda: FailureModel(mean_failures=10**400),
+     f"mean_failures must be at most 9.22337e+18, got {10**400}"),
+    (lambda: extract_prn(new_chip(SMALL), 1.5),
+     "column must be an integer, got 1.5"),
+    (lambda: read_column_normal(new_chip(SMALL), "0"),
+     "column must be an integer, got '0'"),
+    (lambda: Prn("x", 2.5, [1], 16),
+     "column must be an integer, got 2.5"),
+    (lambda: Prn("x", 0, [1], 16.0),
+     "total_rows must be an integer, got 16.0"),
+    (lambda: SimulatedChip("x", SMALL, [3], swap_map={3: 0.9}),
+     "swap map target must be an integer, got 0.9"),
+    (lambda: SimulatedChip("x", SMALL, [3], swap_map={3.0: 0}),
+     "swap map key must be an integer, got 3.0"),
+    (lambda: SimulatedChip("x", SMALL, [3, 3]),
+     "failure rows must be distinct, got 3 twice"),
+    (lambda: SimulatedChip("x", SMALL, [3, 64]),
+     "failure row outside the regular array: 64 not in [0, 64)"),
+], ids=["rows", "redundancy_rows", "cols", "min_failures", "mean_failures",
+        "huge_mean", "extract_column", "read_column", "prn_column", "total_rows",
+        "swap_target", "swap_key", "twice", "row_range"])
+def test_each_chip_number_is_refused_by_name(build, message):
+    """Every row, count and column a chip takes passes one integer rule,
+    and every row set one check: a bad value is a ChipChainError that
+    names it, never a numpy message, a bare TypeError or a truncation."""
+    with pytest.raises(ChipChainError, match=re.escape(message)):
+        build()
 
 
 def test_integer_like_rows_are_taken():
     chip = SimulatedChip("x", ChipGeometry(rows=64), [np.int64(9), 3])
     assert chip.failure_rows == (3, 9)
     assert Prn("x", 0, [np.int64(9), 3], 64).rows == (3, 9)
+
+
+def test_integer_like_numbers_are_kept_as_ints():
+    """A numpy integer or a bool passes the integer rule as its value."""
+    geometry = ChipGeometry(np.int64(64), np.uint8(2), np.int16(4))
+    model = FailureModel(np.int64(3), True)
+    chip = SimulatedChip("x", geometry, [np.int32(9)], {np.int64(9): np.uint8(1)})
+    prn = extract_prn(chip, np.int64(1))
+    numbers = (geometry.rows, geometry.cols, geometry.redundancy_rows,
+               model.min_failures, *next(iter(chip.swap_map.items())), prn.column)
+    assert numbers == (64, 2, 4, 1, 9, 1, 1)
+    assert {type(n) for n in numbers} == {int}
+    assert new_chip(geometry, model, seed=3).failure_rows
 
 
 def test_extraction_through_an_out_of_order_swap_map():
@@ -625,7 +682,8 @@ FIXTURE = ("chip_id = x\nrows = 16\ncols = 8\nredundancy_rows = 4\nseed = 7\n"
         ("failure_rows = 3, 9", "failure_rows = 3, x",
          "failure_rows: expected integers, got '3, x'"),
         ("failure_rows = 3, 9", "failure_rows = 3, 16",
-         "failure_rows: failure row out of range for rows=16"),
+         "failure_rows: failure row outside the regular array: "
+         "16 not in [0, 16)"),
         ("failure_rows = 3, 9", "failure_rows = 3, 3", "failure rows must be distinct"),
         ("failure_rows = 3, 9", "failure_rows = 1, 2, 3, 4, 5",
          "failure_rows: 5 failure rows exceed 4 spare rows"),

@@ -1,5 +1,8 @@
 import argparse
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -921,3 +924,19 @@ def test_main_routes_diagnostics_to_stderr(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.strip()
+
+
+def test_main_exits_quietly_when_the_reader_closes_the_pipe():
+    """`chipchain ... | head` may close stdout before the payload is
+    written: exit 1 with nothing on stderr, not a BrokenPipeError trace."""
+    src = os.path.dirname(os.path.dirname(chipchain.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "chipchain.cli", "ledger", "mine", "--help"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path})
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert err == b"", err.decode()
