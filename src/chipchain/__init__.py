@@ -67,6 +67,7 @@ from .identity import (
     ChipKeyPair,
     MAX_STATE_INDEX,
     POWMOD_BACKEND,
+    PRIME_BACKEND,
     PublicKey,
     Response,
     SecretKey,

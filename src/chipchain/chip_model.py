@@ -125,6 +125,14 @@ def _integer(value, field: str) -> int:
         raise GeometryInvalid(f"{field} must be an integer, got {value!r}") from None
 
 
+def _seed(value) -> int:
+    """A manufacturing seed: a non-negative integer, as a fixture writes it."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise GeometryInvalid(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _row_set(values, bound: int, what: str, array: str) -> tuple[int, ...]:
     """values as distinct integers in [0, bound), sorted.  A refusal names
     the value; `what` names one value, `array` the array `bound` sizes."""
@@ -317,7 +325,7 @@ class SimulatedChip:
 
         self.chip_id = chip_id
         self.geometry = geometry
-        self.seed = seed
+        self.seed = None if seed is None else _seed(seed)
         self._failure_rows = rows
         self._swap_map = swap_map
         self._columns: dict[int, tuple[int | None, int | None, int]] = {}
@@ -351,6 +359,7 @@ def new_chip(geometry: ChipGeometry, failure_model: FailureModel | None = None,
     order to the first spare rows.  The same (geometry, model, seed)
     triple always yields the identical part.
     """
+    seed = _seed(seed)
     model = failure_model or FailureModel()
     model.check_fits(geometry)
     rng = np.random.default_rng(seed)
@@ -372,9 +381,11 @@ def write_column(chip: SimulatedChip, mode: str, column: int,
     directly and sets every spare cell of the column.
     """
     if mode not in (ACCESS_NORMAL, ACCESS_SPECIAL):
-        raise ValueError(f"mode must be {ACCESS_NORMAL!r} or {ACCESS_SPECIAL!r}")
+        raise GeometryInvalid(
+            f"mode must be {ACCESS_NORMAL!r} or {ACCESS_SPECIAL!r}, got {mode!r}")
+    value = _integer(value, "cell value")
     if value not in (0, 1):
-        raise ValueError("cell value must be 0 or 1")
+        raise GeometryInvalid(f"cell value must be 0 or 1, got {value}")
     chip._check_column(column)
     regular_fill, spare_fill, _ = chip._columns.get(column, (None, None, None))
     if mode == ACCESS_NORMAL:

@@ -43,6 +43,7 @@ from .errors import ChipChainError, UnknownChip
 from .identity import (
     MAX_STATE_INDEX,
     POWMOD_BACKEND,
+    PRIME_BACKEND,
     SUPPORTED_MODULUS_BITS,
     AuditVerdict,
     PublicKey,
@@ -304,7 +305,8 @@ def _cmd_scenario_run(args):
 
 def _cmd_version(args):
     return [f"chipchain {__version__} (pow kernel: {active_kernel()}, "
-            f"hmac: {HMAC_BACKEND}, powmod: {POWMOD_BACKEND})"], 0, []
+            f"hmac: {HMAC_BACKEND}, powmod: {POWMOD_BACKEND}, "
+            f"primality: {PRIME_BACKEND})"], 0, []
 
 
 # -- parser ----------------------------------------------------------------

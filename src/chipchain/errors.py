@@ -6,7 +6,8 @@ class ChipChainError(Exception):
 
 
 class GeometryInvalid(ChipChainError, ValueError):
-    """Chip geometry parameters are out of range or inconsistent."""
+    """A chip's geometry, rows, seed, access mode or cell value is out of
+    range, inconsistent or not an integer."""
 
 
 class CapacityExceeded(ChipChainError):

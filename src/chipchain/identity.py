@@ -40,23 +40,27 @@ its 32-bit words, which runs through BLAS and is exact because every
 sum is below 2^53; a window sieve then marks their multiples among 256
 odd numbers at a time (Menezes, van Oorschot and Vanstone, Handbook of
 Applied Cryptography, section 4.4), those of the 53 primes below 256
-in one assignment, and a Baillie-PSW test (strong base 2 plus
-extra-strong Lucas, Baillie and Wagstaff 1980, Grantham 2001) confirms
-the survivors in order.  The sieve is the test's trial division, so
-the search holds the package's only primality test.  Keys
-must stay those of the 40-witness Miller-Rabin schedule the tests keep
-as the reference: both tests accept every prime and no composite is
-known to pass either, so the search stops on the same primes.
+in one assignment, and a Baillie-PSW test (Baillie and Wagstaff 1980)
+confirms the survivors in order.  Where libgmp 6.2 or later loads
+(PRIME_BACKEND "libgmp"), the test is GMP's mpz_probab_prime_p, strong
+base 2 plus strong Lucas, in one foreign call per survivor (_gmp);
+elsewhere ("builtin") it is a strong base-2 test plus an extra-strong
+Lucas test (Grantham 2001) in Python.  The sieve is the search's trial
+division.  Keys must stay those of the 40-witness Miller-Rabin schedule
+the tests keep as the reference: each test here accepts every prime a
+search can reach and no composite is known to pass any of them, so the
+search stops on the same primes on either backend.
 
-Every modular exponentiation (the base-2 test, signing, verifying)
-goes through OpenSSL's BN_mod_exp_mont in the system libcrypto when it
-loads (POWMOD_BACKEND "libcrypto"), else builtin pow ("builtin").  Both
-give the same numbers, so keys and signatures are the same bytes on
-either backend.  The base-2 test, on a new modulus each time, calls
-_bn.powmod.  Keys keep their Montgomery form: a SecretKey holds a
-_bn.fixed_powmod handle per prime and a PublicKey one for its modulus,
-each built on first use, so sign and verify convert no modulus or
-exponent and build no Montgomery context per call.
+Every modular exponentiation here (signing, verifying, and the base-2
+test of the builtin primality path) goes through OpenSSL's
+BN_mod_exp_mont in the system libcrypto when it loads (POWMOD_BACKEND
+"libcrypto"), else builtin pow ("builtin").  Both give the same
+numbers, so keys and signatures are the same bytes on either backend.
+The base-2 test, on a new modulus each time, calls _bn.powmod.  Keys
+keep their Montgomery form: a SecretKey holds a _bn.fixed_powmod handle
+per prime and a PublicKey one for its modulus, each built on first use,
+so sign and verify convert no modulus or exponent and build no
+Montgomery context per call.
 
 Key sizes here are desk-scale (512 to 2048 bit) for fast simulation,
 not production parameters.
@@ -75,6 +79,7 @@ import numpy as np
 
 from ._bn import (BACKEND as POWMOD_BACKEND, fixed_powmod as _fixed_powmod,
                   powmod as _powmod)
+from ._gmp import BACKEND as PRIME_BACKEND, is_bpsw_prp as _gmp_bpsw_prp
 from .chip_model import Prn, SimulatedChip, extract_prn
 from .errors import PrimeSearchExhausted, SignatureMalformed
 
@@ -393,6 +398,17 @@ def _is_extra_strong_lucas_prp(n: int) -> bool:
     return False
 
 
+def _builtin_bpsw_prp(n: int) -> bool:
+    """Baillie-PSW in Python: strong base 2, then extra-strong Lucas."""
+    return _is_strong_base2_prp(n) and _is_extra_strong_lucas_prp(n)
+
+
+# The test _next_prime confirms its survivors with: GMP's, in one
+# foreign call, where libgmp 6.2 or later loads (PRIME_BACKEND "libgmp"),
+# else the Python pair ("builtin").
+_is_bpsw_prp = _gmp_bpsw_prp or _builtin_bpsw_prp
+
+
 def _sieve_residues(candidate: int) -> np.ndarray:
     """candidate mod every sieve prime.
 
@@ -436,11 +452,11 @@ def _next_prime(candidate: int, max_steps: int = 1 << 17) -> int:
     Step s is the number candidate + 2s (candidate made odd).  A window
     sieve marks, _SIEVE_WINDOW steps at a time, every step whose number
     an odd prime below _SIEVE_BOUND divides; the Baillie-PSW test
-    (strong base 2, then extra-strong Lucas) runs on the unmarked steps
-    in order.  The sieve is the search's trial division: a step reaches
-    the two tests only with no odd prime factor below 2^15.  With
-    candidate = 2m + 1, a sieve prime P divides 2(m + s) + 1 iff
-    s = (P - 1) / 2 - m mod P, plus a multiple of P;
+    _is_bpsw_prp runs on the unmarked steps in order.  The sieve is the
+    search's trial division: a step reaches the test only with no odd
+    prime factor below 2^15.  With candidate = 2m + 1, a sieve prime P
+    divides 2(m + s) + 1 iff s = (P - 1) / 2 - m mod P, plus a multiple
+    of P;
     the first such s is taken as ((3P - 1) / 2 - m mod P) mod P, so
     the remainder is never taken of a negative number, which costs
     numpy's int64 remainder about twice as much.
@@ -459,7 +475,7 @@ def _next_prime(candidate: int, max_steps: int = 1 << 17) -> int:
         width = min(_SIEVE_WINDOW, max_steps - base)
         for step in np.flatnonzero(~_composite_steps(hits, width)).tolist():
             n = candidate + 2 * (base + step)
-            if _is_strong_base2_prp(n) and _is_extra_strong_lucas_prp(n):
+            if _is_bpsw_prp(n):
                 return n
         hits = (hits - width) % _SIEVE_PRIMES
         base += width

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -28,3 +31,21 @@ def small_chips():
 
 def make_small_chip(seed: int, chip_id=None):
     return new_chip(SMALL, seed=seed, chip_id=chip_id)
+
+
+_PLAIN_LOCK = threading.Lock  # kept: lock tests patch threading.Lock
+
+
+class HandOverLock:
+    """A lock that sleeps once released, so that a thread waiting for it
+    takes it and finishes its call before the releasing thread goes on."""
+
+    def __init__(self):
+        self._lock = _PLAIN_LOCK()
+
+    def __enter__(self):
+        self._lock.acquire()
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+        time.sleep(5e-4)

@@ -7,7 +7,6 @@ import pickle
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from chipchain import POWMOD_BACKEND, _bn, identity
 
+from conftest import HandOverLock
 from oracles import rsa_sign_oracle
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -138,24 +138,6 @@ def test_powmod_from_many_threads():
     assert failures == []
 
 
-_PLAIN_LOCK = threading.Lock  # kept: the test below patches threading.Lock
-
-
-class _HandOverLock:
-    """A lock that sleeps once released, so that a thread waiting for it
-    takes it and finishes its call before the releasing thread goes on."""
-
-    def __init__(self):
-        self._lock = _PLAIN_LOCK()
-
-    def __enter__(self):
-        self._lock.acquire()
-
-    def __exit__(self, *exc_info):
-        self._lock.release()
-        time.sleep(5e-4)
-
-
 def test_handles_and_powmod_share_the_output_buffer_across_threads(
         monkeypatch):
     """Every call writes its result into one scratch buffer and reads it
@@ -167,7 +149,7 @@ def test_handles_and_powmod_share_the_output_buffer_across_threads(
     if POWMOD_BACKEND != "libcrypto":
         pytest.skip("the builtin backend has no buffer")
     with monkeypatch.context() as patch:
-        patch.setattr(_bn.threading, "Lock", _HandOverLock)
+        patch.setattr(_bn.threading, "Lock", HandOverLock)
         powmod, fixed_powmod, _backend = _bn._load()
     rounds = 40
     moduli = [(1 << bits) - 1 - 2 * k
@@ -306,8 +288,8 @@ def test_load_falls_back_to_builtin_pow(name):
 
 
 def test_package_falls_back_when_libcrypto_cannot_load():
-    """With the library refused at import, keys come from builtin pow and
-    are the same bytes."""
+    """With every library refused at import, keys come from builtin pow
+    and the Python Baillie-PSW pair, and are the same bytes."""
     code = (
         "import ctypes\n"
         "def refuse(name, *args, **kwargs):\n"
@@ -318,6 +300,8 @@ def test_package_falls_back_when_libcrypto_cannot_load():
         "from chipchain import _bn, identity\n"
         "print(chipchain.POWMOD_BACKEND, identity._powmod is pow,\n"
         "      identity._fixed_powmod is _bn._pow_closure)\n"
+        "print(chipchain.PRIME_BACKEND,\n"
+        "      identity._is_bpsw_prp is identity._builtin_bpsw_prp)\n"
         "response = chipchain.Response('x', 0, bytes(range(64)))\n"
         "pair = chipchain.derive_keypair(response, 512)\n"
         "print(chipchain.key_fingerprint(pair.public_key))\n"
@@ -332,7 +316,7 @@ def test_package_falls_back_when_libcrypto_cannot_load():
     pair = identity.derive_keypair(identity.Response("x", 0, bytes(range(64))),
                                    512)
     signature = identity.sign(pair.secret_key, b"nonce")
-    assert out == ["builtin", "True", "True",
+    assert out == ["builtin", "True", "True", "builtin", "True",
                    identity.key_fingerprint(pair.public_key),
                    signature.hex(), "True", "False"]
 

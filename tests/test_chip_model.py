@@ -257,15 +257,53 @@ SMALL = ChipGeometry(rows=64, redundancy_rows=4)
      "failure rows must be distinct, got 3 twice"),
     (lambda: SimulatedChip("x", SMALL, [3, 64]),
      "failure row outside the regular array: 64 not in [0, 64)"),
+    (lambda: new_chip(SMALL, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: new_chip(SMALL, seed=-1), "seed must be >= 0, got -1"),
+    (lambda: new_chip(SMALL, seed=None), "seed must be an integer, got None"),
+    (lambda: SimulatedChip("x", SMALL, [3], seed=1.5),
+     "seed must be an integer, got 1.5"),
+    (lambda: SimulatedChip("x", SMALL, [3], seed=-1), "seed must be >= 0, got -1"),
+    (lambda: write_column(new_chip(SMALL), "sideways", 0, 1),
+     "mode must be 'normal' or 'special', got 'sideways'"),
+    (lambda: write_column(new_chip(SMALL), ACCESS_NORMAL, 0, 1.0),
+     "cell value must be an integer, got 1.0"),
+    (lambda: write_column(new_chip(SMALL), ACCESS_SPECIAL, 0, 2),
+     "cell value must be 0 or 1, got 2"),
 ], ids=["rows", "redundancy_rows", "cols", "min_failures", "mean_failures",
         "huge_mean", "extract_column", "read_column", "prn_column", "total_rows",
-        "swap_target", "swap_key", "twice", "row_range"])
+        "swap_target", "swap_key", "twice", "row_range", "new_chip_seed",
+        "new_chip_negative_seed", "new_chip_no_seed", "chip_seed",
+        "chip_negative_seed", "write_mode", "write_float_value",
+        "write_value_range"])
 def test_each_chip_number_is_refused_by_name(build, message):
     """Every row, count and column a chip takes passes one integer rule,
     and every row set one check: a bad value is a ChipChainError that
     names it, never a numpy message, a bare TypeError or a truncation."""
     with pytest.raises(ChipChainError, match=re.escape(message)):
         build()
+
+
+def test_chip_seeds_are_kept_as_ints():
+    """A seed passes the integer rule as its value, None stays None, and
+    the fixture a chip writes parses back to the same seed."""
+    assert new_chip(SMALL, seed=np.int64(5)).seed == 5
+    assert type(new_chip(SMALL, seed=np.uint8(5)).seed) is int
+    assert (new_chip(SMALL, seed=True).failure_rows
+            == new_chip(SMALL, seed=1).failure_rows)
+    assert SimulatedChip("x", SMALL, [3]).seed is None
+    chip = SimulatedChip("x", SMALL, [3], seed=np.int32(7))
+    assert chip.seed == 7 and type(chip.seed) is int
+    assert parse_chip_fixture(format_chip_fixture(chip)).seed == 7
+
+
+def test_write_column_takes_a_bool_as_its_int():
+    chip = fresh()
+    write_column(chip, ACCESS_NORMAL, 0, False)
+    write_column(chip, ACCESS_SPECIAL, 0, True)
+    assert chip._columns[0] == (0, 1, 1)
+    assert {type(fill) for fill in chip._columns[0]} == {int}
+    assert read_column_normal(chip, 0).tolist() == [
+        1 if r in (3, 7) else 0 for r in range(16)]
 
 
 def test_integer_like_rows_are_taken():
@@ -356,6 +394,8 @@ def test_column_bounds():
         write_column(chip, "sideways", 0, 0)
     with pytest.raises(ValueError):
         write_column(chip, ACCESS_NORMAL, 0, 2)
+    with pytest.raises(ValueError):
+        write_column(chip, ACCESS_NORMAL, 0, 1.0)
 
 
 def test_columns_independent():

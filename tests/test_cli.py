@@ -81,8 +81,11 @@ def test_version():
     assert result.exit_code == 0
     assert result.stdout_payload.startswith("chipchain 0.1.0")
     assert "pow kernel:" in result.stdout_payload
-    assert re.search(r"powmod: (libcrypto|builtin)\)", result.stdout_payload)
+    assert re.search(r"powmod: (libcrypto|builtin), primality: (libgmp|builtin)\)",
+                     result.stdout_payload)
     assert f"hmac: {chipchain.HMAC_BACKEND}, powmod:" in result.stdout_payload
+    assert (f"powmod: {chipchain.POWMOD_BACKEND}, "
+            f"primality: {chipchain.PRIME_BACKEND})") in result.stdout_payload
 
 
 def test_unknown_command_usage_error():

@@ -33,9 +33,10 @@ from chipchain import (
     sign,
     verify,
 )
-from chipchain import _bn, chip_model, identity
+from chipchain import _bn, _gmp, chip_model, identity
 from chipchain.identity import (
     SUPPORTED_MODULUS_BITS,
+    _builtin_bpsw_prp,
     _is_extra_strong_lucas_prp,
     _is_strong_base2_prp,
     _next_prime,
@@ -417,8 +418,24 @@ def test_golden_key_pins(bits, label, fingerprint, primes_sha256):
                          GOLDEN_KEYS[:4])
 def test_golden_key_pins_with_builtin_pow(monkeypatch, bits, label,
                                           fingerprint, primes_sha256):
-    """The keys do not depend on the powmod backend."""
+    """The keys do not depend on the powmod backend.  The Python
+    Baillie-PSW pair is forced, since only its base-2 test calls
+    _powmod."""
     monkeypatch.setattr(identity, "_powmod", pow)
+    monkeypatch.setattr(identity, "_is_bpsw_prp", _builtin_bpsw_prp)
+    _assert_uncached_golden_key(bits, label, fingerprint, primes_sha256)
+
+
+@pytest.mark.parametrize("bits,label,fingerprint,primes_sha256", GOLDEN_KEYS)
+def test_golden_key_pins_with_builtin_primality(monkeypatch, bits, label,
+                                                fingerprint, primes_sha256):
+    """The keys do not depend on the primality backend: the Python
+    Baillie-PSW pair picks the primes GMP's test picks."""
+    monkeypatch.setattr(identity, "_is_bpsw_prp", _builtin_bpsw_prp)
+    _assert_uncached_golden_key(bits, label, fingerprint, primes_sha256)
+
+
+def _assert_uncached_golden_key(bits, label, fingerprint, primes_sha256):
     public, secret = identity._derive_core.__wrapped__(
         golden_response(label).data, bits)
     size = bits // 16
@@ -505,25 +522,30 @@ EXTRA_STRONG_LUCAS_PSEUDOPRIMES = [
 ]
 
 
-def _is_bpsw_prp(n):
-    """The Baillie-PSW pair as _next_prime runs it, with no trial division."""
-    return _is_strong_base2_prp(n) and _is_extra_strong_lucas_prp(n)
+# Each Baillie-PSW test _next_prime can run, by PRIME_BACKEND: the
+# Python pair always, GMP's where libgmp 6.2 or later loads.
+BPSW_PATHS = {"builtin": _builtin_bpsw_prp}
+if _gmp.is_bpsw_prp is not None:
+    BPSW_PATHS["libgmp"] = _gmp.is_bpsw_prp
 
 
 def test_primality_agrees_with_mr40_below_200000():
-    """Every odd n from 3 on, with no sieve in front: the pair alone
-    rejects each odd composite.  5 is the one prime the Lucas half
-    refuses (it divides 3^2 - 4); _next_prime never tests it, since its
-    candidates exceed every sieve prime."""
-    for n in range(3, 200000, 2):
-        if n != 5:
-            assert _is_bpsw_prp(n) == is_prime_mr40(n), n
-    assert not _is_bpsw_prp(5)
+    """Every odd n from 3 on, with no sieve in front: each test alone
+    rejects each odd composite.  5 is the one prime the Python Lucas
+    half refuses (it divides 3^2 - 4), and GMP accepts it;
+    _next_prime never tests it, since its candidates exceed every sieve
+    prime."""
+    for backend, bpsw in BPSW_PATHS.items():
+        for n in range(3, 200000, 2):
+            if n != 5:
+                assert bpsw(n) == is_prime_mr40(n), (backend, n)
+        assert bpsw(5) == (backend == "libgmp")
 
 
 @pytest.mark.parametrize("n", PSEUDOPRIMES)
 def test_primality_rejects_pseudoprimes(n):
-    assert not _is_bpsw_prp(n)
+    for backend, bpsw in BPSW_PATHS.items():
+        assert not bpsw(n), backend
     assert not is_prime_mr40(n)
 
 
@@ -545,7 +567,8 @@ def test_primality_rejects_squares_without_hanging():
     signal.setitimer(signal.ITIMER_REAL, 10)
     try:
         for root in roots:
-            assert not _is_bpsw_prp(root * root), root
+            for backend, bpsw in BPSW_PATHS.items():
+                assert not bpsw(root * root), (backend, root)
             assert not is_prime_mr40(root * root), root
             if root % 2:
                 assert not _is_extra_strong_lucas_prp(root * root), root
@@ -591,36 +614,49 @@ def test_extra_strong_lucas_matches_oracle(n):
     assert _is_extra_strong_lucas_prp(n) == extra_strong_lucas_oracle(n)
 
 
-def test_primality_agrees_with_mr40_on_key_search_survivors(monkeypatch):
-    """Every sieve survivor the golden-key derivations test gets the
-    same verdict from the oracle, so the search picks the same primes."""
-    visited = []
+@given(n=_ODD_LUCAS_INPUTS)
+def test_bpsw_paths_agree_with_mr40(n):
+    """Each Baillie-PSW test gives the 40-witness verdict on odd numbers
+    of 16 to 1024 bits and on products of two primes."""
+    want = is_prime_mr40(n)
+    for backend, bpsw in BPSW_PATHS.items():
+        assert bpsw(n) == want, backend
+
+
+def _recording(visited):
+    """identity._is_bpsw_prp as installed, appending each n to visited."""
+    bpsw = identity._is_bpsw_prp
 
     def recording(n):
         visited.append(n)
-        return _is_strong_base2_prp(n)
+        return bpsw(n)
+    return recording
 
+
+def test_primality_agrees_with_mr40_on_key_search_survivors(monkeypatch):
+    """Every sieve survivor the golden-key derivations test gets the
+    same verdict from the oracle and from each Baillie-PSW test, so the
+    search picks the same primes on either backend."""
+    visited = []
     with monkeypatch.context() as patch:
-        patch.setattr(identity, "_is_strong_base2_prp", recording)
+        patch.setattr(identity, "_is_bpsw_prp", _recording(visited))
         for bits, label, _fingerprint, _digest in GOLDEN_KEYS:
             identity._derive_core.__wrapped__(golden_response(label).data, bits)
     assert len(visited) > 2 * len(GOLDEN_KEYS)
     for n in visited:
-        assert _is_bpsw_prp(n) == is_prime_mr40(n), n
+        want = is_prime_mr40(n)
+        for backend, bpsw in BPSW_PATHS.items():
+            assert bpsw(n) == want, (backend, n)
 
 
 def test_sieve_leaves_no_small_factor_and_saves_tests(monkeypatch):
-    """The golden-key searches hand the base-2 test only numbers without
-    an odd prime factor below 2^15, so trial division could not reject
-    one, and fewer of them than the per-step search with its sieve up to
-    2053 does.  A wrong hit offset would let composites through and keep
-    every key: this catches it."""
+    """The golden-key searches hand the Baillie-PSW test only numbers
+    without an odd prime factor below 2^15, so trial division could not
+    reject one, and fewer of them than the per-step search with its
+    sieve up to 2053 does.  A wrong hit offset would let composites
+    through and keep every key: this catches it."""
     odd_primorial = math.prod(p for p in range(3, 1 << 15, 2) if is_prime_trial(p))
     sieved, per_step = [], []
-
-    def recording(n):
-        sieved.append(n)
-        return _is_strong_base2_prp(n)
 
     def recording_oracle(n):
         per_step.append(n)
@@ -630,22 +666,39 @@ def test_sieve_leaves_no_small_factor_and_saves_tests(monkeypatch):
     seeds = [(golden_response(label).data, bits)
              for bits, label, _fingerprint, _digest in GOLDEN_KEYS]
     with monkeypatch.context() as patch:
-        patch.setattr(identity, "_is_strong_base2_prp", recording)
+        patch.setattr(identity, "_is_bpsw_prp", _recording(sieved))
         keys = [derive(seed, bits) for seed, bits in seeds]
     with monkeypatch.context() as patch:
         patch.setattr(identity, "_next_prime",
                       lambda candidate: next_prime_oracle(candidate,
                                                           is_prime=recording_oracle))
         assert [derive(seed, bits) for seed, bits in seeds] == keys
+    assert sieved
     for n in sieved:
         assert math.gcd(n, odd_primorial) == 1, n
     assert len(sieved) < len(per_step)
 
 
 def test_golden_prime_search_work_is_pinned(monkeypatch):
-    """The six golden derivations hand the base-2 test 249 numbers, and
-    the Lucas test runs once per prime they return, on nothing else.
-    A change that sieves less or confirms a prime twice shows here."""
+    """The six golden derivations hand the Baillie-PSW test 249 numbers
+    on either backend.  With the Python pair, the base-2 test sees the
+    same 249 and the Lucas test runs once per prime they return, on
+    nothing else.  A change that sieves less or confirms a prime twice
+    shows here."""
+    def derive_primes():
+        primes = []
+        for bits, label, _fingerprint, _digest in GOLDEN_KEYS:
+            _public, secret = identity._derive_core.__wrapped__(
+                golden_response(label).data, bits)
+            primes += [secret.prime_p, secret.prime_q]
+        return primes
+
+    confirmed = []
+    with monkeypatch.context() as patch:
+        patch.setattr(identity, "_is_bpsw_prp", _recording(confirmed))
+        primes = derive_primes()
+    assert len(confirmed) == 249
+
     tested, lucas = [], []
 
     def recording(n):
@@ -656,14 +709,11 @@ def test_golden_prime_search_work_is_pinned(monkeypatch):
         lucas.append(n)
         return _is_extra_strong_lucas_prp(n)
 
+    monkeypatch.setattr(identity, "_is_bpsw_prp", _builtin_bpsw_prp)
     monkeypatch.setattr(identity, "_is_strong_base2_prp", recording)
     monkeypatch.setattr(identity, "_is_extra_strong_lucas_prp", recording_lucas)
-    primes = []
-    for bits, label, _fingerprint, _digest in GOLDEN_KEYS:
-        _public, secret = identity._derive_core.__wrapped__(
-            golden_response(label).data, bits)
-        primes += [secret.prime_p, secret.prime_q]
-    assert len(tested) == 249
+    assert derive_primes() == primes
+    assert tested == confirmed
     assert lucas == primes
 
 
