@@ -53,6 +53,7 @@ from .errors import (
     KExceedsN,
     MultipleSinks,
     NonceExhausted,
+    NumberInvalid,
     PreprocessMissing,
     PrimeSearchExhausted,
     SignatureMalformed,

@@ -8,12 +8,19 @@ from __future__ import annotations
 
 import hashlib
 
+from .errors import _number_in
+
 _NONCE_SPACE = 1 << 64
 
 
 def active_kernel() -> str:
     """Name of the mining kernel; the pure-Python scan is the only one."""
     return "pure"
+
+
+def _difficulty(value) -> int:
+    """Leading zero bits a digest is checked for: at most all 256 of them."""
+    return _number_in(value, "difficulty", 256)
 
 
 def pow_search(body: bytes, nonce_start: int = 0, difficulty_bits: int = 0,
@@ -24,8 +31,7 @@ def pow_search(body: bytes, nonce_start: int = 0, difficulty_bits: int = 0,
     or after nonce_start, or None if the scan exhausted the nonce space
     or the attempt cap first.
     """
-    if not 0 <= difficulty_bits <= 256:
-        raise ValueError("difficulty_bits must be in [0, 256]")
+    difficulty_bits = _difficulty(difficulty_bits)
     if not 0 <= nonce_start < _NONCE_SPACE:
         raise ValueError("nonce_start must fit in 64 bits")
     if max_attempts is not None and max_attempts < 0:

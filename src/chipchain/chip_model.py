@@ -222,13 +222,6 @@ class FailureModel:
         if self.min_failures < 0:
             raise GeometryInvalid("min_failures must be >= 0")
 
-    def check_fits(self, geometry: ChipGeometry) -> None:
-        """Refuse a geometry whose spare rows cannot hold min_failures."""
-        if self.min_failures > geometry.redundancy_rows:
-            raise GeometryInvalid(
-                f"min_failures={self.min_failures} exceeds "
-                f"redundancy_rows={geometry.redundancy_rows}")
-
 
 @dataclass(frozen=True)
 class Prn:
@@ -361,7 +354,9 @@ def new_chip(geometry: ChipGeometry, failure_model: FailureModel | None = None,
     """
     seed = _seed(seed)
     model = failure_model or FailureModel()
-    model.check_fits(geometry)
+    if model.min_failures > geometry.redundancy_rows:
+        raise GeometryInvalid(f"min_failures={model.min_failures} exceeds "
+                              f"redundancy_rows={geometry.redundancy_rows}")
     rng = np.random.default_rng(seed)
 
     count = rng.poisson(model.mean_failures)
@@ -504,9 +499,10 @@ def parse_chip_fixture(text: str) -> SimulatedChip:
     except GeometryInvalid as exc:
         # each ChipGeometry text opens with the field it refuses
         raise invalid(re.match(r"\w+", str(exc))[0], exc) from None
-    seed = integer("seed") if fields.get("seed", (0, ""))[1] else None
-    if seed is not None and seed < 0:
-        raise invalid("seed", f"seed: must be >= 0, got {seed}")
+    try:
+        seed = _seed(integer("seed")) if fields.get("seed", (0, ""))[1] else None
+    except GeometryInvalid as exc:
+        raise invalid("seed", exc) from None
     # the targets follow the failure rows in ascending order, as written
     rows, targets = sorted(integers("failure_rows")), integers("swap_targets")
     paired = bool(targets) and len(targets) == len(rows)

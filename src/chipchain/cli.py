@@ -23,11 +23,12 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
 from . import __version__
-from ._pow import active_kernel
+from ._pow import _difficulty, active_kernel
 from .chip_model import (
     HMAC_BACKEND,
     ChipGeometry,
     FailureModel,
+    _seed,
     extract_prn,
     format_chip_fixture,
     load_chip_fixture,
@@ -41,19 +42,19 @@ from .entropy_analysis import (
 )
 from .errors import ChipChainError, UnknownChip
 from .identity import (
-    MAX_STATE_INDEX,
     POWMOD_BACKEND,
     PRIME_BACKEND,
     SUPPORTED_MODULUS_BITS,
     AuditVerdict,
     PublicKey,
+    _state_index,
     crp_audit,
     key_fingerprint,
     keypair_for_chip,
 )
 from .ledger import (
-    MAX_MINING_DIFFICULTY,
     ZERO_HASH,
+    _mining_difficulty,
     build_tree,
     load_chain,
     mine_block,
@@ -316,23 +317,35 @@ def _int_in(what: str, low: int, high: int | None = None):
     """argparse type for an integer `what` in [low, high], no cap if None."""
     bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
 
+    def check(value) -> int:
+        if not isinstance(value, int):
+            raise ValueError(f"invalid {what} {value!r}")
+        if value < low or (high is not None and value > high):
+            raise ValueError(f"{what} must be {bounds}, got {value}")
+        return value
+
+    return _checked_by(check)
+
+
+def _checked_by(check):
+    """argparse type for an integer flag: its text, as an int where it
+    reads as one, through check, whose refusal argparse prints after the
+    flag.  A seed, state index or difficulty is checked by its module."""
+
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid {what} {text!r}") from None
-        if value < low or (high is not None and value > high):
-            raise argparse.ArgumentTypeError(
-                f"{what} must be {bounds}, got {value}")
-        return value
+            value = text  # check refuses it as not an integer
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
 
-_state_index = _int_in("state index", 0, MAX_STATE_INDEX)
 _AUDIT_NONCE = hashlib.sha256(b"chipchain/cli-audit-nonce" + bytes(8)).digest()
-_seed = _int_in("seed", 0)
 _MAX_POPULATION = 10 ** 100
 
 
@@ -399,7 +412,7 @@ class _NoteEntropyFlag(argparse.Action):
 def _build_parser() -> argparse.ArgumentParser:
     # one parent parser per shared flag; each subcommand takes those it reads
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=_seed, default=0,
+    seed.add_argument("--seed", type=_checked_by(_seed), default=0,
                       help="deterministic seed (default 0, never wall clock)")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", **_ENTROPY_FLAGS["--output"])
@@ -410,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chip_path = argparse.ArgumentParser(add_help=False)
     chip_path.add_argument("--chip", required=True, help="chip fixture path")
     state = argparse.ArgumentParser(add_help=False)
-    state.add_argument("--l", type=_state_index, default=0,
+    state.add_argument("--l", type=_checked_by(_state_index), default=0,
                        help="state index")
     topology = argparse.ArgumentParser(add_help=False)
     topology.add_argument("--topology", required=True,
@@ -491,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mine = ledger_sub.add_parser("mine", parents=[topology, state, bits],
                                  help="mine the tree's root stamp onto a chain")
     mine.add_argument("--difficulty", required=True,
-                      type=_int_in("difficulty", 0, MAX_MINING_DIFFICULTY),
+                      type=_checked_by(_mining_difficulty),
                       help="leading zero bits")
     mine.add_argument("--chain", required=True,
                       help="chain file; created if missing, else appended")
@@ -501,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify_cmd = ledger_sub.add_parser("verify", help="check a chain file")
     verify_cmd.add_argument("--chain", required=True)
-    verify_cmd.add_argument("--difficulty", type=_int_in("difficulty", 0, 256),
+    verify_cmd.add_argument("--difficulty", type=_checked_by(_difficulty),
                             required=True)
     verify_cmd.set_defaults(handler=_cmd_ledger_verify)
 
@@ -509,14 +522,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "replace", parents=[topology, state, bits],
         help="swap one chip and repair only the dirtied path")
     replace.add_argument("--old", required=True, help="node id to replace")
-    replace.add_argument("--new-seed", type=_seed, required=True,
+    replace.add_argument("--new-seed", type=_checked_by(_seed), required=True,
                          help="manufacture seed of the replacement chip")
     replace.set_defaults(handler=_cmd_ledger_replace)
 
     rotate = ledger_sub.add_parser("rotate", parents=[topology, bits],
                                    help="reproduce the tree at a new state")
-    rotate.add_argument("--from-l", type=_state_index, default=0)
-    rotate.add_argument("--new-l", type=_state_index, required=True)
+    rotate.add_argument("--from-l", type=_checked_by(_state_index), default=0)
+    rotate.add_argument("--new-l", type=_checked_by(_state_index),
+                        required=True)
     rotate.set_defaults(handler=_cmd_ledger_rotate)
 
     scenario = sub.add_parser("scenario", help="scripted network runs")

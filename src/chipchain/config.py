@@ -73,9 +73,9 @@ from ._lines import (
 )
 from .chip_model import ChipGeometry, FailureModel, SimulatedChip, new_chip
 from .errors import (ConfigInvalid, CycleDetected, GeometryInvalid,
-                     MultipleSinks)
-from .identity import MAX_STATE_INDEX, SUPPORTED_MODULUS_BITS
-from .ledger import MAX_MINING_DIFFICULTY, _topological_schedule
+                     MultipleSinks, NumberInvalid)
+from .identity import SUPPORTED_MODULUS_BITS, _state_index
+from .ledger import _mining_difficulty, _topological_schedule
 
 ROLE_MANAGEMENT = "management"
 ROLE_SECURITY = "security"
@@ -92,17 +92,12 @@ _ACTIONS = ("enroll", "spoof", "build_tree", "mine", "rotate", "sweep",
 
 @dataclass(frozen=True)
 class ChipSpec:
-    """Manufacturing order for one chip, checked before any is made."""
+    """Manufacturing order for one chip, checked as new_chip makes it."""
 
     name: str
     seed: int
     geometry: ChipGeometry
     failure_model: FailureModel
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise GeometryInvalid(f"seed must be >= 0, got {self.seed}")
-        self.failure_model.check_fits(self.geometry)
 
     def manufacture(self, seed: int | None = None,
                     chip_id: str | None = None) -> SimulatedChip:
@@ -165,24 +160,28 @@ _Edges = tuple[tuple[str, str], ...]
 _CHIP_DEFAULTS = {"y": 2000, "lambda": 10.0, "redundancy": 20,
                   "min_failures": 1}
 _SCENARIO_DEFAULTS = {"difficulty": 8, "modulus_bits": 512, **_CHIP_DEFAULTS}
-# [params] keys whose values have a range: key -> (allowed values, as text)
-_PARAM_RANGES = {
-    "difficulty": (range(MAX_MINING_DIFFICULTY + 1),
-                   f"in [0, {MAX_MINING_DIFFICULTY}]"),
-    "modulus_bits": (SUPPORTED_MODULUS_BITS, "512, 1024, or 2048"),
-}
+
+
+def _owned(where: str, check, *args):
+    """check(*args), whose refusal of a value it owns reads after `where`."""
+    try:
+        return check(*args)
+    except (GeometryInvalid, NumberInvalid) as exc:
+        raise ConfigInvalid(f"{where}: {exc}") from None
 
 
 def _parse_params(lines: _Lines, defaults: Mapping[str, object]) -> dict:
     """`key = value` lines over defaults; each value takes its default's type."""
     params = dict(defaults)
     for key, (line_no, value) in _read_fields(lines, defaults).items():
-        number = _parse_number(value, f"line {line_no}: params.{key}",
+        where = f"line {line_no}"
+        number = _parse_number(value, f"{where}: params.{key}",
                                type(defaults[key]))
-        allowed, text = _PARAM_RANGES.get(key, (None, ""))
-        if allowed is not None and number not in allowed:
-            raise ConfigInvalid(f"line {line_no}: params.{key} must be "
-                                f"{text}, got {number}")
+        if key == "difficulty":
+            number = _owned(where, _mining_difficulty, number)
+        elif key == "modulus_bits" and number not in SUPPORTED_MODULUS_BITS:
+            raise ConfigInvalid(f"{where}: params.modulus_bits must be 512, "
+                                f"1024, or 2048, got {number}")
         params[key] = number
     return params
 
@@ -210,9 +209,10 @@ def _parse_chips(lines: _Lines, params: Mapping[str, object]
                                     redundancy_rows=values["redundancy"])
             model = FailureModel(values["lambda"], values["min_failures"])
             spec = ChipSpec(chip_name, values["seed"], geometry, model)
+            fingerprint = spec.fingerprint()  # new_chip checks seed and model
         except GeometryInvalid as exc:
             raise ConfigInvalid(f"{where}: chip {chip_name!r}: {exc}") from None
-        earlier = ordered.setdefault(spec.fingerprint(), chip_name)
+        earlier = ordered.setdefault(fingerprint, chip_name)
         if earlier != chip_name:
             raise ConfigInvalid(f"{where}: chip {chip_name!r} clones "
                                 f"{earlier!r}: the same failure rows of "
@@ -389,7 +389,8 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
                                 "mine needs an earlier build_tree")
         elif action == "tamper":
             node = args["node"]
-            fingerprint = chips[nodes[node].chip].fingerprint(args["seed"])
+            fingerprint = _owned(where, chips[nodes[node].chip].fingerprint,
+                                 args["seed"])
             holder = next((other for other, theirs in held.items()
                            if theirs == fingerprint and other != node), None)
             if holder is not None:
@@ -432,20 +433,19 @@ def _parse_action_args(action: str, rest: Sequence[str],
     if action == "mine":
         need(0, "TICK mine [DIFFICULTY]", 1)
         if rest:
-            # the run verifies its chain at the scenario difficulty
-            difficulty = _parse_number(rest[0], where)
-            if not min_difficulty <= difficulty <= MAX_MINING_DIFFICULTY:
+            difficulty = _owned(where, _mining_difficulty,
+                                _parse_number(rest[0], where))
+            if difficulty < min_difficulty:
                 raise ConfigInvalid(
-                    f"{where}: difficulty must be in [{min_difficulty}, "
-                    f"{MAX_MINING_DIFFICULTY}], got {difficulty}")
+                    f"{where}: mine difficulty {difficulty} is below "
+                    f"[params] difficulty {min_difficulty}, at which the run "
+                    f"verifies its whole chain")
             return {"difficulty": difficulty}
         return {}
     if action == "rotate":
         need(1, "TICK rotate NEW_STATE [offline=a,b]")
-        args: dict[str, object] = {"state": _parse_number(rest[0], where)}
-        if not 0 <= args["state"] <= MAX_STATE_INDEX:
-            raise ConfigInvalid(f"{where}: state index must be in "
-                                f"[0, 2^64 - 1], got {args['state']}")
+        args: dict[str, object] = {
+            "state": _owned(where, _state_index, _parse_number(rest[0], where))}
         if len(rest) > 1:
             options = _split_options(rest[1:], where, ("offline",))
             offline = tuple(
@@ -456,10 +456,9 @@ def _parse_action_args(action: str, rest: Sequence[str],
     if action == "tamper":
         need(2, "TICK tamper NODE seed=N")
         options = _split_options(rest[1:], where, ("seed",))
-        seed = _parse_number(options["seed"], where)
-        if seed < 0:
-            raise ConfigInvalid(f"{where}: seed must be >= 0")
-        return {"node": node_of_role(rest[0], ROLE_DEVICE), "seed": seed}
+        # parse_scenario's clone check makes the part, which checks the seed
+        return {"node": node_of_role(rest[0], ROLE_DEVICE),
+                "seed": _parse_number(options["seed"], where)}
     # build_tree and sweep take no arguments
     if rest:
         raise ConfigInvalid(f"{where}: {action} takes no arguments")

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that raises
+NumberInvalid."""
+
+import operator
 
 
 class ChipChainError(Exception):
@@ -62,6 +65,11 @@ class NonceExhausted(ChipChainError):
     """Proof-of-work search ran out of nonces below the attempt cap."""
 
 
+class NumberInvalid(ChipChainError, ValueError):
+    """A state index or proof-of-work difficulty is not an integer in its
+    range."""
+
+
 class ConfigInvalid(ChipChainError, ValueError):
     """Scenario configuration text failed validation, or a scenario run
     refused one of its schedule actions."""
@@ -73,3 +81,14 @@ class FixtureInvalid(ChipChainError, ValueError):
 
 class ChainInvalid(ChipChainError, ValueError):
     """Serialized proof-of-work chain failed to parse."""
+
+
+def _number_in(value, what: str, high: int, shown: str | None = None) -> int:
+    """value as an integer in [0, high], which `shown` may spell."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise NumberInvalid(f"{what} must be an integer, got {value!r}") from None
+    if not 0 <= number <= high:
+        raise NumberInvalid(f"{what} must be in [0, {shown or high}], got {number}")
+    return number

@@ -81,7 +81,7 @@ from ._bn import (BACKEND as POWMOD_BACKEND, fixed_powmod as _fixed_powmod,
                   powmod as _powmod)
 from ._gmp import BACKEND as PRIME_BACKEND, is_bpsw_prp as _gmp_bpsw_prp
 from .chip_model import Prn, SimulatedChip, extract_prn
-from .errors import PrimeSearchExhausted, SignatureMalformed
+from .errors import PrimeSearchExhausted, SignatureMalformed, _number_in
 
 SUPPORTED_MODULUS_BITS = (512, 1024, 2048)
 
@@ -100,10 +100,13 @@ class Challenge:
     data: bytes
 
 
+def _state_index(value) -> int:
+    """A security-state index; every parser of one calls this check."""
+    return _number_in(value, "state index", MAX_STATE_INDEX, "2^64 - 1")
+
+
 def make_challenge(state_index: int) -> Challenge:
-    if not 0 <= state_index <= MAX_STATE_INDEX:
-        raise ValueError(
-            f"state_index must be in [0, 2^64 - 1], got {state_index}")
+    state_index = _state_index(state_index)
     data = hashlib.sha256(
         _CHALLENGE_TAG + _MANAGEMENT_TAG + state_index.to_bytes(8, "big")
     ).digest()

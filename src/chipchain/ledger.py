@@ -26,7 +26,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ._pow import pow_search
+from ._pow import _difficulty, pow_search
 from .chip_model import SimulatedChip
 from .errors import (
     ChainInvalid,
@@ -36,6 +36,7 @@ from .errors import (
     SignatureMalformed,
     StateMismatch,
     UnknownChip,
+    _number_in,
 )
 from .identity import (
     ChipKeyPair,
@@ -419,6 +420,11 @@ def leading_zero_bits(digest: bytes) -> int:
     return 8 * len(digest) - int.from_bytes(digest, "big").bit_length()
 
 
+def _mining_difficulty(value) -> int:
+    """A difficulty to mine at; every parser of one calls this check."""
+    return _number_in(value, "difficulty", MAX_MINING_DIFFICULTY)
+
+
 def mine_block(stamp: RootStamp, prev_block_hash: bytes = ZERO_HASH,
                difficulty_bits: int = 8, nonce_start: int = 0,
                height: int = 0, max_attempts: int | None = None) -> Block:
@@ -427,9 +433,7 @@ def mine_block(stamp: RootStamp, prev_block_hash: bytes = ZERO_HASH,
     The scan is linear from nonce_start, so mining is deterministic and
     the attempt count is block.nonce - nonce_start + 1.
     """
-    if not 0 <= difficulty_bits <= MAX_MINING_DIFFICULTY:
-        raise ValueError(
-            f"difficulty_bits must be in [0, {MAX_MINING_DIFFICULTY}] for mining")
+    difficulty_bits = _mining_difficulty(difficulty_bits)
     body = stamp.to_bytes() + prev_block_hash
     result = pow_search(body, nonce_start, difficulty_bits, max_attempts)
     if result is None:
@@ -442,6 +446,7 @@ def mine_block(stamp: RootStamp, prev_block_hash: bytes = ZERO_HASH,
 
 def verify_chain(blocks: Sequence[Block], difficulty_bits: int) -> bool:
     """Check hashes, difficulty, linkage, and height numbering."""
+    difficulty_bits = _difficulty(difficulty_bits)
     prev = ZERO_HASH
     for position, block in enumerate(blocks):
         if block.height != position:

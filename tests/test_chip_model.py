@@ -718,7 +718,7 @@ FIXTURE = ("chip_id = x\nrows = 16\ncols = 8\nredundancy_rows = 4\nseed = 7\n"
         ("cols = 8", "cols = 0", "cols must be positive, got 0"),
         ("redundancy_rows = 4", "redundancy_rows = 17",
          "redundancy_rows=17 exceeds rows=16"),
-        ("seed = 7", "seed = -1", "seed: must be >= 0, got -1"),
+        ("seed = 7", "seed = -1", "seed must be >= 0, got -1"),
         ("failure_rows = 3, 9", "failure_rows = 3, x",
          "failure_rows: expected integers, got '3, x'"),
         ("failure_rows = 3, 9", "failure_rows = 3, 16",

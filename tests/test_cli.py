@@ -135,7 +135,7 @@ ANY_KEY = PublicKey((1 << 511) | 1, 65537).to_bytes().hex()
      "seed must be >= 0, got -1"),
     (["ledger", "replace", "--topology", "{topo}", "--old", "n3"],
      "--new-seed", "-1", "seed must be >= 0, got -1"),
-    (["chip", "new"], "--seed", "x", "invalid seed 'x'"),
+    (["chip", "new"], "--seed", "x", "seed must be an integer, got 'x'"),
     (VERIFY, "--difficulty", "-5", "difficulty must be in [0, 256], got -5"),
     (VERIFY, "--difficulty", "257", "difficulty must be in [0, 256], got 257"),
     (MINE, "--difficulty", "40", "difficulty must be in [0, 32], got 40"),

@@ -42,6 +42,28 @@ def test_fig10_records_and_summary(seed):
     assert (sha256("\n".join(records)), sha256(log.summary())) == FIG10[seed]
 
 
+# The adversary tour walks the paths fig10 leaves out: a blocklisted and a
+# chipless entry, replay and noise spoofs, a tamper caught by a sweep and
+# a tamper re-bound by a rotate, a rotate with offline=, a re-enrollment
+ADVERSARY_TOUR = {
+    0: ("ac8675a5c5a21495035f5b2c8de7399be0e283cd89e9606f9ac7d146712ddfa1",
+        "32a28c16d431fb01523eb5f5bbc83dee885382b993c1ffd242c8fa139b4b07bb"),
+    3: ("29cee7ea6d433a82cfdfb7e0db587f498f0ac6c95a9f3006e5516189c3ad707d",
+        "672f525f06a622bcb88b702861252d8b355f26e615d801708b31e3545853852c"),
+    7919: ("78816d9e7491f5592f863f39b638f51243f0fcd8bdce84492cfb73837573b931",
+           "dfcaac40a93821a92c0a338e062a2e84e1a9b3b3a083515db66ab8296187a7d8"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ADVERSARY_TOUR))
+def test_adversary_tour_records_and_summary(seed):
+    log = run_scenario(bundled_scenario("adversary-tour"), seed)
+    records = log.to_records()
+    assert len(records) == 65
+    assert (sha256("\n".join(records)), sha256(log.summary())) \
+        == ADVERSARY_TOUR[seed]
+
+
 BITS = ["--topology", LEDGER, "--modulus-bits", "512"]
 
 LEDGER_OUTPUT = {

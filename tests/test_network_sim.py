@@ -128,7 +128,8 @@ def test_parse_defaults():
         ("[schedule]\n9 rotate 1 when=now", "unknown option 'when'"),
         ("[schedule]\n9 tamper a colour=red", "unknown option 'colour'"),
         ("[schedule]\n9 mine 40", "difficulty"),
-        ("[schedule]\n9 mine 2", "difficulty must be in [4, 32], got 2"),
+        ("[schedule]\n9 mine 2",
+         "mine difficulty 2 is below [params] difficulty 4"),
         ("[schedule]\n9 tamper a seed=-1", "seed must be >= 0"),
         ("[bogus]\nx = 1", "section"),
         ("[schedule]\n6 enroll a b", "usage: TICK enroll NODE"),
@@ -278,7 +279,7 @@ def test_parse_reports_params_line_numbers():
 
 
 @pytest.mark.parametrize("before, after, message", [
-    ("difficulty = 4", "difficulty = 33", "params.difficulty must be in [0, 32]"),
+    ("difficulty = 4", "difficulty = 33", "difficulty must be in [0, 32], got 33"),
     ("modulus_bits = 512", "modulus_bits = 768",
      "params.modulus_bits must be 512, 1024, or 2048"),
     ("y = 256", "column = 0", "unknown key 'column'"),
@@ -388,6 +389,26 @@ def test_bundled_scenarios():
     assert len(config.chips) == 10
     with pytest.raises(ConfigInvalid, match="fig10-coexistence"):
         bundled_scenario("no-such-scenario")
+
+
+def test_adversary_tour_walks_each_adversary_path():
+    """The tour's pinned records cover what fig10's do not: each entry
+    denial, the replay and noise spoofs, a tamper caught by a sweep, a
+    tamper re-bound by a rotate, an offline member and a re-enrollment."""
+    config = bundled_scenario("adversary-tour")
+    assert (config.modulus_bits, config.difficulty) == (512, 8)
+    log = run_scenario(config, seed=0)
+    verdicts = [dict(e.fields) for e in log.events if e.kind == "Verdict"]
+    assert {v.get("reason") for v in verdicts} \
+        >= {"blocklist", "no_chip", "audit_failed"}
+    assert {dict(e.fields).get("method") for e in log.events
+            if e.kind == "Response"} >= {"replay", "noise"}
+    # d3 is swapped and evicted, then re-enrolls; d2 is swapped and
+    # re-bound by the rotate that d1 misses
+    assert log.evicted == ((13, "d3"), (18, "d1"))
+    assert log.admitted.count("d3") == 2
+    assert log.members == ("d0", "d2", "d3")
+    assert check_invariants(log) == []
 
 
 def test_load_scenario_from_path(tmp_path):

@@ -38,6 +38,30 @@ def test_the_scenario_grammar_stays_in_config():
     assert "network_sim" not in imported("config.py")
 
 
+def test_each_bound_is_read_by_the_module_that_owns_it():
+    """identity checks every state index and ledger every mining
+    difficulty, so no parser can grow a range check of its own; the
+    package's __init__ only re-exports the bounds."""
+    owners = {"MAX_STATE_INDEX": "identity.py",
+              "MAX_MINING_DIFFICULTY": "ledger.py"}
+    readers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            readers.update((name, path.name) for name in names
+                           if name in owners
+                           and not (path.name == "__init__.py"
+                                    and isinstance(node, ast.ImportFrom)))
+    assert readers == {(name, owner) for name, owner in owners.items()}
+
+
 def test_only_derive_core_holds_a_process_wide_cache():
     """functools.lru_cache / functools.cache decorate identity._derive_core
     and nothing else: a chip holds its PRN and a run its key pairs, so
