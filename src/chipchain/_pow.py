@@ -23,6 +23,26 @@ def _difficulty(value) -> int:
     return _number_in(value, "difficulty", 256)
 
 
+def _target(difficulty_bits) -> bytes:
+    """The largest 32-byte digest with difficulty_bits leading zero bits.
+
+    Big-endian bytes order like the integers they encode, so a digest
+    clears the difficulty iff it compares at most this.
+    """
+    bits = _difficulty(difficulty_bits)
+    return ((1 << (256 - bits)) - 1).to_bytes(32, "big")
+
+
+def _nonce_start(value) -> int:
+    """A nonce to scan from: it packs in the message's 8 bytes."""
+    return _number_in(value, "nonce start", _NONCE_SPACE - 1, "2^64 - 1")
+
+
+def _max_attempts(value) -> int:
+    """An attempt cap: the whole nonce space at most."""
+    return _number_in(value, "max attempts", _NONCE_SPACE, "2^64")
+
+
 def pow_search(body: bytes, nonce_start: int = 0, difficulty_bits: int = 0,
                max_attempts: int | None = None):
     """Linear scan in pure Python.
@@ -31,17 +51,11 @@ def pow_search(body: bytes, nonce_start: int = 0, difficulty_bits: int = 0,
     or after nonce_start, or None if the scan exhausted the nonce space
     or the attempt cap first.
     """
-    difficulty_bits = _difficulty(difficulty_bits)
-    if not 0 <= nonce_start < _NONCE_SPACE:
-        raise ValueError("nonce_start must fit in 64 bits")
-    if max_attempts is not None and max_attempts < 0:
-        raise ValueError("max_attempts must be >= 0")
-    # big-endian bytes order like the integers they encode, so the
-    # digest clears the target iff it is at most the largest passing value
-    limit = ((1 << (256 - difficulty_bits)) - 1).to_bytes(32, "big")
+    limit = _target(difficulty_bits)
+    nonce_start = _nonce_start(nonce_start)
     end = _NONCE_SPACE
     if max_attempts is not None:
-        end = min(end, nonce_start + max_attempts)
+        end = min(end, nonce_start + _max_attempts(max_attempts))
     sha256 = hashlib.sha256
     # nonce || body in one buffer: the top 7 nonce bytes are written
     # once per 256 nonces and only the low byte inside

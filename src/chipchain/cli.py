@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
 from . import __version__
-from ._pow import _difficulty, active_kernel
+from ._pow import _difficulty, _nonce_start, active_kernel
 from .chip_model import (
     HMAC_BACKEND,
     ChipGeometry,
@@ -313,15 +313,14 @@ def _cmd_version(args):
 # -- parser ----------------------------------------------------------------
 
 
-def _int_in(what: str, low: int, high: int | None = None):
-    """argparse type for an integer `what` in [low, high], no cap if None."""
-    bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+def _int_at_least(what: str, low: int):
+    """argparse type for an integer `what` of at least low."""
 
     def check(value) -> int:
         if not isinstance(value, int):
             raise ValueError(f"invalid {what} {value!r}")
-        if value < low or (high is not None and value > high):
-            raise ValueError(f"{what} must be {bounds}, got {value}")
+        if value < low:
+            raise ValueError(f"{what} must be >= {low}, got {value}")
         return value
 
     return _checked_by(check)
@@ -330,7 +329,8 @@ def _int_in(what: str, low: int, high: int | None = None):
 def _checked_by(check):
     """argparse type for an integer flag: its text, as an int where it
     reads as one, through check, whose refusal argparse prints after the
-    flag.  A seed, state index or difficulty is checked by its module."""
+    flag.  A seed, state index, difficulty or nonce start is checked by
+    its module."""
 
     def parse(text: str) -> int:
         try:
@@ -391,9 +391,9 @@ def _public_key(text: str) -> PublicKey:
 _ENTROPY_FLAGS = {
     "--output": dict(choices=("text", "records"), default="text",
                      help="human text or one key=value record per line"),
-    "--y": dict(type=_int_in("y", 1), default=2000, help="rows"),
-    "--l": dict(type=_int_in("l", 1), default=1, help="block side"),
-    "--m": dict(type=_int_in("m", 0), default=10, help="failure count"),
+    "--y": dict(type=_int_at_least("y", 1), default=2000, help="rows"),
+    "--l": dict(type=_int_at_least("l", 1), default=1, help="block side"),
+    "--m": dict(type=_int_at_least("m", 0), default=10, help="failure count"),
 }
 # the flags each mode reads; given before the mode word, another is refused
 _ENTROPY_MODE_FLAGS = {"table": ("--output", "--l", "--m"),
@@ -509,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--chain", required=True,
                       help="chain file; created if missing, else appended")
     mine.add_argument("--nonce-start", default=0,
-                      type=_int_in("nonce start", 0, (1 << 64) - 1))
+                      type=_checked_by(_nonce_start))
     mine.set_defaults(handler=_cmd_ledger_mine)
 
     verify_cmd = ledger_sub.add_parser("verify", help="check a chain file")

@@ -66,8 +66,8 @@ class NonceExhausted(ChipChainError):
 
 
 class NumberInvalid(ChipChainError, ValueError):
-    """A state index or proof-of-work difficulty is not an integer in its
-    range."""
+    """A state index, proof-of-work difficulty, nonce start, attempt cap
+    or block height is not an integer in its range."""
 
 
 class ConfigInvalid(ChipChainError, ValueError):

@@ -24,9 +24,10 @@ import hashlib
 import heapq
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from ._pow import _difficulty, pow_search
+from ._pow import _target, pow_search
 from .chip_model import SimulatedChip
 from .errors import (
     ChainInvalid,
@@ -41,6 +42,7 @@ from .errors import (
 from .identity import (
     ChipKeyPair,
     PublicKey,
+    _state_index,
     keypair_for_chip,
     sign,
     verify,
@@ -114,7 +116,9 @@ class ChipNode:
     and the records it received, not the chip itself.  Genesis, fold and
     latest signature derive from them; the fold starts from the genesis
     record's hash, record_hash(key, ZERO_HASH, GENESIS_SIGNATURE), and
-    folds in each incoming record's hash in order."""
+    folds in each incoming record's hash in order.  A repaired tree shares
+    its untouched seats with the tree it came from, so a seat is not
+    changed once its tree is built."""
 
     node_id: str
     keypair: ChipKeyPair
@@ -209,15 +213,22 @@ def _topological_schedule(node_ids: Iterable[str],
 
 @dataclass(frozen=True)
 class RootStamp:
-    """What the root chip publishes for mining."""
+    """What the root chip publishes for mining.
+
+    Its wire bytes are built once, on first use, and are not a field.
+    """
 
     root_key: PublicKey
     root_hash: bytes
     state_index: int
 
-    def to_bytes(self) -> bytes:
+    @cached_property
+    def _wire(self) -> bytes:
         return (self.root_key.to_bytes() + self.root_hash
                 + self.state_index.to_bytes(8, "big"))
+
+    def to_bytes(self) -> bytes:
+        return self._wire
 
     @classmethod
     def parse(cls, data: bytes, offset: int = 0) -> tuple["RootStamp", int]:
@@ -334,7 +345,9 @@ def replace_chip(tree: ChipMerkleTree, node_id: str, new_chip: SimulatedChip,
     incoming signatures change, then the change propagates along the
     schedule through every node downstream toward the root; siblings off
     that path are untouched, which is the repair-cost win this structure
-    exists for.
+    exists for.  The new tree holds copies of the recomputed seats only
+    and shares every other seat with the tree handed in, which stays as
+    it was.
     """
     if node_id not in tree.nodes:
         raise UnknownChip(f"no node {node_id!r} in the tree")
@@ -342,12 +355,12 @@ def replace_chip(tree: ChipMerkleTree, node_id: str, new_chip: SimulatedChip,
         raise StateMismatch(
             f"tree is bound to state {tree.state_index}, not {state_index}")
 
-    nodes = {
-        nid: dataclasses.replace(node, incoming=list(node.incoming))
-        for nid, node in tree.nodes.items()
-    }
-    nodes[node_id].keypair = keypair_for_chip(new_chip, state_index,
-                                              tree.modulus_bits)
+    nodes = dict(tree.nodes)
+    replaced = nodes[node_id]
+    nodes[node_id] = dataclasses.replace(
+        replaced,
+        keypair=keypair_for_chip(new_chip, state_index, tree.modulus_bits),
+        incoming=list(replaced.incoming))
 
     # A node sends only after all its incoming edges fired, so its fold is
     # final by then: every record into the replaced node or out of a dirty
@@ -361,10 +374,12 @@ def replace_chip(tree: ChipMerkleTree, node_id: str, new_chip: SimulatedChip,
         if src not in dirty and dst != node_id:
             continue
         receiver = nodes[dst]
-        receiver.incoming[position] = _signed_record(nodes[src], receiver)
         if dst not in dirty:
+            receiver = nodes[dst] = dataclasses.replace(
+                receiver, incoming=list(receiver.incoming))
             dirty.add(dst)
             recomputed.append(dst)
+        receiver.incoming[position] = _signed_record(nodes[src], receiver)
 
     return dataclasses.replace(tree, nodes=nodes), recomputed
 
@@ -385,18 +400,31 @@ def rotate_state_reproduce(tree: ChipMerkleTree,
     return build_tree(tree.edges, chips, new_state_index, tree.modulus_bits)
 
 
+def _seal_bytes(nonce: int, stamp: RootStamp, prev_block_hash: bytes) -> bytes:
+    """What a block's hash seals: nonce, stamp, previous block hash."""
+    return nonce.to_bytes(8, "big") + stamp.to_bytes() + prev_block_hash
+
+
 @dataclass(frozen=True)
 class Block:
+    """One mined stamp, linked to the block before it.
+
+    The bytes its hash seals are built once, on first use, and are not a
+    field; the wire form is the height, those bytes and the hash.
+    """
+
     height: int
     nonce: int
     stamp: RootStamp
     prev_block_hash: bytes
     block_hash: bytes
 
+    @cached_property
+    def _sealed(self) -> bytes:
+        return _seal_bytes(self.nonce, self.stamp, self.prev_block_hash)
+
     def to_bytes(self) -> bytes:
-        return (struct.pack(">QQ", self.height, self.nonce)
-                + self.stamp.to_bytes() + self.prev_block_hash
-                + self.block_hash)
+        return struct.pack(">Q", self.height) + self._sealed + self.block_hash
 
     @classmethod
     def parse(cls, data: bytes) -> "Block":
@@ -412,8 +440,7 @@ class Block:
 
 
 def block_hash(nonce: int, stamp: RootStamp, prev_block_hash: bytes) -> bytes:
-    return hashlib.sha256(nonce.to_bytes(8, "big") + stamp.to_bytes()
-                          + prev_block_hash).digest()
+    return hashlib.sha256(_seal_bytes(nonce, stamp, prev_block_hash)).digest()
 
 
 def leading_zero_bits(digest: bytes) -> int:
@@ -425,16 +452,30 @@ def _mining_difficulty(value) -> int:
     return _number_in(value, "difficulty", MAX_MINING_DIFFICULTY)
 
 
+def _height(value) -> int:
+    """A block height: the wire packs it in 8 bytes."""
+    return _number_in(value, "height", (1 << 64) - 1, "2^64 - 1")
+
+
 def mine_block(stamp: RootStamp, prev_block_hash: bytes = ZERO_HASH,
                difficulty_bits: int = 8, nonce_start: int = 0,
                height: int = 0, max_attempts: int | None = None) -> Block:
     """Scan nonces until the block hash clears the difficulty.
 
     The scan is linear from nonce_start, so mining is deterministic and
-    the attempt count is block.nonce - nonce_start + 1.
+    the attempt count is block.nonce - nonce_start + 1.  A block that
+    parse_chain could not read back is refused before the scan.
     """
     difficulty_bits = _mining_difficulty(difficulty_bits)
-    body = stamp.to_bytes() + prev_block_hash
+    height = _height(height)
+    _state_index(stamp.state_index)
+    for what, value in (("root hash", stamp.root_hash),
+                        ("previous block hash", prev_block_hash)):
+        if len(value) != len(ZERO_HASH):
+            raise ChainInvalid(f"{what} must be {len(ZERO_HASH)} bytes, "
+                               f"got {len(value)}")
+    # pow_search puts each nonce in front of the rest of the sealed bytes
+    body = _seal_bytes(0, stamp, prev_block_hash)[8:]
     result = pow_search(body, nonce_start, difficulty_bits, max_attempts)
     if result is None:
         raise NonceExhausted(
@@ -445,20 +486,20 @@ def mine_block(stamp: RootStamp, prev_block_hash: bytes = ZERO_HASH,
 
 
 def verify_chain(blocks: Sequence[Block], difficulty_bits: int) -> bool:
-    """Check hashes, difficulty, linkage, and height numbering."""
-    difficulty_bits = _difficulty(difficulty_bits)
+    """Check each block in turn: its height is its position, it links to
+    the block before (the first to ZERO_HASH), one SHA-256 over the bytes
+    it seals gives its hash, and that hash is at most the difficulty
+    target, the byte form of having difficulty_bits leading zero bits."""
+    target = _target(difficulty_bits)
+    sha256 = hashlib.sha256
     prev = ZERO_HASH
-    for position, block in enumerate(blocks):
-        if block.height != position:
+    for height, block in enumerate(blocks):
+        digest = block.block_hash
+        if (block.height != height or block.prev_block_hash != prev
+                or sha256(block._sealed).digest() != digest
+                or digest > target):
             return False
-        if block.prev_block_hash != prev:
-            return False
-        if block_hash(block.nonce, block.stamp, block.prev_block_hash) \
-                != block.block_hash:
-            return False
-        if leading_zero_bits(block.block_hash) < difficulty_bits:
-            return False
-        prev = block.block_hash
+        prev = digest
     return True
 
 

@@ -4,7 +4,8 @@ Everything in this file is written the slow, obvious way and shares no
 code with the package but its exception types: binomials as explicit
 products cross-checked against a Pascal recurrence, transfer schedules
 by repeated scanning, root folds by replaying the byte rules over plain
-dicts.  Tests freeze several outputs of these oracles as literals.
+dicts, a chain's verdict by rehashing every block from its fields.
+Tests freeze several outputs of these oracles as literals.
 """
 
 import fractions
@@ -214,6 +215,42 @@ def oracle_root_fold(edges, public_keys, sign_fn):
         latest[dst] = hashlib.sha256(public_keys[dst] + latest[dst] + h).digest()
         latest_sig[dst] = sig
     return latest
+
+
+def verify_chain_oracle(blocks, difficulty_bits: int) -> bool:
+    """verify_chain's loop as it stood before blocks kept the bytes they
+    seal: every block's hash recomputed from its fields, the difficulty
+    counted as leading zero bits.  The two helpers it called are inlined,
+    and the stamp is serialized from its fields, so this shares no code
+    with the package."""
+
+    def field(value: int) -> bytes:
+        raw = value.to_bytes(max(1, (value.bit_length() + 7) // 8), "big")
+        return len(raw).to_bytes(4, "big") + raw
+
+    def block_hash(nonce, stamp, prev_block_hash):
+        key = stamp.root_key
+        stamp_bytes = (field(key.modulus) + field(key.exponent)
+                       + stamp.root_hash + stamp.state_index.to_bytes(8, "big"))
+        return hashlib.sha256(nonce.to_bytes(8, "big") + stamp_bytes
+                              + prev_block_hash).digest()
+
+    def leading_zero_bits(digest):
+        return 8 * len(digest) - int.from_bytes(digest, "big").bit_length()
+
+    prev = bytes(32)
+    for position, block in enumerate(blocks):
+        if block.height != position:
+            return False
+        if block.prev_block_hash != prev:
+            return False
+        if block_hash(block.nonce, block.stamp, block.prev_block_hash) \
+                != block.block_hash:
+            return False
+        if leading_zero_bits(block.block_hash) < difficulty_bits:
+            return False
+        prev = block.block_hash
+    return True
 
 
 def random_tree_edges(rng, n: int):

@@ -141,10 +141,9 @@ ANY_KEY = PublicKey((1 << 511) | 1, 65537).to_bytes().hex()
     (MINE, "--difficulty", "40", "difficulty must be in [0, 32], got 40"),
     (MINE, "--difficulty", "-1", "difficulty must be in [0, 32], got -1"),
     (MINE + ["--difficulty", "4"], "--nonce-start", "-1",
-     "nonce start must be in [0, 18446744073709551615], got -1"),
+     "nonce start must be in [0, 2^64 - 1], got -1"),
     (MINE + ["--difficulty", "4"], "--nonce-start", str(2**64),
-     "nonce start must be in [0, 18446744073709551615], got "
-     "18446744073709551616"),
+     "nonce start must be in [0, 2^64 - 1], got 18446744073709551616"),
     (AUDIT, "--pk", "zz", "invalid public key 'zz': non-hexadecimal number "
      "found in fromhex() arg at position 0"),
     (AUDIT, "--pk", "00", "invalid public key '00': truncated length prefix"),

@@ -13,6 +13,7 @@ from chipchain import (
     GENESIS_SIGNATURE,
     MultipleSinks,
     NonceExhausted,
+    NumberInvalid,
     PublicKey,
     RootStamp,
     SignatureMalformed,
@@ -423,11 +424,16 @@ def test_replace_leaves_unrelated_nodes_untouched(fig_tree):
 
 
 def test_replace_does_not_mutate_input(fig_tree):
+    """The repair copies the seats it re-signs and shares every other
+    seat with the parent, which keeps every record and its root."""
     before = fig_tree.root_hash
-    incoming_before = list(fig_tree.nodes["n6"].incoming)
-    replace_chip(fig_tree, "n7", make_small_chip(82), 0)
+    incoming_before = {node_id: list(node.incoming)
+                       for node_id, node in fig_tree.nodes.items()}
+    repaired, recomputed = replace_chip(fig_tree, "n7", make_small_chip(82), 0)
+    for node_id, node in fig_tree.nodes.items():
+        assert (repaired.nodes[node_id] is node) == (node_id not in recomputed)
+        assert node.incoming == incoming_before[node_id]
     assert fig_tree.root_hash == before
-    assert fig_tree.nodes["n6"].incoming == incoming_before
     assert verify_tree(fig_tree)
 
 
@@ -544,6 +550,29 @@ def test_mine_block_difficulty_cap(stamps):
         mine_block(stamps[0], difficulty_bits=33)
     with pytest.raises(ValueError):
         mine_block(stamps[0], difficulty_bits=-1)
+
+
+def test_mine_block_refuses_a_short_previous_hash(stamps):
+    """parse_chain reads a 32-byte link, so a shorter one is never mined."""
+    with pytest.raises(ChainInvalid) as caught:
+        mine_block(stamps[0], b"short", 0)
+    assert str(caught.value) == "previous block hash must be 32 bytes, got 5"
+
+
+def test_mine_block_refuses_a_short_root_hash(stamps):
+    stamp = dataclasses.replace(stamps[0], root_hash=b"abc")
+    with pytest.raises(ChainInvalid) as caught:
+        mine_block(stamp, ZERO_HASH, 0)
+    assert str(caught.value) == "root hash must be 32 bytes, got 3"
+
+
+def test_mine_block_refuses_a_state_index_past_8_bytes(stamps):
+    """The state index is checked by identity, its owner, before the scan."""
+    stamp = dataclasses.replace(stamps[0], state_index=2**64)
+    with pytest.raises(NumberInvalid) as caught:
+        mine_block(stamp, ZERO_HASH, 0)
+    assert str(caught.value) == ("state index must be in [0, 2^64 - 1], "
+                                 "got 18446744073709551616")
 
 
 def make_chain(stamps, difficulty=8):

@@ -1,9 +1,9 @@
 """One refusal per value.
 
-A chip seed, a security-state index, a mining difficulty and a chain's
-verification difficulty are each checked by the module that owns the
-value (chip_model, identity, ledger and _pow); a seed has no upper
-bound.  Every entry point that takes one (library call, CLI flag,
+A chip seed, a security-state index, a mining difficulty, a chain's
+verification difficulty, a scan's nonce start and attempt cap and a
+block's height are each checked by the module that owns the value
+(chip_model, identity, ledger and _pow); a seed has no upper bound.  Every entry point that takes one (library call, CLI flag,
 scenario line, ledger file, chip fixture) hands a bad value to that
 check and adds only its place, so each bad value reads one text after
 the place, and every refusal is a ChipChainError and a ValueError.
@@ -60,6 +60,24 @@ REFUSALS = {
         (8.0, "difficulty must be an integer, got 8.0"),
         ("8", "difficulty must be an integer, got '8'"),
     ],
+    "nonce start": [
+        (-1, "nonce start must be in [0, 2^64 - 1], got -1"),
+        (2**64, "nonce start must be in [0, 2^64 - 1], got 18446744073709551616"),
+        (1.5, "nonce start must be an integer, got 1.5"),
+        ("0", "nonce start must be an integer, got '0'"),
+    ],
+    "max attempts": [
+        (-1, "max attempts must be in [0, 2^64], got -1"),
+        (2**64 + 1, "max attempts must be in [0, 2^64], got 18446744073709551617"),
+        (2.5, "max attempts must be an integer, got 2.5"),
+        ("9", "max attempts must be an integer, got '9'"),
+    ],
+    "height": [
+        (-1, "height must be in [0, 2^64 - 1], got -1"),
+        (2**64, "height must be in [0, 2^64 - 1], got 18446744073709551616"),
+        (1.5, "height must be an integer, got 1.5"),
+        ("0", "height must be an integer, got '0'"),
+    ],
 }
 
 LIBRARY = {
@@ -79,6 +97,20 @@ LIBRARY = {
     "verification difficulty": {
         "verify_chain": lambda v: verify_chain([], v),
         "pow_search": lambda v: pow_search(b"", 0, v),
+    },
+    "nonce start": {
+        "mine_block": lambda v: mine_block(RootStamp(KEY, bytes(32), 0),
+                                           ZERO_HASH, 0, nonce_start=v),
+        "pow_search": lambda v: pow_search(b"", v),
+    },
+    "max attempts": {
+        "mine_block": lambda v: mine_block(RootStamp(KEY, bytes(32), 0),
+                                           ZERO_HASH, 0, max_attempts=v),
+        "pow_search": lambda v: pow_search(b"", 0, 0, v),
+    },
+    "height": {
+        "mine_block": lambda v: mine_block(RootStamp(KEY, bytes(32), 0),
+                                           ZERO_HASH, 0, height=v),
     },
 }
 
@@ -103,6 +135,11 @@ CLI = {
     "verification difficulty": {
         "ledger verify": ("--difficulty", ["ledger", "verify", "--chain",
                                            "c.bin"]),
+    },
+    "nonce start": {
+        "ledger mine": ("--nonce-start", ["ledger", "mine", "--topology",
+                                          "t.cfg", "--chain", "c.bin",
+                                          "--difficulty", "4"]),
     },
 }
 

@@ -62,6 +62,43 @@ def test_each_bound_is_read_by_the_module_that_owns_it():
     assert readers == {(name, owner) for name, owner in owners.items()}
 
 
+def _is_target_shift(node) -> bool:
+    """`1 << (256 - bits)`: the largest digest a difficulty lets through."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+            and isinstance(node.left, ast.Constant) and node.left.value == 1
+            and isinstance(node.right, ast.BinOp)
+            and isinstance(node.right.op, ast.Sub)
+            and isinstance(node.right.left, ast.Constant)
+            and node.right.left.value == 256)
+
+
+def test_one_difficulty_rule_and_one_chain_verifier():
+    """Only _pow turns a difficulty into a target (_target), which both
+    pow_search and verify_chain compare digests against; the package has
+    one verify_chain, which hashes each block's kept bytes once and calls
+    neither block_hash nor leading_zero_bits.  Both stay public."""
+    shifts, callers = [], {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        shifts += [path.name for node in ast.walk(tree)
+                   if _is_target_shift(node)]
+        for function in ast.walk(tree):
+            if (isinstance(function, ast.FunctionDef)
+                    and function.name in ("pow_search", "verify_chain")):
+                callers.setdefault(function.name, []).append(
+                    (path.name, {node.func.id for node in ast.walk(function)
+                                 if isinstance(node, ast.Call)
+                                 and isinstance(node.func, ast.Name)}))
+    assert shifts == ["_pow.py"]
+    [(pow_module, pow_calls)] = callers["pow_search"]
+    [(chain_module, chain_calls)] = callers["verify_chain"]
+    assert (pow_module, chain_module) == ("_pow.py", "ledger.py")
+    assert "_target" in pow_calls & chain_calls
+    assert not chain_calls & {"block_hash", "leading_zero_bits"}
+    assert callable(chipchain.block_hash)
+    assert callable(chipchain.leading_zero_bits)
+
+
 def test_only_derive_core_holds_a_process_wide_cache():
     """functools.lru_cache / functools.cache decorate identity._derive_core
     and nothing else: a chip holds its PRN and a run its key pairs, so
