@@ -21,6 +21,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from functools import partial
 
 from . import __version__
 from ._pow import _difficulty, _nonce_start, active_kernel
@@ -35,18 +36,19 @@ from .chip_model import (
     new_chip,
 )
 from .entropy_analysis import (
+    _count,
     collision_report,
     entropy_report,
     format_scientific,
     generation_table,
 )
-from .errors import ChipChainError, UnknownChip
+from .errors import ChipChainError, NumberInvalid, UnknownChip
 from .identity import (
     POWMOD_BACKEND,
     PRIME_BACKEND,
-    SUPPORTED_MODULUS_BITS,
     AuditVerdict,
     PublicKey,
+    _modulus_bits,
     _state_index,
     crp_audit,
     key_fingerprint,
@@ -55,6 +57,7 @@ from .identity import (
 from .ledger import (
     ZERO_HASH,
     _mining_difficulty,
+    _new_state,
     build_tree,
     load_chain,
     mine_block,
@@ -313,28 +316,14 @@ def _cmd_version(args):
 # -- parser ----------------------------------------------------------------
 
 
-def _int_at_least(what: str, low: int):
-    """argparse type for an integer `what` of at least low."""
-
-    def check(value) -> int:
-        if not isinstance(value, int):
-            raise ValueError(f"invalid {what} {value!r}")
-        if value < low:
-            raise ValueError(f"{what} must be >= {low}, got {value}")
-        return value
-
-    return _checked_by(check)
-
-
-def _checked_by(check):
-    """argparse type for an integer flag: its text, as an int where it
-    reads as one, through check, whose refusal argparse prints after the
-    flag.  A seed, state index, difficulty or nonce start is checked by
-    its module."""
+def _checked_by(check, read=int):
+    """argparse type for an integer flag: its text, as read gives it where
+    it reads as an integer, through check, whose refusal argparse prints
+    after the flag.  Every such value is checked by its module."""
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = read(text)
         except ValueError:
             value = text  # check refuses it as not an integer
         try:
@@ -350,17 +339,17 @@ _MAX_POPULATION = 10 ** 100
 
 
 def _population(text: str) -> int:
-    """argparse type for `entropy collisions --n`: an integer in
-    [1, 1e100], plain or in scientific notation (1e14)."""
+    """The integer `entropy collisions --n` reads, plain or in scientific
+    notation (1e14).  A value above 1e100 or below -1e100 is refused
+    here, before it becomes an int; a ValueError leaves the text to the
+    check."""
     try:
         value = Decimal(text)
     except InvalidOperation:
-        raise argparse.ArgumentTypeError(
-            f"invalid population {text!r}") from None
+        raise ValueError(text) from None
     if not value.is_finite() or value != value.to_integral_value():
-        raise argparse.ArgumentTypeError(
-            f"population must be an integer, got {text!r}")
-    if not 1 <= value <= _MAX_POPULATION:
+        raise ValueError(text)
+    if abs(value) > _MAX_POPULATION:
         raise argparse.ArgumentTypeError(
             f"population must be in [1, 1e100], got {text}")
     return int(value)
@@ -391,9 +380,12 @@ def _public_key(text: str) -> PublicKey:
 _ENTROPY_FLAGS = {
     "--output": dict(choices=("text", "records"), default="text",
                      help="human text or one key=value record per line"),
-    "--y": dict(type=_int_at_least("y", 1), default=2000, help="rows"),
-    "--l": dict(type=_int_at_least("l", 1), default=1, help="block side"),
-    "--m": dict(type=_int_at_least("m", 0), default=10, help="failure count"),
+    "--y": dict(type=_checked_by(partial(_count, "rows")), default=2000,
+                help="rows"),
+    "--l": dict(type=_checked_by(partial(_count, "block side")), default=1,
+                help="block side"),
+    "--m": dict(type=_checked_by(partial(_count, "failure count")),
+                default=10, help="failure count"),
 }
 # the flags each mode reads; given before the mode word, another is refused
 _ENTROPY_MODE_FLAGS = {"table": ("--output", "--l", "--m"),
@@ -417,9 +409,10 @@ def _build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", **_ENTROPY_FLAGS["--output"])
     bits = argparse.ArgumentParser(add_help=False)
-    bits.add_argument("--modulus-bits", type=int, default=1024,
-                      choices=SUPPORTED_MODULUS_BITS,
-                      help="RSA modulus size for derived keys")
+    bits.add_argument("--modulus-bits", type=_checked_by(_modulus_bits),
+                      default=1024,
+                      help="RSA modulus size for derived keys: 512, 1024 "
+                           "or 2048")
     chip_path = argparse.ArgumentParser(add_help=False)
     chip_path.add_argument("--chip", required=True, help="chip fixture path")
     state = argparse.ArgumentParser(add_help=False)
@@ -468,7 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--generations", help="comma-separated subset")
     table.set_defaults(handler=_cmd_entropy_table)
     collisions = modes.add_parser("collisions", help="population odds")
-    collisions.add_argument("--n", type=_population, default="1e14",
+    population = _checked_by(partial(_count, "population"), _population)
+    collisions.add_argument("--n", type=population, default="1e14",
                             help="population size")
     collisions.set_defaults(handler=_cmd_entropy_collisions)
     # a mode's copy of a flag stays unset unless given, so a flag given
@@ -560,9 +554,11 @@ def dispatch(argv) -> CommandResult:
                                                              _ENTROPY_FLAGS)]
             if unread:
                 parser.error(f"entropy {args.mode} does not read {unread[0]}")
-            if args.handler is _cmd_ledger_rotate and args.new_l == args.from_l:
-                parser.error(f"argument --new-l: new state index must differ "
-                             f"from --from-l, got {args.new_l}")
+            if args.handler is _cmd_ledger_rotate:
+                try:
+                    _new_state(args.from_l, args.new_l)
+                except NumberInvalid as exc:
+                    parser.error(f"argument --new-l: {exc}")
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return CommandResult(code, out.getvalue().rstrip("\n"),

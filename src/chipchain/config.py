@@ -74,8 +74,8 @@ from ._lines import (
 from .chip_model import ChipGeometry, FailureModel, SimulatedChip, new_chip
 from .errors import (ConfigInvalid, CycleDetected, GeometryInvalid,
                      MultipleSinks, NumberInvalid)
-from .identity import SUPPORTED_MODULUS_BITS, _state_index
-from .ledger import _mining_difficulty, _topological_schedule
+from .identity import _modulus_bits
+from .ledger import _mining_difficulty, _new_state, _topological_schedule
 
 ROLE_MANAGEMENT = "management"
 ROLE_SECURITY = "security"
@@ -179,9 +179,8 @@ def _parse_params(lines: _Lines, defaults: Mapping[str, object]) -> dict:
                                type(defaults[key]))
         if key == "difficulty":
             number = _owned(where, _mining_difficulty, number)
-        elif key == "modulus_bits" and number not in SUPPORTED_MODULUS_BITS:
-            raise ConfigInvalid(f"{where}: params.modulus_bits must be 512, "
-                                f"1024, or 2048, got {number}")
+        elif key == "modulus_bits":
+            number = _owned(where, _modulus_bits, number)
         params[key] = number
     return params
 
@@ -373,10 +372,8 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
         args = _parse_action_args(action, rest, nodes, params["difficulty"],
                                   where)
         if action == "rotate":
-            if args["state"] == state:
-                raise ConfigInvalid(f"{where}: rotate to state {state} "
-                                    f"does not change the state index")
-            state = args["state"]
+            state = args["state"] = _owned(where, _new_state, state,
+                                           args["state"])
         elif action == "build_tree":
             if tree_built:
                 raise ConfigInvalid(f"{where}: transfer tree already built; "
@@ -444,8 +441,8 @@ def _parse_action_args(action: str, rest: Sequence[str],
         return {}
     if action == "rotate":
         need(1, "TICK rotate NEW_STATE [offline=a,b]")
-        args: dict[str, object] = {
-            "state": _owned(where, _state_index, _parse_number(rest[0], where))}
+        # parse_scenario checks the state against the one in force
+        args: dict[str, object] = {"state": _parse_number(rest[0], where)}
         if len(rest) > 1:
             options = _split_options(rest[1:], where, ("offline",))
             offline = tuple(

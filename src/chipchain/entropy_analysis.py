@@ -19,20 +19,29 @@ from typing import Iterable, Sequence
 
 from .chip_model import (GENERATION_CAPACITY, GENERATION_ROWS, GENERATIONS,
                          generation_geometry)
-from .errors import CountTooLarge, KExceedsN
+from .errors import CountTooLarge, KExceedsN, _number_from, _shown
+
+# the least value of each count this module takes
+_LEAST = {"rows": 1, "block side": 1, "failure count": 0, "population": 1,
+          "n": 0, "k": 0}
+
+
+def _count(what: str, value) -> int:
+    """The count named `what`, an integer of at least its _LEAST; every
+    parser of one calls this check."""
+    return _number_from(value, what, _LEAST[what])
 
 
 def combinations(n: int, k: int) -> int:
-    """Exact binomial coefficient n choose k.
+    """Exact binomial coefficient n choose k, for integers n, k >= 0.
 
     A count with more decimal digits than Python converts to text
     (sys.get_int_max_str_digits) raises CountTooLarge.  The lower bound
     (n/k)**k refuses the far ones before math.comb builds them.
     """
-    if n < 0 or k < 0:
-        raise ValueError("combinations needs non-negative arguments")
+    n, k = _count("n", n), _count("k", k)
     if k > n:
-        raise KExceedsN(f"k={k} exceeds n={n}")
+        raise KExceedsN(f"k={_shown(k)} exceeds n={_shown(n)}")
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     too_large = CountTooLarge(f"n choose k has more than {limit} decimal "
                               f"digits, the most Python converts to text")
@@ -66,10 +75,8 @@ class EntropyReport:
 def entropy_report(rows: int, block_side: int = 1, failure_count: int = 10,
                    generation: str | None = None) -> EntropyReport:
     """Exact pattern count and its entropy for one configuration."""
-    if rows < 1 or block_side < 1:
-        raise ValueError("rows and block_side must be positive")
-    if failure_count < 0:
-        raise ValueError("failure_count must be >= 0")
+    rows, block_side = _count("rows", rows), _count("block side", block_side)
+    failure_count = _count("failure count", failure_count)
     count = combinations(block_side * rows, failure_count)
     return EntropyReport(
         rows=rows,
@@ -107,10 +114,10 @@ def collision_report(rows: int, block_side: int = 1, failure_count: int = 10,
     All three figures are exact rationals; callers compare them against
     thresholds without ever rounding through floats.
     """
-    if population < 1:
-        raise ValueError("population must be >= 1")
+    n = _count("population", population)
+    rows, block_side = _count("rows", rows), _count("block side", block_side)
+    failure_count = _count("failure count", failure_count)
     count = combinations(block_side * rows, failure_count)
-    n = population
     return CollisionReport(
         rows=rows,
         block_side=block_side,

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the check that raises
+"""Exception types shared across the package, and the checks that raise
 NumberInvalid."""
 
 import operator
+import sys
 
 
 class ChipChainError(Exception):
@@ -66,8 +67,14 @@ class NonceExhausted(ChipChainError):
 
 
 class NumberInvalid(ChipChainError, ValueError):
-    """A state index, proof-of-work difficulty, nonce start, attempt cap
-    or block height is not an integer in its range."""
+    """A number is not an integer in its range, or breaks its rule.
+
+    Each has one owner, whose text a parser prints after its place:
+    identity a state index and a key size, ledger a mining difficulty,
+    a block height and a rotate's new state index (which must differ
+    from the one in force), _pow a verification difficulty, a nonce
+    start and an attempt cap, and entropy_analysis the row, block-side,
+    failure and population counts and a binomial's n and k."""
 
 
 class ConfigInvalid(ChipChainError, ValueError):
@@ -83,12 +90,37 @@ class ChainInvalid(ChipChainError, ValueError):
     """Serialized proof-of-work chain failed to parse."""
 
 
-def _number_in(value, what: str, high: int, shown: str | None = None) -> int:
-    """value as an integer in [0, high], which `shown` may spell."""
+def _shown(number: int) -> str:
+    """number as a refusal prints it: its digits, or only its sign and
+    length past the most digits Python converts to text."""
     try:
-        number = operator.index(value)
+        return str(number)
+    except ValueError:
+        sign = "a negative" if number < 0 else "an"
+        return (f"{sign} integer of more than "
+                f"{sys.get_int_max_str_digits()} digits")
+
+
+def _integer(value, what: str) -> int:
+    """value through operator.index: an integer, neither truncated nor parsed."""
+    try:
+        return operator.index(value)
     except TypeError:
         raise NumberInvalid(f"{what} must be an integer, got {value!r}") from None
+
+
+def _number_in(value, what: str, high: int, shown: str | None = None) -> int:
+    """value as an integer in [0, high], which `shown` may spell."""
+    number = _integer(value, what)
     if not 0 <= number <= high:
-        raise NumberInvalid(f"{what} must be in [0, {shown or high}], got {number}")
+        raise NumberInvalid(f"{what} must be in [0, {shown or high}], "
+                            f"got {_shown(number)}")
+    return number
+
+
+def _number_from(value, what: str, low: int) -> int:
+    """value as an integer of at least low."""
+    number = _integer(value, what)
+    if number < low:
+        raise NumberInvalid(f"{what} must be >= {low}, got {_shown(number)}")
     return number

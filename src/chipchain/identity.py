@@ -81,7 +81,8 @@ from ._bn import (BACKEND as POWMOD_BACKEND, fixed_powmod as _fixed_powmod,
                   powmod as _powmod)
 from ._gmp import BACKEND as PRIME_BACKEND, is_bpsw_prp as _gmp_bpsw_prp
 from .chip_model import Prn, SimulatedChip, extract_prn
-from .errors import PrimeSearchExhausted, SignatureMalformed, _number_in
+from .errors import (NumberInvalid, PrimeSearchExhausted, SignatureMalformed,
+                     _integer, _number_in, _shown)
 
 SUPPORTED_MODULUS_BITS = (512, 1024, 2048)
 
@@ -103,6 +104,16 @@ class Challenge:
 def _state_index(value) -> int:
     """A security-state index; every parser of one calls this check."""
     return _number_in(value, "state index", MAX_STATE_INDEX, "2^64 - 1")
+
+
+def _modulus_bits(value) -> int:
+    """An RSA key size; every parser of one calls this check."""
+    bits = _integer(value, "modulus bits")
+    if bits not in SUPPORTED_MODULUS_BITS:
+        raise NumberInvalid(f"modulus bits must be one of "
+                            f"{', '.join(map(str, SUPPORTED_MODULUS_BITS))}, "
+                            f"got {_shown(bits)}")
+    return bits
 
 
 def make_challenge(state_index: int) -> Challenge:
@@ -532,8 +543,7 @@ def derive_keypair(response: Response, modulus_bits: int = 1024) -> ChipKeyPair:
     The same response always regenerates the identical pair, which is
     the whole point: keys never need storing next to the chip.
     """
-    if modulus_bits not in SUPPORTED_MODULUS_BITS:
-        raise ValueError(f"modulus_bits must be one of {SUPPORTED_MODULUS_BITS}")
+    modulus_bits = _modulus_bits(modulus_bits)
     public, secret = _derive_core(response.data, modulus_bits)
     return ChipKeyPair(
         chip_id=response.chip_id,

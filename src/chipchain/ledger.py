@@ -34,6 +34,7 @@ from .errors import (
     CycleDetected,
     MultipleSinks,
     NonceExhausted,
+    NumberInvalid,
     SignatureMalformed,
     StateMismatch,
     UnknownChip,
@@ -395,9 +396,19 @@ def rotate_state_reproduce(tree: ChipMerkleTree,
     rotating the same chips back to the old index reproduces the old
     tree exactly.
     """
-    if new_state_index == tree.state_index:
-        raise ValueError("new state index equals the tree's current index")
-    return build_tree(tree.edges, chips, new_state_index, tree.modulus_bits)
+    return build_tree(tree.edges, chips,
+                      _new_state(tree.state_index, new_state_index),
+                      tree.modulus_bits)
+
+
+def _new_state(current: int, value) -> int:
+    """The state index a rotate from current moves to: a rotate that kept
+    the index would re-key nothing.  Every rotate calls this check."""
+    state = _state_index(value)
+    if state == current:
+        raise NumberInvalid(f"new state index must differ from the current "
+                            f"one, got {state}")
+    return state
 
 
 def _seal_bytes(nonce: int, stamp: RootStamp, prev_block_hash: bytes) -> bytes:

@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import ROLE_MANAGEMENT, ScenarioConfig
-from .errors import ConfigInvalid, SignatureMalformed
+from .errors import ConfigInvalid, NumberInvalid, SignatureMalformed
 from .identity import (
     AuditVerdict,
     ChipKeyPair,
@@ -40,6 +40,7 @@ from .identity import (
 from .ledger import (
     Block,
     ZERO_HASH,
+    _new_state,
     mine_block,
     rotate_state_reproduce,
     seat_tree,
@@ -328,8 +329,10 @@ class Simulation:
         offline miss the re-binding, so their registry entries go stale
         and the next sweep removes them.
         """
-        if state == self.state_index:
-            raise ConfigInvalid("rotation must change the state index")
+        try:
+            state = _new_state(self.state_index, state)
+        except NumberInvalid as exc:
+            raise ConfigInvalid(str(exc)) from None  # run adds the line
         self.state_index = state
         self._keypairs.clear()
         self._emit("Rotate", actor=self.config.security, state=state)

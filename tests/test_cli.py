@@ -148,16 +148,17 @@ ANY_KEY = PublicKey((1 << 511) | 1, 65537).to_bytes().hex()
      "found in fromhex() arg at position 0"),
     (AUDIT, "--pk", "00", "invalid public key '00': truncated length prefix"),
     (AUDIT + ["--pk", ANY_KEY], "--nonce", "zz", "nonce must be hex, got 'zz'"),
-    (["entropy"], "--y", "-5", "y must be >= 1, got -5"),
-    (["entropy"], "--l", "0", "l must be >= 1, got 0"),
-    (["entropy", "collisions"], "--m", "-1", "m must be >= 0, got -1"),
-    (["entropy", "collisions"], "--y", "0", "y must be >= 1, got 0"),
+    (["entropy"], "--y", "-5", "rows must be >= 1, got -5"),
+    (["entropy"], "--l", "0", "block side must be >= 1, got 0"),
+    (["entropy", "collisions"], "--m", "-1",
+     "failure count must be >= 0, got -1"),
+    (["entropy", "collisions"], "--y", "0", "rows must be >= 1, got 0"),
     (["entropy", "collisions"], "--n", "1e5000",
      "population must be in [1, 1e100], got 1e5000"),
     (["entropy", "collisions"], "--n", "nan",
      "population must be an integer, got 'nan'"),
     (["ledger", "rotate", "--topology", "{topo}"], "--new-l", "0",
-     "new state index must differ from --from-l, got 0"),
+     "new state index must differ from the current one, got 0"),
     (AUDIT + ["--pk", ANY_KEY], "--nonce", "", "nonce must be non-empty"),
 ])
 def test_numeric_flags_are_bounded(topo_file, tmp_path, monkeypatch, argv,
@@ -418,7 +419,7 @@ def test_entropy_rejects_bad_population():
     result = dispatch(["entropy", "collisions", "--n", "zebras"])
     assert result.exit_code == 2
     assert result.diagnostics.endswith(
-        "argument --n: invalid population 'zebras'")
+        "argument --n: population must be an integer, got 'zebras'")
 
 
 @pytest.mark.parametrize("argv", [

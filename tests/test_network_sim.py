@@ -281,7 +281,7 @@ def test_parse_reports_params_line_numbers():
 @pytest.mark.parametrize("before, after, message", [
     ("difficulty = 4", "difficulty = 33", "difficulty must be in [0, 32], got 33"),
     ("modulus_bits = 512", "modulus_bits = 768",
-     "params.modulus_bits must be 512, 1024, or 2048"),
+     "modulus bits must be one of 512, 1024, 2048, got 768"),
     ("y = 256", "column = 0", "unknown key 'column'"),
 ])
 def test_parse_reports_params_range_line_numbers(before, after, message):
@@ -295,8 +295,9 @@ def test_parse_reports_params_range_line_numbers(before, after, message):
 def test_parse_rejects_rotate_to_current_state(extra):
     bad = MINI + extra + "\n"
     line_no = len(bad.splitlines())
-    with pytest.raises(ConfigInvalid, match=f"line {line_no}: rotate to state "
-                                            "[01] does not change"):
+    with pytest.raises(ConfigInvalid, match=f"line {line_no}: new state index "
+                                            "must differ from the current "
+                                            "one, got [01]$"):
         parse_scenario(bad)
 
 

@@ -1,14 +1,24 @@
 """One refusal per value.
 
-A chip seed, a security-state index, a mining difficulty, a chain's
-verification difficulty, a scan's nonce start and attempt cap and a
-block's height are each checked by the module that owns the value
-(chip_model, identity, ledger and _pow); a seed has no upper bound.  Every entry point that takes one (library call, CLI flag,
-scenario line, ledger file, chip fixture) hands a bad value to that
-check and adds only its place, so each bad value reads one text after
-the place, and every refusal is a ChipChainError and a ValueError.
+Each value is checked by the module that owns it:
+- chip_model: a chip seed, which has no upper bound;
+- identity: a security-state index and a key size (modulus bits);
+- ledger: a mining difficulty, a block's height, and a rotate's new
+  state index, which must differ from the one in force;
+- _pow: a chain's verification difficulty, a scan's nonce start and
+  its attempt cap;
+- entropy_analysis: the counts of rows, block side, failures and
+  population, and a binomial's n and k.
+
+Every entry point that takes one (library call, CLI flag, scenario
+line, ledger file, chip fixture) hands a bad value to that check and
+adds only its place, so each bad value reads one text after the place,
+and every refusal is a ChipChainError and a ValueError.
 """
 
+from functools import cache
+
+import numpy as np
 import pytest
 
 from chipchain import (
@@ -16,9 +26,16 @@ from chipchain import (
     ChipGeometry,
     PublicKey,
     RootStamp,
+    Simulation,
     SimulatedChip,
     ZERO_HASH,
+    build_tree,
+    collision_report,
+    combinations,
     crp_audit,
+    derive_keypair,
+    entropy_report,
+    extract_prn,
     keypair_for_chip,
     make_challenge,
     mine_block,
@@ -27,6 +44,8 @@ from chipchain import (
     parse_scenario,
     parse_topology,
     pow_search,
+    respond,
+    rotate_state_reproduce,
     verify_chain,
 )
 from chipchain.cli import dispatch
@@ -78,7 +97,52 @@ REFUSALS = {
         (1.5, "height must be an integer, got 1.5"),
         ("0", "height must be an integer, got '0'"),
     ],
+    "modulus bits": [
+        (768, "modulus bits must be one of 512, 1024, 2048, got 768"),
+        (4096, "modulus bits must be one of 512, 1024, 2048, got 4096"),
+        (512.0, "modulus bits must be an integer, got 512.0"),
+        ("512", "modulus bits must be an integer, got '512'"),
+    ],
+    # every entry point below starts at state 0
+    "new state": [
+        (0, "new state index must differ from the current one, got 0"),
+    ],
+    "rows": [
+        (0, "rows must be >= 1, got 0"),
+        (-5, "rows must be >= 1, got -5"),
+        (2000.5, "rows must be an integer, got 2000.5"),
+        ("3", "rows must be an integer, got '3'"),
+    ],
+    "block side": [
+        (0, "block side must be >= 1, got 0"),
+        (1.5, "block side must be an integer, got 1.5"),
+    ],
+    "failure count": [
+        (-1, "failure count must be >= 0, got -1"),
+        (2.0, "failure count must be an integer, got 2.0"),
+    ],
+    "population": [
+        (0, "population must be >= 1, got 0"),
+        (1.5, "population must be an integer, got 1.5"),
+    ],
+    "n": [
+        (-1, "n must be >= 0, got -1"),
+        (5.0, "n must be an integer, got 5.0"),
+    ],
+    "k": [
+        (-1, "k must be >= 0, got -1"),
+        (None, "k must be an integer, got None"),
+    ],
 }
+
+CHIPS = {"a": new_chip(SMALL, seed=1), "b": new_chip(SMALL, seed=2)}
+EDGES = (("b", "a"),)
+
+
+@cache
+def tree_at_state_0():
+    return build_tree(EDGES, CHIPS, 0, 512)
+
 
 LIBRARY = {
     "seed": {
@@ -112,6 +176,35 @@ LIBRARY = {
         "mine_block": lambda v: mine_block(RootStamp(KEY, bytes(32), 0),
                                            ZERO_HASH, 0, height=v),
     },
+    "modulus bits": {
+        "derive_keypair": lambda v: derive_keypair(
+            respond(extract_prn(CHIPS["a"]), make_challenge(0)), v),
+        "keypair_for_chip": lambda v: keypair_for_chip(CHIPS["a"], 0, v),
+        "build_tree": lambda v: build_tree(EDGES, CHIPS, 0, v),
+    },
+    "new state": {
+        "rotate_state_reproduce": lambda v: rotate_state_reproduce(
+            tree_at_state_0(), CHIPS, v),
+        "Simulation.rotate": lambda v: Simulation(
+            parse_scenario(SCENARIO)).rotate(v),
+    },
+    "rows": {
+        "entropy_report": entropy_report,
+        "collision_report": collision_report,
+    },
+    "block side": {
+        "entropy_report": lambda v: entropy_report(2000, v),
+        "collision_report": lambda v: collision_report(2000, v),
+    },
+    "failure count": {
+        "entropy_report": lambda v: entropy_report(2000, 1, v),
+        "collision_report": lambda v: collision_report(2000, 1, v),
+    },
+    "population": {
+        "collision_report": lambda v: collision_report(2000, population=v),
+    },
+    "n": {"combinations": lambda v: combinations(v, 0)},
+    "k": {"combinations": lambda v: combinations(5, v)},
 }
 
 # value -> {entry: (flag, the command line it is given on)}
@@ -141,6 +234,22 @@ CLI = {
                                           "t.cfg", "--chain", "c.bin",
                                           "--difficulty", "4"]),
     },
+    "modulus bits": {
+        "id keygen": ("--modulus-bits", ["id", "keygen", "--chip", "c.chip"]),
+        "ledger build": ("--modulus-bits", ["ledger", "build", "--topology",
+                                            "t.cfg"]),
+    },
+    "new state": {
+        "ledger rotate": ("--new-l", ["ledger", "rotate", "--topology",
+                                      "t.cfg", "--from-l", "0"]),
+    },
+    "rows": {
+        "entropy": ("--y", ["entropy"]),
+        "entropy collisions": ("--y", ["entropy", "collisions"]),
+    },
+    "block side": {"entropy": ("--l", ["entropy"])},
+    "failure count": {"entropy": ("--m", ["entropy"])},
+    "population": {"entropy collisions": ("--n", ["entropy", "collisions"])},
 }
 
 SCENARIO = """\
@@ -195,6 +304,14 @@ TEXT = {
         "scenario params": (parse_scenario, SCENARIO, "difficulty = 4",
                             "difficulty = {v}", ""),
         "scenario mine": (parse_scenario, SCENARIO, "4 mine", "4 mine {v}", ""),
+    },
+    "modulus bits": {
+        "scenario params": (parse_scenario, SCENARIO, "modulus_bits = 512",
+                            "modulus_bits = {v}", ""),
+    },
+    "new state": {
+        "scenario rotate": (parse_scenario, SCENARIO, "4 mine",
+                            "4 rotate {v}", ""),
     },
 }
 
@@ -269,3 +386,40 @@ def test_verify_chain_refuses_a_difficulty_outside_the_digest():
     for bits in (-1, 257, 300):
         with pytest.raises(ValueError, match=r"in \[0, 256\]"):
             verify_chain([block], bits)
+
+
+def test_a_numpy_integer_counts_as_its_value():
+    """Each owner takes its value through operator.index, so a numpy
+    integer is its value: no refusal and no C long overflow.  The chip
+    is one no other test keys, so no cached key hides the numpy size."""
+    chip = new_chip(SMALL, seed=3)
+    assert keypair_for_chip(chip, 0, np.int64(512)) == \
+        keypair_for_chip(chip, 0, 512)
+    assert entropy_report(np.int64(2000), np.int32(1), np.int64(10)) == \
+        entropy_report(2000, 1, 10)
+    assert collision_report(2000, population=np.int64(10**6)) == \
+        collision_report(2000, population=10**6)
+
+
+HUGE = 10**5000  # more digits than Python converts to text by default
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: make_challenge(HUGE), "state index must be in [0, 2^64 - 1], "
+     "got an integer of more than 4300 digits"),
+    (lambda: keypair_for_chip(CHIPS["a"], 0, HUGE), "modulus bits must be "
+     "one of 512, 1024, 2048, got an integer of more than 4300 digits"),
+    (lambda: entropy_report(-HUGE), "rows must be >= 1, got a negative "
+     "integer of more than 4300 digits"),
+    (lambda: collision_report(2000, population=-HUGE), "population must be "
+     ">= 1, got a negative integer of more than 4300 digits"),
+], ids=["make_challenge", "keypair_for_chip", "entropy_report",
+        "collision_report"])
+def test_a_number_too_long_to_print_is_refused_by_its_size(call, text):
+    """The owner's text names the value's sign and size, so the refusal
+    stays a NumberInvalid instead of the bare ValueError that printing
+    the number would raise."""
+    with pytest.raises(ChipChainError) as caught:
+        call()
+    assert isinstance(caught.value, ValueError)
+    assert str(caught.value) == text

@@ -39,11 +39,12 @@ def test_the_scenario_grammar_stays_in_config():
 
 
 def test_each_bound_is_read_by_the_module_that_owns_it():
-    """identity checks every state index and ledger every mining
-    difficulty, so no parser can grow a range check of its own; the
-    package's __init__ only re-exports the bounds."""
+    """identity checks every state index and key size and ledger every
+    mining difficulty, so no parser can grow a range check of its own;
+    the package's __init__ only re-exports the bounds."""
     owners = {"MAX_STATE_INDEX": "identity.py",
-              "MAX_MINING_DIFFICULTY": "ledger.py"}
+              "MAX_MINING_DIFFICULTY": "ledger.py",
+              "SUPPORTED_MODULUS_BITS": "identity.py"}
     readers = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
