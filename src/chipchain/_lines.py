@@ -8,7 +8,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Container, Iterable, Iterator, Sequence
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, NumberInvalid, _read_integer
 
 
 def _read_text(path) -> str:
@@ -87,7 +87,9 @@ def _split_options(parts: Sequence[str], where: str,
 
 def _parse_number(raw: str, where: str, kind: type = int):
     try:
-        return kind(raw)
+        return _read_integer(raw) if kind is int else kind(raw)
+    except NumberInvalid as exc:
+        raise ConfigInvalid(f"{where}: {exc}") from None
     except ValueError:
         expected = "integer" if kind is int else "number"
         raise ConfigInvalid(f"{where}: expected {expected}, got {raw!r}") from None

@@ -46,6 +46,8 @@ from .errors import (
     GeometryInvalid,
     PreprocessMissing,
     UnknownGeneration,
+    _integer,
+    _shown,
 )
 
 # Largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX).
@@ -117,20 +119,21 @@ GENERATION_CAPACITY: Mapping[str, int] = MappingProxyType(dict(_GENERATION_CAPAC
 GENERATIONS: tuple[str, ...] = tuple(name for name, _ in _GENERATION_CAPACITY)
 
 
-def _integer(value, field: str) -> int:
-    """value through operator.index: an integer, neither truncated nor parsed."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise GeometryInvalid(f"{field} must be an integer, got {value!r}") from None
-
-
-def _seed(value) -> int:
-    """A manufacturing seed: a non-negative integer, as a fixture writes it."""
-    seed = _integer(value, "seed")
-    if seed < 0:
-        raise GeometryInvalid(f"seed must be >= 0, got {seed}")
-    return seed
+def _chip_number(what: str, value) -> int:
+    """`what`'s chip number, an integer in its range (rows, total_rows in
+    [1, MAX_ROWS]; cols >= 1; redundancy_rows in [0, MAX_REDUNDANCY_ROWS];
+    min_failures, seed >= 0); every reader of one calls this check."""
+    number = _integer(value, what, GeometryInvalid)
+    low = 1 if what in ("rows", "total_rows", "cols") else 0
+    high = MAX_ROWS if what in ("rows", "total_rows") else (
+        MAX_REDUNDANCY_ROWS if what == "redundancy_rows" else None)
+    if number < low:
+        raise GeometryInvalid(f"{what} must be {'positive' if low else '>= 0'}"
+                              f", got {_shown(number)}")
+    if high is not None and number > high:
+        raise GeometryInvalid(f"{what} must be at most {high}, "
+                              f"got {_shown(number)}")
+    return number
 
 
 def _row_set(values, bound: int, what: str, array: str) -> tuple[int, ...]:
@@ -141,15 +144,15 @@ def _row_set(values, bound: int, what: str, array: str) -> tuple[int, ...]:
         rows = sorted(map(operator.index, values))
     except TypeError:
         for value in values:  # name the value that is not an integer
-            _integer(value, what)
+            _integer(value, what, GeometryInvalid)
         raise
     if len(set(rows)) != len(rows):
         twice = next(a for a, b in zip(rows, rows[1:]) if a == b)
-        raise GeometryInvalid(f"{what}s must be distinct, got {twice} twice")
+        raise GeometryInvalid(f"{what}s must be distinct, got {_shown(twice)} twice")
     if rows and (rows[0] < 0 or rows[-1] >= bound):
         row = rows[0] if rows[0] < 0 else rows[-1]
         raise GeometryInvalid(f"{what} outside the {array} array: "
-                              f"{row} not in [0, {bound})")
+                              f"{_shown(row)} not in [0, {bound})")
     return tuple(rows)
 
 
@@ -168,21 +171,10 @@ class ChipGeometry:
 
     def __post_init__(self):
         for field in ("rows", "cols", "redundancy_rows"):
-            object.__setattr__(self, field, _integer(getattr(self, field), field))
-        if self.rows < 1:
-            raise GeometryInvalid(f"rows must be positive, got {self.rows}")
-        if self.rows > MAX_ROWS:
-            raise GeometryInvalid(f"rows must be at most {MAX_ROWS}, got {self.rows}")
-        if self.cols < 1:
-            raise GeometryInvalid(f"cols must be positive, got {self.cols}")
-        if self.redundancy_rows < 0:
-            raise GeometryInvalid("redundancy_rows must be >= 0")
+            object.__setattr__(self, field, _chip_number(field, getattr(self, field)))
         if self.redundancy_rows > self.rows:
             raise GeometryInvalid(
                 f"redundancy_rows={self.redundancy_rows} exceeds rows={self.rows}")
-        if self.redundancy_rows > MAX_REDUNDANCY_ROWS:
-            raise GeometryInvalid(f"redundancy_rows must be at most "
-                                  f"{MAX_REDUNDANCY_ROWS}, got {self.redundancy_rows}")
 
 
 def generation_geometry(name: str) -> ChipGeometry:
@@ -205,22 +197,19 @@ class FailureModel:
     min_failures: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.mean_failures, (int, float, np.integer, np.floating)):
-            raise GeometryInvalid(
-                f"mean_failures must be an int or a float, got {self.mean_failures!r}")
+        mean = self.mean_failures
+        if not isinstance(mean, (int, float, np.integer, np.floating)):
+            raise GeometryInvalid(f"mean_failures must be an int or a float, got {mean!r}")
         # compared, as math.isfinite overflows on a huge int
-        if not -math.inf < self.mean_failures < math.inf:
-            raise GeometryInvalid(
-                f"mean_failures must be finite, got {self.mean_failures}")
-        if self.mean_failures <= 0:
+        if not -math.inf < mean < math.inf:
+            raise GeometryInvalid(f"mean_failures must be finite, got {mean}")
+        if mean <= 0:
             raise GeometryInvalid("mean_failures must be positive")
-        if self.mean_failures > MAX_MEAN_FAILURES:
+        if mean > MAX_MEAN_FAILURES:
             raise GeometryInvalid(f"mean_failures must be at most "
-                                  f"{MAX_MEAN_FAILURES:.6g}, got {self.mean_failures}")
+                                  f"{MAX_MEAN_FAILURES:.6g}, got {_shown(mean)}")
         object.__setattr__(self, "min_failures",
-                           _integer(self.min_failures, "min_failures"))
-        if self.min_failures < 0:
-            raise GeometryInvalid("min_failures must be >= 0")
+                           _chip_number("min_failures", self.min_failures))
 
 
 @dataclass(frozen=True)
@@ -240,11 +229,8 @@ class Prn:
     total_rows: int
 
     def __post_init__(self):
-        total = _integer(self.total_rows, "total_rows")
-        if not 1 <= total <= MAX_ROWS:
-            raise GeometryInvalid(
-                f"total_rows must be in [1, {MAX_ROWS}], got {total}")
-        object.__setattr__(self, "column", _integer(self.column, "column"))
+        total = _chip_number("total_rows", self.total_rows)
+        object.__setattr__(self, "column", _integer(self.column, "column", GeometryInvalid))
         object.__setattr__(self, "rows", _row_set(self.rows, total, "PRN row", "regular"))
         object.__setattr__(self, "total_rows", total)
 
@@ -308,17 +294,19 @@ class SimulatedChip:
         if swap_map is None:
             swap_map = {r: i for i, r in enumerate(rows)}
         else:
-            swap_map = {_integer(row, "swap map key"): _integer(spare, "swap map target")
+            swap_map = {_integer(row, "swap map key", GeometryInvalid):
+                        _integer(spare, "swap map target", GeometryInvalid)
                         for row, spare in swap_map.items()}
             if set(swap_map) != set(rows):
+                keys = ", ".join(map(_shown, sorted(swap_map)))
                 raise GeometryInvalid(f"swap map keys must equal the failure rows "
-                                      f"{list(rows)}, got {sorted(swap_map)}")
+                                      f"{list(rows)}, got [{keys}]")
             _row_set(swap_map.values(), geometry.redundancy_rows, "swap map target",
                      "redundancy")
 
         self.chip_id = chip_id
         self.geometry = geometry
-        self.seed = None if seed is None else _seed(seed)
+        self.seed = None if seed is None else _chip_number("seed", seed)
         self._failure_rows = rows
         self._swap_map = swap_map
         self._columns: dict[int, tuple[int | None, int | None, int]] = {}
@@ -333,9 +321,9 @@ class SimulatedChip:
         return MappingProxyType(self._swap_map)
 
     def _check_column(self, column: int):
-        if not 0 <= _integer(column, "column") < self.geometry.cols:
+        if not 0 <= _integer(column, "column", GeometryInvalid) < self.geometry.cols:
             raise ColumnOutOfRange(
-                f"column {column} outside 0..{self.geometry.cols - 1}")
+                f"column {_shown(column)} outside 0..{self.geometry.cols - 1}")
 
     def __repr__(self):
         return (f"SimulatedChip(chip_id={self.chip_id!r}, "
@@ -352,10 +340,10 @@ def new_chip(geometry: ChipGeometry, failure_model: FailureModel | None = None,
     order to the first spare rows.  The same (geometry, model, seed)
     triple always yields the identical part.
     """
-    seed = _seed(seed)
+    seed = _chip_number("seed", seed)
     model = failure_model or FailureModel()
     if model.min_failures > geometry.redundancy_rows:
-        raise GeometryInvalid(f"min_failures={model.min_failures} exceeds "
+        raise GeometryInvalid(f"min_failures={_shown(model.min_failures)} exceeds "
                               f"redundancy_rows={geometry.redundancy_rows}")
     rng = np.random.default_rng(seed)
 
@@ -378,9 +366,9 @@ def write_column(chip: SimulatedChip, mode: str, column: int,
     if mode not in (ACCESS_NORMAL, ACCESS_SPECIAL):
         raise GeometryInvalid(
             f"mode must be {ACCESS_NORMAL!r} or {ACCESS_SPECIAL!r}, got {mode!r}")
-    value = _integer(value, "cell value")
+    value = _integer(value, "cell value", GeometryInvalid)
     if value not in (0, 1):
-        raise GeometryInvalid(f"cell value must be 0 or 1, got {value}")
+        raise GeometryInvalid(f"cell value must be 0 or 1, got {_shown(value)}")
     chip._check_column(column)
     regular_fill, spare_fill, _ = chip._columns.get(column, (None, None, None))
     if mode == ACCESS_NORMAL:
@@ -433,9 +421,9 @@ def extract_prn(chip: SimulatedChip, column: int = 0) -> Prn:
 _CHIP_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
-def _check_chip_id(chip_id: str, where: str = "chip_id") -> str:
+def _check_chip_id(chip_id: str) -> str:
     if not _CHIP_ID.fullmatch(chip_id):
-        raise FixtureInvalid(f"{where} must match {_CHIP_ID.pattern}, got {chip_id!r}")
+        raise FixtureInvalid(f"chip_id must match {_CHIP_ID.pattern}, got {chip_id!r}")
     return chip_id
 
 
@@ -463,8 +451,9 @@ def parse_chip_fixture(text: str) -> SimulatedChip:
     """Rebuild a part from its fixture record.
 
     The recorded failure rows are authoritative; nothing is re-sampled.
-    The lines are read as a config's are, the geometry is ChipGeometry's
-    to check, and a malformed record raises FixtureInvalid naming a line.
+    The lines are read as a config's are, each number is checked on its
+    own line by its owner, and a malformed record raises FixtureInvalid
+    naming a line.
     """
     try:
         fields = _read_fields(_numbered_lines(text), _FIXTURE_FIELDS)
@@ -474,48 +463,38 @@ def parse_chip_fixture(text: str) -> SimulatedChip:
         if key not in fields:
             raise FixtureInvalid(f"fixture missing field {key!r}")
 
-    def invalid(key: str, problem) -> FixtureInvalid:
-        return FixtureInvalid(f"fixture line {fields[key][0]}: {problem}")
+    def on_line(key: str, make, *args, **kwargs):
+        """make(*args, **kwargs), whose refusal reads after key's line."""
+        try:
+            return make(*args, **kwargs)
+        except (ConfigInvalid, GeometryInvalid, CapacityExceeded, FixtureInvalid) as exc:
+            raise FixtureInvalid(f"fixture line {fields[key][0]}: {exc}") from None
 
     def integer(key: str) -> int:
-        try:
-            return _parse_number(fields[key][1], key)
-        except ConfigInvalid as exc:
-            raise invalid(key, exc) from None
+        return on_line(key, _chip_number, key,
+                       on_line(key, _parse_number, fields[key][1], key))
 
     def integers(key: str) -> list[int]:
         raw = fields[key][1] if key in fields else ""
-        try:
-            return [int(part) for part in raw.split(",") if part.strip()]
-        except ValueError:
-            raise invalid(key, f"{key}: expected integers, got {raw!r}") from None
+        return [on_line(key, _parse_number, part, key)
+                for part in map(str.strip, raw.split(",")) if part]
 
-    line_no, chip_id = fields["chip_id"]
-    _check_chip_id(chip_id, f"fixture line {line_no}: chip_id")
-    try:
-        geometry = ChipGeometry(**{key: integer(key) for key in
-                                   ("rows", "cols", "redundancy_rows")
-                                   if key in fields})
-    except GeometryInvalid as exc:
-        # each ChipGeometry text opens with the field it refuses
-        raise invalid(re.match(r"\w+", str(exc))[0], exc) from None
-    try:
-        seed = _seed(integer("seed")) if fields.get("seed", (0, ""))[1] else None
-    except GeometryInvalid as exc:
-        raise invalid("seed", exc) from None
+    chip_id = on_line("chip_id", _check_chip_id, fields["chip_id"][1])
+    sizes = {key: integer(key) for key in ("rows", "cols", "redundancy_rows")
+             if key in fields}
+    # each size is checked; ChipGeometry adds only redundancy_rows <= rows
+    geometry = on_line("redundancy_rows", ChipGeometry, **sizes)
+    seed = integer("seed") if fields.get("seed", (0, ""))[1] else None
     # the targets follow the failure rows in ascending order, as written
     rows, targets = sorted(integers("failure_rows")), integers("swap_targets")
-    paired = bool(targets) and len(targets) == len(rows)
-    try:
-        chip = SimulatedChip(chip_id, geometry, rows,
-                             dict(zip(rows, targets)) if paired else None, seed=seed)
-    except (GeometryInvalid, CapacityExceeded) as exc:
-        # a chip refuses its swap map in a text that opens with "swap map"
-        key = "swap_targets" if str(exc).startswith("swap map") else "failure_rows"
-        raise invalid(key, f"{key}: {exc}") from None
-    if targets and not paired:
-        raise invalid("swap_targets", "swap_targets: length must match failure_rows")
-    return chip
+    chip = on_line("failure_rows", SimulatedChip, chip_id, geometry, rows, seed=seed)
+    if not targets:
+        return chip
+    if len(targets) != len(rows):
+        raise FixtureInvalid(f"fixture line {fields['swap_targets'][0]}: "
+                             "swap_targets: length must match failure_rows")
+    return on_line("swap_targets", SimulatedChip, chip_id, geometry, rows,
+                   dict(zip(rows, targets)), seed=seed)
 
 
 def load_chip_fixture(path) -> SimulatedChip:

@@ -29,7 +29,7 @@ from .chip_model import (
     HMAC_BACKEND,
     ChipGeometry,
     FailureModel,
-    _seed,
+    _chip_number,
     extract_prn,
     format_chip_fixture,
     load_chip_fixture,
@@ -42,7 +42,8 @@ from .entropy_analysis import (
     format_scientific,
     generation_table,
 )
-from .errors import ChipChainError, NumberInvalid, UnknownChip
+from .errors import (ChipChainError, GeometryInvalid, NumberInvalid,
+                     UnknownChip, _integer, _read_integer)
 from .identity import (
     POWMOD_BACKEND,
     PRIME_BACKEND,
@@ -316,7 +317,7 @@ def _cmd_version(args):
 # -- parser ----------------------------------------------------------------
 
 
-def _checked_by(check, read=int):
+def _checked_by(check, read=_read_integer):
     """argparse type for an integer flag: its text, as read gives it where
     it reads as an integer, through check, whose refusal argparse prints
     after the flag.  Every such value is checked by its module."""
@@ -324,6 +325,8 @@ def _checked_by(check, read=int):
     def parse(text: str) -> int:
         try:
             value = read(text)
+        except NumberInvalid as exc:  # decimal, but too long to read
+            raise argparse.ArgumentTypeError(str(exc)) from None
         except ValueError:
             value = text  # check refuses it as not an integer
         try:
@@ -402,9 +405,14 @@ class _NoteEntropyFlag(argparse.Action):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    chip_seed = _checked_by(partial(_chip_number, "seed"))
+
+    def chip_integer(what: str):  # chip_model checks its range in the handler
+        return _checked_by(partial(_integer, what=what, error=GeometryInvalid))
+
     # one parent parser per shared flag; each subcommand takes those it reads
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=_checked_by(_seed), default=0,
+    seed.add_argument("--seed", type=chip_seed, default=0,
                       help="deterministic seed (default 0, never wall clock)")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", **_ENTROPY_FLAGS["--output"])
@@ -432,13 +440,14 @@ def _build_parser() -> argparse.ArgumentParser:
     chip_sub = chip.add_subparsers(dest="subcommand", required=True)
     chip_new = chip_sub.add_parser("new", parents=[seed, output],
                                    help="manufacture a chip fixture")
-    chip_new.add_argument("--y", type=int, default=2000,
+    chip_new.add_argument("--y", type=chip_integer("rows"), default=2000,
                           help="regular-array rows")
     chip_new.add_argument("--lambda", dest="mean_failures", type=float,
                           default=10.0, help="mean failure-row count")
-    chip_new.add_argument("--redundancy", type=int, default=20,
-                          help="spare rows")
-    chip_new.add_argument("--min-failures", type=int, default=1)
+    chip_new.add_argument("--redundancy", type=chip_integer("redundancy_rows"),
+                          default=20, help="spare rows")
+    chip_new.add_argument("--min-failures", type=chip_integer("min_failures"),
+                          default=1)
     chip_new.add_argument("--chip-id", default=None,
                           help="default: chip-<seed>")
     chip_new.add_argument("--dir", default=".",
@@ -447,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     chip_prn = chip_sub.add_parser("prn", parents=[chip_path, output],
                                    help="extract a fixture's fingerprint")
-    chip_prn.add_argument("--column", type=int, default=0)
+    chip_prn.add_argument("--column", type=chip_integer("column"), default=0)
     chip_prn.set_defaults(handler=_cmd_chip_prn)
 
     entropy = sub.add_parser("entropy",
@@ -516,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "replace", parents=[topology, state, bits],
         help="swap one chip and repair only the dirtied path")
     replace.add_argument("--old", required=True, help="node id to replace")
-    replace.add_argument("--new-seed", type=_checked_by(_seed), required=True,
+    replace.add_argument("--new-seed", type=chip_seed, required=True,
                          help="manufacture seed of the replacement chip")
     replace.set_defaults(handler=_cmd_ledger_replace)
 

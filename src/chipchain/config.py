@@ -71,7 +71,8 @@ from ._lines import (
     _read_text,
     _split_options,
 )
-from .chip_model import ChipGeometry, FailureModel, SimulatedChip, new_chip
+from .chip_model import (ChipGeometry, FailureModel, SimulatedChip,
+                         _chip_number, new_chip)
 from .errors import (ConfigInvalid, CycleDetected, GeometryInvalid,
                      MultipleSinks, NumberInvalid)
 from .identity import _modulus_bits
@@ -171,17 +172,18 @@ def _owned(where: str, check, *args):
 
 
 def _parse_params(lines: _Lines, defaults: Mapping[str, object]) -> dict:
-    """`key = value` lines over defaults; each value takes its default's type."""
+    """`key = value` lines over defaults, each of its default's type and
+    checked by its owner on its line; chip lines check rules across keys."""
+    owners = {"difficulty": (_mining_difficulty,), "lambda": (FailureModel,),
+              "modulus_bits": (_modulus_bits,), "y": (_chip_number, "rows"),
+              "redundancy": (_chip_number, "redundancy_rows"),
+              "min_failures": (_chip_number, "min_failures")}
     params = dict(defaults)
     for key, (line_no, value) in _read_fields(lines, defaults).items():
         where = f"line {line_no}"
-        number = _parse_number(value, f"{where}: params.{key}",
-                               type(defaults[key]))
-        if key == "difficulty":
-            number = _owned(where, _mining_difficulty, number)
-        elif key == "modulus_bits":
-            number = _owned(where, _modulus_bits, number)
-        params[key] = number
+        params[key] = _parse_number(value, f"{where}: params.{key}",
+                                    type(defaults[key]))
+        _owned(where, *owners[key], params[key])
     return params
 
 

@@ -10,8 +10,8 @@ class ChipChainError(Exception):
 
 
 class GeometryInvalid(ChipChainError, ValueError):
-    """A chip's geometry, rows, seed, access mode or cell value is out of
-    range, inconsistent or not an integer."""
+    """A chip number (each owned by chip_model), row set, access mode or
+    cell value is out of range, inconsistent or not an integer."""
 
 
 class CapacityExceeded(ChipChainError):
@@ -74,7 +74,8 @@ class NumberInvalid(ChipChainError, ValueError):
     a block height and a rotate's new state index (which must differ
     from the one in force), _pow a verification difficulty, a nonce
     start and an attempt cap, and entropy_analysis the row, block-side,
-    failure and population counts and a binomial's n and k."""
+    failure and population counts and a binomial's n and k; _read_integer
+    the digit count of integer text, which Python converts up to a limit."""
 
 
 class ConfigInvalid(ChipChainError, ValueError):
@@ -101,12 +102,13 @@ def _shown(number: int) -> str:
                 f"{sys.get_int_max_str_digits()} digits")
 
 
-def _integer(value, what: str) -> int:
-    """value through operator.index: an integer, neither truncated nor parsed."""
+def _integer(value, what: str, error: type = NumberInvalid) -> int:
+    """value through operator.index: an integer, neither truncated nor
+    parsed; else `error`, the class the value's owner raises."""
     try:
         return operator.index(value)
     except TypeError:
-        raise NumberInvalid(f"{what} must be an integer, got {value!r}") from None
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def _number_in(value, what: str, high: int, shown: str | None = None) -> int:
@@ -124,3 +126,17 @@ def _number_from(value, what: str, low: int) -> int:
     if number < low:
         raise NumberInvalid(f"{what} must be >= {low}, got {_shown(number)}")
     return number
+
+
+def _read_integer(text: str) -> int:
+    """int(text), the one reader of integer text; decimal text longer than
+    Python converts raises NumberInvalid giving its digit count."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip().lstrip("+-").replace("_", "")
+        limit = sys.get_int_max_str_digits()
+        if digits.isdecimal() and 0 < limit < len(digits):
+            raise NumberInvalid(f"integer has {len(digits)} digits, more "
+                                f"than the {limit} Python converts") from None
+        raise

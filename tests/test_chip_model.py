@@ -720,17 +720,17 @@ FIXTURE = ("chip_id = x\nrows = 16\ncols = 8\nredundancy_rows = 4\nseed = 7\n"
          "redundancy_rows=17 exceeds rows=16"),
         ("seed = 7", "seed = -1", "seed must be >= 0, got -1"),
         ("failure_rows = 3, 9", "failure_rows = 3, x",
-         "failure_rows: expected integers, got '3, x'"),
+         "failure_rows: expected integer, got 'x'"),
         ("failure_rows = 3, 9", "failure_rows = 3, 16",
-         "failure_rows: failure row outside the regular array: "
+         "failure row outside the regular array: "
          "16 not in [0, 16)"),
         ("failure_rows = 3, 9", "failure_rows = 3, 3", "failure rows must be distinct"),
         ("failure_rows = 3, 9", "failure_rows = 1, 2, 3, 4, 5",
-         "failure_rows: 5 failure rows exceed 4 spare rows"),
+         "5 failure rows exceed 4 spare rows"),
         ("swap_targets = 1, 0", "swap_targets = 1", "length must match"),
         ("swap_targets = 1, 0", "swap_targets = 1, 1", "targets must be distinct"),
         ("swap_targets = 1, 0", "swap_targets = 1, 4",
-         "swap_targets: swap map target outside the redundancy array"),
+         "swap map target outside the redundancy array"),
         ("seed = 7", "seed = 7\nrows = 32",
          "duplicate key 'rows' (first on line 2)"),
         ("cols = 8", "col = 2", "unknown key 'col'"),

@@ -462,9 +462,9 @@ FIXTURE_KEYS = {"y": "rows", "redundancy": "redundancy_rows"}
     ("lambda", "nan", "mean_failures must be finite, got nan"),
     ("lambda", "0", "mean_failures must be positive"),
     ("lambda", "1e19", "mean_failures must be at most 9.22337e+18, got 1e+19"),
-    ("redundancy", "-1", "redundancy_rows must be >= 0"),
+    ("redundancy", "-1", "redundancy_rows must be >= 0, got -1"),
     ("redundancy", "2001", "redundancy_rows=2001 exceeds rows=2000"),
-    ("min_failures", "-1", "min_failures must be >= 0"),
+    ("min_failures", "-1", "min_failures must be >= 0, got -1"),
     ("min_failures", "21", "min_failures=21 exceeds redundancy_rows=20"),
 ])
 def test_a_bad_chip_parameter_reads_the_same_at_every_boundary(

@@ -255,11 +255,20 @@ def test_parse_rejects_bad_chip_parameters(options, message_part):
 
 
 def test_parse_checks_chip_parameters_from_params_defaults():
+    """A bad chip default is refused on its [params] line; a rule across
+    fields, which a chip's own options may meet, on the chip's line."""
     bad = MINI.replace("y = 256", "y = 256\nlambda = nan")
-    line_no = bad.splitlines().index("ca seed=1") + 1
-    with pytest.raises(ConfigInvalid,
-                       match=f"line {line_no}: chip 'ca': mean_failures"):
+    line_no = bad.splitlines().index("lambda = nan") + 1
+    with pytest.raises(ConfigInvalid) as caught:
         parse_scenario(bad)
+    assert str(caught.value) == (
+        f"line {line_no}: mean_failures must be finite, got nan")
+    bad = MINI.replace("y = 256", "y = 256\nredundancy = 300")
+    line_no = bad.splitlines().index("ca seed=1") + 1
+    with pytest.raises(ConfigInvalid) as caught:
+        parse_scenario(bad)
+    assert str(caught.value) == (
+        f"line {line_no}: chip 'ca': redundancy_rows=300 exceeds rows=256")
 
 
 def test_parse_rejects_negative_chip_seed():
@@ -506,9 +515,13 @@ def test_parse_topology_takes_one_chip_without_edges():
 
 def test_parse_topology_checks_chip_parameters_from_params_defaults():
     bad = LEDGER.replace("lambda = 8", "lambda = nan")
-    with pytest.raises(ConfigInvalid,
-                       match="line 7: chip 'n0': mean_failures must be"):
+    with pytest.raises(ConfigInvalid) as caught:
         parse_topology(bad)
+    assert str(caught.value) == "line 4: mean_failures must be finite, got nan"
+    # with no chip to take it, a bad default is still refused
+    with pytest.raises(ConfigInvalid) as caught:
+        parse_topology("[params]\nlambda = -1\n")
+    assert str(caught.value) == "line 2: mean_failures must be positive"
 
 
 def test_chip_spec_manufacture():

@@ -1,7 +1,9 @@
 """One refusal per value.
 
 Each value is checked by the module that owns it:
-- chip_model: a chip seed, which has no upper bound;
+- chip_model: a part's rows, cols and redundancy rows, a PRN's total
+  rows, a failure model's mean and min failures, and a chip seed,
+  which has no upper bound;
 - identity: a security-state index and a key size (modulus bits);
 - ledger: a mining difficulty, a block's height, and a rotate's new
   state index, which must differ from the one in force;
@@ -13,7 +15,9 @@ Each value is checked by the module that owns it:
 Every entry point that takes one (library call, CLI flag, scenario
 line, ledger file, chip fixture) hands a bad value to that check and
 adds only its place, so each bad value reads one text after the place,
-and every refusal is a ChipChainError and a ValueError.
+and every refusal is a ChipChainError and a ValueError.  Integer text
+is read by one reader, which refuses a decimal integer too long for
+Python to convert by its digit count.
 """
 
 from functools import cache
@@ -24,6 +28,9 @@ import pytest
 from chipchain import (
     ChipChainError,
     ChipGeometry,
+    ColumnOutOfRange,
+    FailureModel,
+    Prn,
     PublicKey,
     RootStamp,
     Simulation,
@@ -47,6 +54,7 @@ from chipchain import (
     respond,
     rotate_state_reproduce,
     verify_chain,
+    write_column,
 )
 from chipchain.cli import dispatch
 
@@ -56,6 +64,40 @@ KEY = PublicKey((1 << 511) | 1, 65537)
 # value -> (bad value, the owner's one text); text entry points take the
 # integers, library calls every value
 REFUSALS = {
+    "chip rows": [
+        (0, "rows must be positive, got 0"),
+        (2**32, "rows must be at most 4294967295, got 4294967296"),
+        (2000.5, "rows must be an integer, got 2000.5"),
+        ("3", "rows must be an integer, got '3'"),
+    ],
+    "total rows": [
+        (0, "total_rows must be positive, got 0"),
+        (2**32, "total_rows must be at most 4294967295, got 4294967296"),
+        (16.0, "total_rows must be an integer, got 16.0"),
+    ],
+    "cols": [
+        (0, "cols must be positive, got 0"),
+        (-3, "cols must be positive, got -3"),
+        (2.5, "cols must be an integer, got 2.5"),
+    ],
+    "redundancy rows": [
+        (-1, "redundancy_rows must be >= 0, got -1"),
+        (2**16 + 1, "redundancy_rows must be at most 65536, got 65537"),
+        (4.0, "redundancy_rows must be an integer, got 4.0"),
+    ],
+    # a text reads lambda as a float, so its integers are the ones whose
+    # text does not print the value
+    "mean failures": [
+        (0, "mean_failures must be positive"),
+        (-1, "mean_failures must be positive"),
+        (float("nan"), "mean_failures must be finite, got nan"),
+        (1e19, "mean_failures must be at most 9.22337e+18, got 1e+19"),
+        ("5", "mean_failures must be an int or a float, got '5'"),
+    ],
+    "min failures": [
+        (-1, "min_failures must be >= 0, got -1"),
+        (1.5, "min_failures must be an integer, got 1.5"),
+    ],
     "seed": [
         (-1, "seed must be >= 0, got -1"),
         (1.0, "seed must be an integer, got 1.0"),
@@ -145,6 +187,23 @@ def tree_at_state_0():
 
 
 LIBRARY = {
+    "chip rows": {
+        "ChipGeometry": ChipGeometry,
+        "SimulatedChip": lambda v: SimulatedChip("x", ChipGeometry(v), [3]),
+    },
+    "total rows": {"Prn": lambda v: Prn("x", 0, (1,), v)},
+    "cols": {"ChipGeometry": lambda v: ChipGeometry(256, cols=v)},
+    "redundancy rows": {
+        "ChipGeometry": lambda v: ChipGeometry(256, redundancy_rows=v),
+    },
+    "mean failures": {
+        "FailureModel": FailureModel,
+        "new_chip": lambda v: new_chip(SMALL, FailureModel(v, 0)),
+    },
+    "min failures": {
+        "FailureModel": lambda v: FailureModel(min_failures=v),
+        "new_chip": lambda v: new_chip(SMALL, FailureModel(min_failures=v)),
+    },
     "seed": {
         "new_chip": lambda v: new_chip(SMALL, seed=v),
         "SimulatedChip": lambda v: SimulatedChip("x", SMALL, [3], seed=v),
@@ -257,6 +316,9 @@ SCENARIO = """\
 difficulty = 4
 modulus_bits = 512
 y = 256
+lambda = 10
+redundancy = 20
+min_failures = 1
 
 [chips]
 ca seed=1
@@ -278,7 +340,8 @@ b -> a
 4 mine
 """
 
-LEDGER = "[chips]\nn0 seed=50\nn1 seed=51\n\n[topology]\nn1 -> n0\n"
+LEDGER = ("[params]\ny = 256\nlambda = 10\nredundancy = 20\nmin_failures = 1\n"
+          "\n[chips]\nn0 seed=50\nn1 seed=51\n\n[topology]\nn1 -> n0\n")
 
 FIXTURE = ("chip_id = x\nrows = 16\ncols = 8\nredundancy_rows = 4\nseed = 7\n"
            "failure_rows = 3, 9\nswap_targets = 1, 0\n")
@@ -286,6 +349,47 @@ FIXTURE = ("chip_id = x\nrows = 16\ncols = 8\nredundancy_rows = 4\nseed = 7\n"
 # value -> {entry: (parser, good text, good line, bad line with {v},
 #                   place before the owner's text)}
 TEXT = {
+    "chip rows": {
+        "scenario params": (parse_scenario, SCENARIO, "y = 256", "y = {v}", ""),
+        "scenario chip": (parse_scenario, SCENARIO, "ca seed=1",
+                          "ca seed=1 y={v}", "chip 'ca': "),
+        "ledger file params": (parse_topology, LEDGER, "y = 256",
+                               "y = {v}", ""),
+        "ledger file chip": (parse_topology, LEDGER, "n0 seed=50",
+                             "n0 seed=50 y={v}", "chip 'n0': "),
+        "chip fixture": (parse_chip_fixture, FIXTURE, "rows = 16",
+                         "rows = {v}", ""),
+    },
+    "cols": {
+        "chip fixture": (parse_chip_fixture, FIXTURE, "cols = 8",
+                         "cols = {v}", ""),
+    },
+    "redundancy rows": {
+        "scenario params": (parse_scenario, SCENARIO, "redundancy = 20",
+                            "redundancy = {v}", ""),
+        "scenario chip": (parse_scenario, SCENARIO, "ca seed=1",
+                          "ca seed=1 redundancy={v}", "chip 'ca': "),
+        "ledger file params": (parse_topology, LEDGER, "redundancy = 20",
+                               "redundancy = {v}", ""),
+        "chip fixture": (parse_chip_fixture, FIXTURE, "redundancy_rows = 4",
+                         "redundancy_rows = {v}", ""),
+    },
+    "mean failures": {
+        "scenario params": (parse_scenario, SCENARIO, "lambda = 10",
+                            "lambda = {v}", ""),
+        "scenario chip": (parse_scenario, SCENARIO, "ca seed=1",
+                          "ca seed=1 lambda={v}", "chip 'ca': "),
+        "ledger file params": (parse_topology, LEDGER, "lambda = 10",
+                               "lambda = {v}", ""),
+    },
+    "min failures": {
+        "scenario params": (parse_scenario, SCENARIO, "min_failures = 1",
+                            "min_failures = {v}", ""),
+        "scenario chip": (parse_scenario, SCENARIO, "ca seed=1",
+                          "ca seed=1 min_failures={v}", "chip 'ca': "),
+        "ledger file params": (parse_topology, LEDGER, "min_failures = 1",
+                               "min_failures = {v}", ""),
+    },
     "seed": {
         "scenario chip": (parse_scenario, SCENARIO, "ca seed=1",
                           "ca seed={v}", "chip 'ca': "),
@@ -413,8 +517,28 @@ HUGE = 10**5000  # more digits than Python converts to text by default
      "integer of more than 4300 digits"),
     (lambda: collision_report(2000, population=-HUGE), "population must be "
      ">= 1, got a negative integer of more than 4300 digits"),
+    (lambda: ChipGeometry(rows=HUGE), "rows must be at most 4294967295, "
+     "got an integer of more than 4300 digits"),
+    (lambda: new_chip(SMALL, seed=-HUGE), "seed must be >= 0, got a negative "
+     "integer of more than 4300 digits"),
+    (lambda: Prn("x", 0, (1,), HUGE), "total_rows must be at most 4294967295, "
+     "got an integer of more than 4300 digits"),
+    (lambda: write_column(new_chip(SMALL), "normal", 0, HUGE), "cell value "
+     "must be 0 or 1, got an integer of more than 4300 digits"),
+    (lambda: FailureModel(HUGE), "mean_failures must be at most 9.22337e+18, "
+     "got an integer of more than 4300 digits"),
+    (lambda: new_chip(SMALL, FailureModel(min_failures=HUGE)), "min_failures="
+     "an integer of more than 4300 digits exceeds redundancy_rows=20"),
+    (lambda: SimulatedChip("x", SMALL, [-HUGE]), "failure row outside the "
+     "regular array: a negative integer of more than 4300 digits not in "
+     "[0, 256)"),
+    (lambda: SimulatedChip("x", SMALL, [3], swap_map={HUGE: 0}), "swap map "
+     "keys must equal the failure rows [3], got [an integer of more than 4300 "
+     "digits]"),
 ], ids=["make_challenge", "keypair_for_chip", "entropy_report",
-        "collision_report"])
+        "collision_report", "ChipGeometry", "new_chip", "Prn", "write_column",
+        "FailureModel", "new_chip min_failures", "SimulatedChip row",
+        "SimulatedChip swap key"])
 def test_a_number_too_long_to_print_is_refused_by_its_size(call, text):
     """The owner's text names the value's sign and size, so the refusal
     stays a NumberInvalid instead of the bare ValueError that printing
@@ -423,3 +547,63 @@ def test_a_number_too_long_to_print_is_refused_by_its_size(call, text):
         call()
     assert isinstance(caught.value, ValueError)
     assert str(caught.value) == text
+
+
+
+def test_a_column_too_long_to_print_is_refused_by_its_size():
+    with pytest.raises(ColumnOutOfRange) as caught:
+        extract_prn(new_chip(SMALL), HUGE)
+    assert str(caught.value) == (
+        "column an integer of more than 4300 digits outside 0..7")
+
+
+DIGITS = "7" * 5000  # decimal text longer than Python converts to an int
+TOO_LONG = "integer has 5000 digits, more than the 4300 Python converts"
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["chip", "new"], "--seed"),
+    (["chip", "new"], "--y"),
+    (["chip", "prn", "--chip", "c.chip"], "--column"),
+    (["entropy"], "--m"),
+    (["ledger", "verify", "--chain", "c.bin"], "--difficulty"),
+], ids=["chip new seed", "chip new y", "chip prn column", "entropy m",
+        "ledger verify difficulty"])
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+def test_a_flag_too_long_to_read_is_refused_by_its_digit_count(
+        tmp_path, monkeypatch, command, flag, sign):
+    """The one reader of integer text gives the count, not the digits, and
+    never calls a decimal integer "not an integer"."""
+    monkeypatch.chdir(tmp_path)
+    result = dispatch(command + [flag, sign + DIGITS])
+    assert result.exit_code == 2
+    assert result.diagnostics.splitlines()[-1].endswith(
+        f"error: argument {flag}: {TOO_LONG}")
+    assert DIGITS not in result.diagnostics
+
+
+@pytest.mark.parametrize("parse, good, line, bad_line, place", [
+    (parse_scenario, SCENARIO, "y = 256", "y = {v}", "params.y: "),
+    (parse_scenario, SCENARIO, "ca seed=1", "ca seed={v}", ""),
+    (parse_scenario, SCENARIO, "4 mine", "4 mine {v}", ""),
+    (parse_topology, LEDGER, "redundancy = 20", "redundancy = {v}",
+     "params.redundancy: "),
+    (parse_topology, LEDGER, "n0 seed=50", "n0 seed=50 y={v}", ""),
+    (parse_chip_fixture, FIXTURE, "rows = 16", "rows = {v}", "rows: "),
+    (parse_chip_fixture, FIXTURE, "failure_rows = 3, 9",
+     "failure_rows = 3, {v}", "failure_rows: "),
+    (parse_chip_fixture, FIXTURE, "swap_targets = 1, 0",
+     "swap_targets = {v}, 0", "swap_targets: "),
+], ids=["scenario params", "scenario chip", "scenario mine",
+        "ledger file params", "ledger file chip", "fixture rows",
+        "fixture failure rows", "fixture swap targets"])
+def test_a_line_too_long_to_read_is_refused_by_its_digit_count(
+        parse, good, line, bad_line, place):
+    bad_line = bad_line.format(v=DIGITS)
+    bad = good.replace(line, bad_line)
+    line_no = bad.splitlines().index(bad_line) + 1
+    prefix = "fixture line" if parse is parse_chip_fixture else "line"
+    with pytest.raises(ChipChainError) as caught:
+        parse(bad)
+    assert isinstance(caught.value, ValueError)
+    assert str(caught.value) == f"{prefix} {line_no}: {place}{TOO_LONG}"

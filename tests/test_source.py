@@ -39,12 +39,16 @@ def test_the_scenario_grammar_stays_in_config():
 
 
 def test_each_bound_is_read_by_the_module_that_owns_it():
-    """identity checks every state index and key size and ledger every
-    mining difficulty, so no parser can grow a range check of its own;
-    the package's __init__ only re-exports the bounds."""
+    """identity checks every state index and key size, ledger every
+    mining difficulty and chip_model every chip number, so no parser can
+    grow a range check of its own; the package's __init__ only
+    re-exports the bounds."""
     owners = {"MAX_STATE_INDEX": "identity.py",
               "MAX_MINING_DIFFICULTY": "ledger.py",
-              "SUPPORTED_MODULUS_BITS": "identity.py"}
+              "SUPPORTED_MODULUS_BITS": "identity.py",
+              "MAX_ROWS": "chip_model.py",
+              "MAX_REDUNDANCY_ROWS": "chip_model.py",
+              "MAX_MEAN_FAILURES": "chip_model.py"}
     readers = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -61,6 +65,54 @@ def test_each_bound_is_read_by_the_module_that_owns_it():
                            and not (path.name == "__init__.py"
                                     and isinstance(node, ast.ImportFrom)))
     assert readers == {(name, owner) for name, owner in owners.items()}
+
+
+def test_errors_alone_defines_the_integer_rule():
+    """Every owner takes its value through errors._integer, which raises
+    the class the owner names; no module keeps a second copy."""
+    defined = [path.name for path in sorted(PACKAGE.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef) and node.name == "_integer"]
+    assert defined == ["errors.py"]
+
+
+def _texts_read(tree):
+    """Lines where a caught exception's text (str(exc), repr(exc), an
+    f-string holding exc, exc.args) is used as anything but an argument
+    of a call outside re: compared, matched, sliced or searched."""
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    for handler in ast.walk(tree):
+        if not isinstance(handler, ast.ExceptHandler) or not handler.name:
+            continue
+        for node in ast.walk(handler):
+            if isinstance(node, ast.Attribute) and node.attr == "args":
+                text = node.value
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("str", "repr") and node.args):
+                text = node.args[0]
+            elif isinstance(node, ast.FormattedValue):
+                text, node = node.value, parents[node]
+            else:
+                continue
+            if not (isinstance(text, ast.Name) and text.id == handler.name):
+                continue
+            parent = parents[node]
+            passed_on = (isinstance(parent, ast.Call) and node in parent.args
+                         and not (isinstance(parent.func, ast.Attribute)
+                                  and isinstance(parent.func.value, ast.Name)
+                                  and parent.func.value.id == "re"))
+            if not passed_on:
+                yield node.lineno
+
+
+def test_no_parser_reads_a_refusals_text():
+    """A parser learns what was refused from where it called the owner,
+    never from the wording of the owner's message: each exception's text
+    is only handed on, into a message or a new exception."""
+    read = [f"{path.name}:{line}" for path in sorted(PACKAGE.rglob("*.py"))
+            for line in _texts_read(ast.parse(path.read_text(encoding="utf-8")))]
+    assert read == []
 
 
 def _is_target_shift(node) -> bool:
